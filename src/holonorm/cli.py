@@ -23,7 +23,7 @@ from . import normality as nr
 from . import reports as rp
 from . import sampling as sp
 from . import series as se
-from .errors import ContainmentError, HolonormError, InputError, ParseError, PoleError
+from .errors import HolonormError, InputError, ParseError
 
 
 def _parse_ladder(text: str) -> tuple:
@@ -288,16 +288,10 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         report = _run(args)
-    except (ParseError, InputError) as e:
+    except (ParseError, InputError, OSError) as e:
         print(f"holonorm: input error: {e}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as e:
-        print(f"holonorm: input error: {e}", file=sys.stderr)
-        return 2
-    except (PoleError, ContainmentError, ArithmeticError) as e:
-        print(f"holonorm: numeric failure: {e}", file=sys.stderr)
-        return 3
-    except HolonormError as e:
+    except (ArithmeticError, HolonormError) as e:
         print(f"holonorm: numeric failure: {e}", file=sys.stderr)
         return 3
     dt = time.perf_counter() - t0

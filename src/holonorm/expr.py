@@ -31,7 +31,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import ParseError, PoleError
+from .errors import InputError, ParseError, PoleError
 
 POLE_THRESHOLD = 1e-300
 
@@ -119,7 +119,7 @@ class HoloExpr:
     def _coerce(self, other) -> "HoloExpr":
         if isinstance(other, HoloExpr):
             if other.arity != self.arity:
-                raise ValueError("arity mismatch in expression arithmetic")
+                raise InputError("arity mismatch in expression arithmetic")
             return other
         return HoloExpr(Const(complex(other)), self.arity)
 
@@ -153,7 +153,7 @@ class HoloExpr:
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
-            raise ValueError("powers must be nonnegative integers")
+            raise InputError("powers must be nonnegative integers")
         return HoloExpr(Pow(self.root, k), self.arity)
 
     def __neg__(self):
@@ -166,7 +166,7 @@ def const_expr(c: complex, arity: int) -> HoloExpr:
 
 def var_expr(index: int, arity: int) -> HoloExpr:
     if not 1 <= index <= arity:
-        raise ValueError(f"variable index {index} outside 1..{arity}")
+        raise InputError(f"variable index {index} outside 1..{arity}")
     return HoloExpr(Var(index), arity)
 
 
@@ -334,7 +334,7 @@ class _Parser:
 def parse(text: str, arity: int) -> HoloExpr:
     """Parse DSL text into an expression over ``arity`` variables."""
     if not isinstance(arity, int) or arity < 1:
-        raise ValueError("arity must be a positive integer")
+        raise InputError("arity must be a positive integer")
     return HoloExpr(_Parser(text, arity).parse(), arity)
 
 
@@ -347,17 +347,17 @@ def as_points(z, arity: int) -> np.ndarray:
     a = np.asarray(z, dtype=complex)
     if a.ndim == 0:
         if arity != 1:
-            raise ValueError("scalar point given for arity > 1")
+            raise InputError("scalar point given for arity > 1")
         return a.reshape(1, 1)
     if a.ndim == 1:
         if arity == 1:
             return a.reshape(-1, 1)
         if a.shape[0] != arity:
-            raise ValueError(f"point has {a.shape[0]} coordinates, expected {arity}")
+            raise InputError(f"point has {a.shape[0]} coordinates, expected {arity}")
         return a.reshape(1, arity)
     if a.ndim == 2 and a.shape[1] == arity:
         return a
-    raise ValueError(f"cannot interpret array of shape {a.shape} as points in C^{arity}")
+    raise InputError(f"cannot interpret array of shape {a.shape} as points in C^{arity}")
 
 
 def _eval_node(node: Node, Z: np.ndarray, pole: np.ndarray, want_grad: bool):
@@ -463,7 +463,7 @@ def eval_jet(f: HoloExpr, z) -> Jet:
     """
     vals, grads, pole = eval_jet_batch(f, z)
     if vals.shape[0] != 1:
-        raise ValueError("eval_jet expects a single point; use eval_jet_batch")
+        raise InputError("eval_jet expects a single point; use eval_jet_batch")
     if pole[0]:
         raise PoleError("pole encountered during evaluation")
     if not (np.isfinite(vals[0].real) and np.isfinite(vals[0].imag)
@@ -475,7 +475,7 @@ def eval_jet(f: HoloExpr, z) -> Jet:
 def eval_value(f: HoloExpr, z) -> complex:
     vals, pole = eval_values(f, z)
     if vals.shape[0] != 1:
-        raise ValueError("eval_value expects a single point")
+        raise InputError("eval_value expects a single point")
     if pole[0]:
         raise PoleError("pole encountered during evaluation")
     v = complex(vals[0])
@@ -515,10 +515,10 @@ def substitute(f: HoloExpr, parts: Iterable[HoloExpr]) -> HoloExpr:
     """
     parts = list(parts)
     if len(parts) != f.arity:
-        raise ValueError(f"need {f.arity} substitution parts, got {len(parts)}")
+        raise InputError(f"need {f.arity} substitution parts, got {len(parts)}")
     arities = {p.arity for p in parts}
     if len(arities) != 1:
-        raise ValueError("substitution parts must share one arity")
+        raise InputError("substitution parts must share one arity")
     new_arity = arities.pop()
     return HoloExpr(_subst(f.root, [p.root for p in parts]), new_arity)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +29,10 @@ INF = complex(math.inf, 0.0)
 CONTAINMENT_SAMPLES = 256
 CONTAINMENT_RING = 1.0 - 1e-6
 CONTAINMENT_MARGIN = 1e-9
+
+#: Byte budget of one (candidates, n, samples) complex block of the
+#: lockstep candidate search; a check holds a few such arrays at once.
+LOCKSTEP_BYTES = 2 << 20
 
 
 # --------------------------------------------------------------------------
@@ -287,13 +292,21 @@ class DiscMap:
     def arity(self) -> int:
         return self.coefficients.shape[1]
 
+    def _horner(self, lam) -> np.ndarray:
+        """Values at points lam in (n, ...) layout, by in-place Horner."""
+        L = np.asarray(lam, dtype=complex)
+        out = np.zeros((self.arity,) + L.shape, dtype=complex)
+        tail = (slice(None),) + (None,) * L.ndim
+        for a in self.coefficients[::-1]:
+            # numpy multiplies a one-element array in place through a scalar
+            # loop that rounds differently from its vector loop
+            out = out * L if out.size == 1 else np.multiply(out, L, out=out)
+            out += a[tail]
+        return out
+
     def __call__(self, lam) -> np.ndarray:
         """Evaluate at points lam (any shape); returns (..., n)."""
-        L = np.asarray(lam, dtype=complex)
-        out = np.zeros(L.shape + (self.arity,), dtype=complex)
-        for a in self.coefficients[::-1]:
-            out = out * L[..., None] + a
-        return out
+        return np.ascontiguousarray(np.moveaxis(self._horner(lam), 0, -1))
 
     def derivative(self, lam) -> np.ndarray:
         L = np.asarray(lam, dtype=complex)
@@ -311,14 +324,44 @@ class DiscMap:
     def boundary_max(self, samples: int | None = None) -> float:
         """Max image norm over the verification ring |lambda| = CONTAINMENT_RING."""
         if samples is None:
-            samples = max(CONTAINMENT_SAMPLES, 4 * (self.degree + 1))
-        theta = 2.0 * np.pi * np.arange(samples) / samples
-        lam = CONTAINMENT_RING * np.exp(1j * theta)
-        vals = self(lam)
-        return float(np.max(np.linalg.norm(vals, axis=-1)))
+            samples = _ring_samples(self.degree)
+        return float(_ring_norm_max(self._horner(_ring(samples))))
 
     def contained_in_unit_ball(self, samples: int | None = None) -> bool:
         return self.boundary_max(samples) <= 1.0 - CONTAINMENT_MARGIN
+
+
+def _ring_samples(degree: int) -> int:
+    return max(CONTAINMENT_SAMPLES, 4 * (degree + 1))
+
+
+@lru_cache(maxsize=64)
+def _ring(samples: int) -> np.ndarray:
+    """The verification ring |lambda| = CONTAINMENT_RING, read-only."""
+    theta = 2.0 * np.pi * np.arange(samples) / samples
+    lam = CONTAINMENT_RING * np.exp(1j * theta)
+    lam.flags.writeable = False
+    return lam
+
+
+def _ring_norm_max(vals: np.ndarray) -> np.ndarray:
+    """Max over the last axis of the image norm of (..., n, samples) values.
+
+    Rounds exactly as np.linalg.norm over contiguous (samples, n) rows, the
+    layout of every containment check before the lockstep search: numpy
+    sums rows shorter than 8 left to right and longer rows pairwise.
+    """
+    sq = np.conjugate(vals)
+    sq *= vals
+    sq = sq.real
+    n = sq.shape[-2]
+    if n < 8:
+        total = sq[..., 0, :]
+        for k in range(1, n):
+            total = total + sq[..., k, :]
+    else:
+        total = np.add.reduce(np.ascontiguousarray(np.swapaxes(sq, -1, -2)), axis=-1)
+    return np.sqrt(np.max(total, axis=-1))
 
 
 def require_contained(disc: DiscMap) -> DiscMap:
@@ -388,38 +431,53 @@ def _extremal_parameters(z, v_hat):
     return t, q
 
 
-def _geometric_boundary_max(z, v_hat, t, q, sigma, d, samples=512):
-    """Exact boundary max of the degree-d truncation scaled by sigma.
+def _geometric_boundary_max(z, v_hat, t, q, sigma, degrees, samples=512):
+    """Exact boundary maxima of degree-d truncations scaled by sigma.
 
-    The truncated disc is z + t v_hat G(l) with
-    G(l) = sum_{j=1..d} (sigma l)^j q^(j-1); the geometric form keeps the
-    evaluation O(samples) independent of d.
+    Row k is the disc z + t v_hat G(l) with
+    G(l) = sum_{j=1..d} (sigma_k l)^j q^(j-1), d = degrees[k]; the
+    geometric form keeps the evaluation O(samples) independent of d.
+    Returns one maximum per row.
     """
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    lam = CONTAINMENT_RING * np.exp(1j * theta)
-    w = sigma * lam
+    w = np.asarray(sigma, dtype=float)[:, None] * _ring(samples)
     ratio = q * w
-    G = w * (1.0 - ratio ** d) / (1.0 - ratio)
+    # one power per row with a Python int exponent, as numpy's scalar fast
+    # path for exponent 2 rounds differently from its array power
+    power = np.stack([r ** int(d) for r, d in zip(ratio, degrees)])
+    G = w * (1.0 - power) / (1.0 - ratio)
     nz2 = float(np.vdot(z, z).real)
     p_full = complex(np.sum(v_hat * z.conjugate()))  # <v_hat, z>
     norm2 = nz2 + (t * np.abs(G)) ** 2 + 2.0 * t * np.real(G * p_full)
-    return math.sqrt(float(np.max(norm2)))
+    return np.sqrt(np.max(norm2, axis=1))
 
 
-def _truncated_geodesic_candidate(z, v_hat, v_norm, t, q, d):
-    """Degree-d truncation of the geodesic disc, argument-scaled to fit."""
+def _truncated_geodesic_candidate(z, v_hat, v_norm, t, q, degrees):
+    """Degree-d truncations of the geodesic disc, argument-scaled to fit.
+
+    The scale sigma of every degree is bisected in lockstep, one
+    (degrees, samples) pass per step.  Returns (disc, alpha) for every
+    degree whose scaled truncation passes ``contained_in_unit_ball``.
+    """
     target = 1.0 - CONTAINMENT_MARGIN
-    lo, hi = 0.0, 1.0
-    if _geometric_boundary_max(z, v_hat, t, q, 1.0, d) <= target:
-        sigma = 1.0
-    else:
+    sigma = np.ones(len(degrees))
+    rows = np.flatnonzero(_geometric_boundary_max(z, v_hat, t, q, sigma, degrees) > target)
+    if rows.size:
+        sub = [degrees[k] for k in rows]
+        lo, hi = np.zeros(rows.size), np.ones(rows.size)
         for _ in range(48):
             mid = 0.5 * (lo + hi)
-            if _geometric_boundary_max(z, v_hat, t, q, mid, d) <= target:
-                lo = mid
-            else:
-                hi = mid
-        sigma = lo
+            ok = _geometric_boundary_max(z, v_hat, t, q, mid, sub) <= target
+            lo = np.where(ok, mid, lo)
+            hi = np.where(ok, hi, mid)
+        sigma[rows] = lo
+    fitted = (_fit_truncation(z, v_hat, v_norm, t, q, d, float(sig))
+              for d, sig in zip(degrees, sigma))
+    return [cand for cand in fitted if cand is not None]
+
+
+def _fit_truncation(z, v_hat, v_norm, t, q, d, sigma):
+    """The degree-d truncation at scale sigma and its alpha, shrunk by 0.1%
+    at most 8 times until it passes the containment check; else None."""
     if sigma <= 0.0:
         return None
     j = np.arange(1, d + 1)
@@ -440,34 +498,58 @@ def _truncated_geodesic_candidate(z, v_hat, v_norm, t, q, d):
     return None
 
 
-def _quadratic_candidate(z, v_hat, v_norm, rng):
-    """Seeded degree-2 perturbation: z + beta l v_hat + gamma l^2 u."""
+def _quadratic_candidate(z, v_hat, v_norm, rng, count):
+    """``count`` seeded degree-2 perturbations z + beta l v_hat + gamma l^2 u.
+
+    Each candidate draws u, |gamma| and arg(gamma) from rng in turn.  The
+    largest beta in (0, 1.5] that passes the containment check is bisected
+    for all candidates in lockstep: one (count, n, samples) Horner pass per
+    step, with the beta-free term gamma l^2 u computed once.  Returns
+    (disc, alpha) for every candidate with beta > 0 whose disc passes
+    ``contained_in_unit_ball`` on its exact coefficients.
+    """
     n = len(z)
-    raw = rng.standard_normal(2 * n)
-    u = raw[:n] + 1j * raw[n:]
-    u /= np.linalg.norm(u)
-    gmag = rng.uniform(0.0, 0.25) * (1.0 - float(np.linalg.norm(z)))
-    gph = rng.uniform(0.0, 2.0 * np.pi)
-    a2 = gmag * complex(math.cos(gph), math.sin(gph)) * u
+    nz = float(np.linalg.norm(z))
+    a2 = np.empty((count, n), dtype=complex)
+    for k in range(count):
+        raw = rng.standard_normal(2 * n)
+        u = raw[:n] + 1j * raw[n:]
+        u /= np.linalg.norm(u)
+        gmag = rng.uniform(0.0, 0.25) * (1.0 - nz)
+        gph = rng.uniform(0.0, 2.0 * np.pi)
+        a2[k] = gmag * complex(math.cos(gph), math.sin(gph)) * u
 
-    def fits(beta):
-        coeffs = np.stack([z, beta * v_hat, a2])
-        return DiscMap(coeffs).contained_in_unit_ball()
+    lam = _ring(_ring_samples(2))
+    quad = a2[:, :, None] * lam
+    target = 1.0 - CONTAINMENT_MARGIN
 
-    lo, hi = 0.0, 1.5
-    if fits(hi):
-        lo = hi
-    else:
+    def fits(base, beta):
+        vals = base + (beta[:, None] * v_hat)[:, :, None]
+        vals *= lam
+        vals += z[:, None]
+        return _ring_norm_max(vals) <= target
+
+    lo, hi = np.zeros(count), np.full(count, 1.5)
+    top = fits(quad, hi)
+    lo[top] = 1.5
+    rows = np.flatnonzero(~top)
+    if rows.size:
+        quad = quad[rows]
+        blo, bhi = lo[rows], hi[rows]
         for _ in range(24):
-            mid = 0.5 * (lo + hi)
-            if fits(mid):
-                lo = mid
-            else:
-                hi = mid
-    if lo <= 0.0:
-        return None
-    disc = DiscMap(np.stack([z, lo * v_hat, a2]))
-    return disc, v_norm / lo
+            mid = 0.5 * (blo + bhi)
+            ok = fits(quad, mid)
+            blo = np.where(ok, mid, blo)
+            bhi = np.where(ok, bhi, mid)
+        lo[rows] = blo
+
+    accepted = []
+    for k in np.flatnonzero(lo > 0.0):
+        beta = float(lo[k])
+        disc = DiscMap(np.stack([z, beta * v_hat, a2[k]]))
+        if disc.contained_in_unit_ball():
+            accepted.append((disc, v_norm / beta))
+    return accepted
 
 
 _GEODESIC_DEGREES = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
@@ -476,14 +558,19 @@ _GEODESIC_DEGREES = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 3
 def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
     """Upper bound on the Kobayashi metric F_K(z, v) of the unit ball.
 
-    Minimises alpha over a fixed, seed-deterministic sequence of candidate
-    analytic discs phi with phi(0) = z and phi'(0) a positive multiple of v:
-    the largest safe affine disc in direction v, truncations of the geodesic
-    disc at increasing polynomial degree, then seeded degree-2
-    perturbations.  Every accepted disc passes the sampled containment check
-    (ring radius 1 - 1e-6, margin 1e-9), so each candidate's alpha is a
-    genuine upper bound by the defining infimum.  The result is
-    nonincreasing in ``budget`` and reproducible for a fixed seed.
+    Minimises alpha over a fixed, seed-deterministic sequence of ``budget``
+    candidate analytic discs phi with phi(0) = z and phi'(0) a positive
+    multiple of v: the largest safe affine disc in direction v, truncations
+    of the geodesic disc at increasing polynomial degree, then seeded
+    degree-2 perturbations.  The disc scales are searched in lockstep: the
+    truncations' scales bisected together as one (degrees, samples) array,
+    the perturbations' in blocks of at most LOCKSTEP_BYTES per
+    (candidates, n, samples) array, so memory stays bounded at any budget.
+    Each accepted disc passes the sampled containment check (ring radius
+    1 - 1e-6, margin 1e-9) once, on its exact coefficients, so each
+    candidate's alpha is a genuine upper bound by the defining infimum.
+    The result is nonincreasing in ``budget`` and reproducible for a fixed
+    seed.
     """
     if B.radius != 1.0:
         raise InputError("upper estimator is stated for the unit ball")
@@ -498,39 +585,28 @@ def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
         raise InputError("base point must lie in the open ball")
     v_hat = vv / v_norm
 
-    best = math.inf
-    used = 0
-
+    alphas = []
     disc, alpha = _affine_candidate(zz, v_hat, v_norm)
     if disc.contained_in_unit_ball():
-        best = min(best, alpha)
-    used += 1
+        alphas.append(alpha)
+    used = 1
 
     nz = float(np.linalg.norm(zz))
-    if nz > 1e-12:
+    if nz > 1e-12 and used < budget:
         t, q = _extremal_parameters(zz, v_hat)
         if abs(q) > 1e-14:
-            for d in _GEODESIC_DEGREES:
-                if used >= budget:
-                    break
-                cand = _truncated_geodesic_candidate(zz, v_hat, v_norm, t, q, d)
-                used += 1
-                if cand is None:
-                    continue
-                cdisc, calpha = cand
-                if cdisc.contained_in_unit_ball():
-                    best = min(best, calpha)
+            degrees = _GEODESIC_DEGREES[:budget - used]
+            alphas += [calpha for _, calpha in
+                       _truncated_geodesic_candidate(zz, v_hat, v_norm, t, q, degrees)]
+            used += len(degrees)
 
     rng = np.random.default_rng(seed)
+    block = max(1, LOCKSTEP_BYTES // (16 * B.arity * _ring_samples(2)))
     while used < budget:
-        cand = _quadratic_candidate(zz, v_hat, v_norm, rng)
-        used += 1
-        if cand is None:
-            continue
-        cdisc, calpha = cand
-        if cdisc.contained_in_unit_ball():
-            best = min(best, calpha)
+        count = min(block, budget - used)
+        alphas += [calpha for _, calpha in _quadratic_candidate(zz, v_hat, v_norm, rng, count)]
+        used += count
 
-    if not math.isfinite(best):
+    if not alphas:
         raise ContainmentError("no admissible disc found within budget")
-    return best
+    return min(alphas)

@@ -401,6 +401,8 @@ def ball_orbit(f: ex.HoloExpr, params) -> list[ex.HoloExpr]:
 
 
 def random_disc_params(count: int, seed: int, max_norm: float = 0.9):
+    if count < 1:
+        raise InputError("count must be positive")
     rng = np.random.default_rng(seed)
     r = max_norm * np.sqrt(rng.uniform(size=count))
     th = rng.uniform(0.0, 2.0 * np.pi, size=count)

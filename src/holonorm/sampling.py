@@ -51,7 +51,7 @@ def disc_ladder_grids(ladder=DEFAULT_LADDER, radii: int = DEFAULT_RADII,
     """
     lad = check_ladder(ladder)
     if radii < 2 or angles < 1:
-        raise ValueError("need at least 2 radii and 1 angle")
+        raise InputError("need at least 2 radii and 1 angle")
     theta = 2.0 * np.pi * np.arange(angles) / angles
     ring = np.exp(1j * theta)
     grids = []
@@ -80,7 +80,7 @@ def axis_directions(arity: int) -> np.ndarray:
 def unit_sphere_points(arity: int, count: int, seed: int) -> np.ndarray:
     """Seeded uniform sample on the unit sphere of C^arity, shape (count, arity)."""
     if count < 1:
-        raise ValueError("count must be positive")
+        raise InputError("count must be positive")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((count, 2 * arity))
     vecs = raw[:, :arity] + 1j * raw[:, arity:]
@@ -92,6 +92,8 @@ def unit_sphere_points(arity: int, count: int, seed: int) -> np.ndarray:
 
 def uniform_ball_points(arity: int, count: int, radius: float, seed: int) -> np.ndarray:
     """Seeded uniform sample in the closed complex ball of the given radius."""
+    if count < 1:
+        raise InputError("count must be positive")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((count, 2 * arity))
     vecs = raw[:, :arity] + 1j * raw[:, arity:]
@@ -103,6 +105,8 @@ def uniform_ball_points(arity: int, count: int, radius: float, seed: int) -> np.
 
 def uniform_disc_points(count: int, radius: float, seed: int) -> np.ndarray:
     """Seeded uniform sample in a disc, returned as a complex (count,) array."""
+    if count < 1:
+        raise InputError("count must be positive")
     rng = np.random.default_rng(seed)
     r = radius * np.sqrt(rng.uniform(size=count))
     th = rng.uniform(0.0, 2.0 * np.pi, size=count)

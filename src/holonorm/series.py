@@ -175,7 +175,7 @@ def series_from_dict(obj: Mapping) -> PowerSeries:
     try:
         arity = int(obj["arity"])
         max_degree = int(obj["max_degree"])
-        raw_terms = obj["terms"]
+        raw_terms = list(obj["terms"])
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed series object: {e}") from e
     terms: dict = {}
@@ -204,6 +204,8 @@ def load_series(path: str) -> PowerSeries:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
+        except UnicodeDecodeError as e:
+            raise InputError(f"series file is not UTF-8 text: {e}") from e
         except json.JSONDecodeError as e:
             raise InputError(f"invalid series JSON: {e}") from e
     return series_from_dict(obj)

@@ -82,6 +82,37 @@ def test_missing_series_file_exits_2(capsys):
     assert "input error" in err
 
 
+def test_non_utf8_series_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"arity": 1, "name": "\xe9"}')
+    code, out, err = run(capsys, "hartogs", "--series", str(path))
+    assert code == 2
+    assert out == ""
+    assert "not UTF-8" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["yosida", "--expr", "z1", "--radii", "1"],
+    ["ball-ratio", "--expr", "z1*z2", "--arity", "2", "--samples", "0"],
+    ["orbit", "--expr", "z1", "--count", "-1"],
+    ["sharp", "--expr", "z1", "--arity", "0"],
+], ids=["radii", "samples", "count", "arity"])
+def test_out_of_range_counts_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
+
+
+def test_internal_value_error_is_not_an_input_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli.nr, "marty_sup", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        cli.main(["marty", "--expr", "z1"])
+
+
 FAST_COMMANDS = [
     ("sharp", ["sharp", "--expr", "z1*z2", "--arity", "2", "--radius", "0.4"]),
     ("marty", ["marty", "--expr", "z1", "--expr", "2*z1", "--radius", "0.5"]),

@@ -386,3 +386,162 @@ def test_kobayashi_upper_deterministic():
     a = mt.kobayashi_upper(B, z, v, budget=60, seed=42)
     b = mt.kobayashi_upper(B, z, v, budget=60, seed=42)
     assert a == b
+
+
+# Estimates as float.hex() for z = r * PINNED_Z[n] / |PINNED_Z[n]|, v =
+# PINNED_V[n], seed 7, at PINNED_BUDGETS.  Budget 300 holds more degree-2
+# candidates than one lockstep block at arity 2 and 3.  Recorded before the
+# candidate search was vectorised; any rounding change in the containment
+# checks shows up here.
+PINNED_Z = {2: [1 + 0.5j, -0.3 + 0.7j], 3: [1 + 0.5j, -0.3 + 0.7j, 0.2 - 0.4j]}
+PINNED_V = {2: [0.5 - 0.3j, 0.8 + 0.1j], 3: [0.5 - 0.3j, 0.8 + 0.1j, -0.2 + 0.6j]}
+PINNED_BUDGETS = (1, 2, 5, 20, 200, 300)
+PINNED_HEX = {
+    (2, 0.0): (
+        '0x1.fd6efe55278a7p-1', '0x1.fd6efe55278a7p-1',
+        '0x1.fd6efe55278a7p-1', '0x1.fd6efe55278a7p-1',
+        '0x1.fd6efe55278a7p-1', '0x1.fd6efe55278a7p-1',
+    ),
+    (2, 0.3): (
+        '0x1.5c8e3d60af43cp+0', '0x1.264bec0cb586bp+0',
+        '0x1.14a8bb347a9cdp+0', '0x1.148da65558885p+0',
+        '0x1.148da65558885p+0', '0x1.148da65558885p+0',
+    ),
+    (2, 0.6): (
+        '0x1.23a76ea78fbe8p+1', '0x1.d5aeab5267ebdp+0',
+        '0x1.865d27d32c15ep+0', '0x1.7a8d2fc6593b1p+0',
+        '0x1.7a8d2fc6593b1p+0', '0x1.7a8d2fc6593b1p+0',
+    ),
+    (2, 0.9): (
+        '0x1.15d7e977d2f5ep+3', '0x1.c2ba6753acd9dp+2',
+        '0x1.6d2fad4489c0bp+2', '0x1.290c04f760be2p+2',
+        '0x1.290c04f760be2p+2', '0x1.290c04f760be2p+2',
+    ),
+    (3, 0.0): (
+        '0x1.2dd1cdf740939p+0', '0x1.2dd1cdf740939p+0',
+        '0x1.2dd1cdf740939p+0', '0x1.2dd1cdf740939p+0',
+        '0x1.2dd1cdf740939p+0', '0x1.2dd1cdf740939p+0',
+    ),
+    (3, 0.3): (
+        '0x1.84834eefaae1dp+0', '0x1.4fe3b37f82aeep+0',
+        '0x1.431cd99cef756p+0', '0x1.43163330dead5p+0',
+        '0x1.43163330dead5p+0', '0x1.43163330dead5p+0',
+    ),
+    (3, 0.6): (
+        '0x1.2f5b4d0c6a3cep+1', '0x1.ec252dd6a6a3ep+0',
+        '0x1.a8d3a88bc378ep+0', '0x1.a4a85333cdd39p+0',
+        '0x1.a4a85333cdd39p+0', '0x1.a4a85333cdd39p+0',
+    ),
+    (3, 0.9): (
+        '0x1.0773ff5980b11p+3', '0x1.a990025e0c52dp+2',
+        '0x1.57f77b518178cp+2', '0x1.23e36f09dafabp+2',
+        '0x1.23e36f09dafabp+2', '0x1.23e36f09dafabp+2',
+    ),
+}
+
+
+@pytest.mark.parametrize("arity,r", sorted(PINNED_HEX))
+def test_kobayashi_upper_bit_pinned(arity, r):
+    B = mt.BallDomain(arity)
+    u = np.array(PINNED_Z[arity])
+    z = r * (u / np.linalg.norm(u))
+    got = [mt.kobayashi_upper(B, z, PINNED_V[arity], budget, seed=7).hex()
+           for budget in PINNED_BUDGETS]
+    assert got == list(PINNED_HEX[arity, r])
+
+
+def _alpha_matches_derivative(disc, alpha, v_norm):
+    d0 = float(np.linalg.norm(disc.derivative_at_zero()))
+    return abs(alpha - v_norm / d0) <= 1e-12 * alpha
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_candidate_discs_contained_with_matching_alpha(arity):
+    rng = np.random.default_rng(arity)
+    for trial in range(4):
+        z = sp.uniform_ball_points(arity, 1, 0.9, 40 + trial)[0]
+        raw = rng.standard_normal(2 * arity)
+        v = raw[:arity] + 1j * raw[arity:]
+        v_norm = float(np.linalg.norm(v))
+        v_hat = v / v_norm
+        t, q = mt._extremal_parameters(z, v_hat)
+        geodesic = mt._truncated_geodesic_candidate(z, v_hat, v_norm, t, q,
+                                                    mt._GEODESIC_DEGREES)
+        quadratic = mt._quadratic_candidate(z, v_hat, v_norm, rng, 40)
+        assert geodesic and quadratic
+        for disc, alpha in geodesic + quadratic:
+            assert np.array_equal(disc.coefficients[0], z)
+            assert disc.contained_in_unit_ball()
+            assert _alpha_matches_derivative(disc, alpha, v_norm)
+
+
+def _one_disc_quadratic_search(z, v_hat, rng):
+    """Reference: one degree-2 candidate, bisected one containment check at a
+    time.  Returns (a2, beta) or None."""
+    n = len(z)
+    raw = rng.standard_normal(2 * n)
+    u = raw[:n] + 1j * raw[n:]
+    u /= np.linalg.norm(u)
+    gmag = rng.uniform(0.0, 0.25) * (1.0 - float(np.linalg.norm(z)))
+    gph = rng.uniform(0.0, 2.0 * np.pi)
+    a2 = gmag * complex(math.cos(gph), math.sin(gph)) * u
+
+    def fits(beta):
+        return mt.DiscMap(np.stack([z, beta * v_hat, a2])).contained_in_unit_ball()
+
+    lo, hi = 0.0, 1.5
+    if fits(hi):
+        lo = hi
+    else:
+        for _ in range(24):
+            mid = 0.5 * (lo + hi)
+            if fits(mid):
+                lo = mid
+            else:
+                hi = mid
+    return None if lo <= 0.0 else (a2, lo)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 8])
+def test_quadratic_lockstep_matches_one_disc_search(arity):
+    count = 30
+    for trial in range(3):
+        z = sp.uniform_ball_points(arity, 1, 0.95, 60 + trial)[0] if trial else np.zeros(arity, complex)
+        v = sp.unit_sphere_points(arity, 1, 70 + trial)[0] * (0.5 + trial)
+        v_norm = float(np.linalg.norm(v))
+        v_hat = v / v_norm
+        ref_rng = np.random.default_rng(trial)
+        want = [_one_disc_quadratic_search(z, v_hat, ref_rng) for _ in range(count)]
+        want = [w for w in want if w is not None]
+        rng = np.random.default_rng(trial)
+        got = mt._quadratic_candidate(z, v_hat, v_norm, rng, count)
+        assert rng.random() == ref_rng.random()  # same draws consumed
+        assert len(got) == len(want)
+        for (disc, alpha), (a2, beta) in zip(got, want):
+            assert np.array_equal(disc.coefficients[2], a2)
+            assert disc.coefficients[1].tobytes() == (beta * v_hat).tobytes()
+            assert alpha == v_norm / beta
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 5, 8, 9, 17])
+def test_ring_norm_rounds_as_numpy_norm(arity):
+    # one sample per row, so the max is each row's own norm
+    rng = np.random.default_rng(arity)
+    x = rng.standard_normal((4000, arity)) + 1j * rng.standard_normal((4000, arity))
+    got = mt._ring_norm_max(np.ascontiguousarray(x)[:, :, None])
+    assert got.tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("arity,degree", [(1, 1), (1, 5), (2, 2), (3, 40), (9, 3)])
+def test_disc_map_matches_reference_horner(arity, degree):
+    rng = np.random.default_rng(arity * 100 + degree)
+    c = rng.standard_normal((degree + 1, arity)) + 1j * rng.standard_normal((degree + 1, arity))
+    phi = mt.DiscMap(c / (2 * (degree + 1)))
+    for lam in (0.3 - 0.2j, np.array([0.5j]), 0.9 * np.exp(1j * np.linspace(0, 6, 300))):
+        L = np.asarray(lam, dtype=complex)
+        want = np.zeros(L.shape + (arity,), dtype=complex)
+        for a in phi.coefficients[::-1]:
+            want = want * L[..., None] + a
+        assert phi(lam).tobytes() == want.tobytes()
+    ring = mt.CONTAINMENT_RING * np.exp(1j * (2.0 * np.pi * np.arange(256) / 256))
+    assert phi.boundary_max() == np.max(np.linalg.norm(phi(ring), axis=-1))

@@ -198,6 +198,12 @@ def test_json_duplicate_alpha_rejected():
         se.series_from_dict(payload)
 
 
+@pytest.mark.parametrize("terms", [None, 3, ["a"], [None]])
+def test_json_non_list_terms_rejected(terms):
+    with pytest.raises(InputError):
+        se.series_from_dict({"arity": 1, "max_degree": 2, "terms": terms})
+
+
 def test_geometric_series_fixture():
     G = se.geometric_series(2, 8)
     u = se.restrict_to_line(G, (1.0, 0.0))
