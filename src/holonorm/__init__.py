@@ -55,7 +55,6 @@ from .normality import (
     ball_orbit,
     disc_family_probe,
     kobayashi_normality_check,
-    lehto_virtanen_check,
     levi_form,
     lipschitz_ratio,
     marty_sup,
@@ -92,7 +91,7 @@ __all__ = [
     "BOUNDED", "UNBOUNDED_TREND", "INCONCLUSIVE",
     "SupEstimate", "Verdict",
     "mu", "levi_form", "sharp", "marty_sup", "yosida_bound",
-    "lehto_virtanen_check", "mu_local_boundedness", "lipschitz_ratio",
+    "mu_local_boundedness", "lipschitz_ratio",
     "translate_orbit", "ball_orbit", "ball_normal_ratio",
     "kobayashi_normality_check", "disc_family_probe",
     "CONVERGENT", "DIVERGENT",

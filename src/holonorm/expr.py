@@ -14,19 +14,24 @@ Grammar::
             | 'exp(' expr ')' | 'sin(' expr ')' | 'cos(' expr ')'
 
 Whitespace is insignificant.  A leading sign on an expression (and inside
-parentheses) is accepted as sugar for ``0 - term``.
+parentheses) is accepted as sugar for ``0 - term``.  Parentheses nest at most
+``MAX_NESTING`` deep.
 
 Evaluation propagates first-order jets: the value together with the complex
-gradient (d/dz_1, ..., d/dz_n).  Derivatives are therefore exact up to
-rounding; no numerical differencing is involved.  Divisions whose denominator
-has magnitude below ``POLE_THRESHOLD`` raise :class:`PoleError` (scalar path)
-or set a pole mask (batch path) instead of crashing.
+gradient (d/dz_1, ..., d/dz_n), or with one directional derivative along a
+complex line.  Derivatives are therefore exact up to rounding; no numerical
+differencing is involved.  Each expression is compiled once to a flat tape
+(see :func:`compile_tape`), so trees of any depth evaluate.  Divisions whose
+denominator has magnitude below ``POLE_THRESHOLD`` raise :class:`PoleError`
+(scalar path) or set a pole mask (batch path) instead of crashing.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -34,6 +39,9 @@ import numpy as np
 from .errors import InputError, ParseError, PoleError
 
 POLE_THRESHOLD = 1e-300
+
+#: Deepest parenthesis (and call) nesting the recursive-descent parser accepts.
+MAX_NESTING = 100
 
 
 # --------------------------------------------------------------------------
@@ -113,6 +121,11 @@ class HoloExpr:
 
     def jet(self, z) -> Jet:
         return eval_jet(self, z)
+
+    @cached_property
+    def tape(self) -> "Tape":
+        """This expression compiled to straight-line code, once."""
+        return compile_tape(self.root)
 
     # -- algebra on expressions (used when composing maps programmatically) --
 
@@ -252,6 +265,19 @@ class _Parser:
     def __init__(self, text: str, arity: int):
         self.toks = _Tokenizer(text)
         self.arity = arity
+        self.depth = 0
+
+    def _group(self, pos: int) -> Node:
+        """The expression after an opening parenthesis at ``pos``, and its ')'."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+        self.depth += 1
+        node = self._expr()
+        self.depth -= 1
+        k3, v3, p3 = self.toks.next()
+        if k3 != "op" or v3 != ")":
+            raise ParseError("expected ')'", p3)
+        return node
 
     def parse(self) -> Node:
         node = self._expr()
@@ -315,17 +341,9 @@ class _Parser:
             k2, v2, p2 = self.toks.next()
             if k2 != "op" or v2 != "(":
                 raise ParseError(f"expected '(' after {value}", p2)
-            arg = self._expr()
-            k3, v3, p3 = self.toks.next()
-            if k3 != "op" or v3 != ")":
-                raise ParseError("expected ')'", p3)
-            return Call(value, arg)
+            return Call(value, self._group(p2))
         if kind == "op" and value == "(":
-            node = self._expr()
-            k3, v3, p3 = self.toks.next()
-            if k3 != "op" or v3 != ")":
-                raise ParseError("expected ')'", p3)
-            return node
+            return self._group(pos)
         if kind == "end":
             raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {value!r}", pos)
@@ -336,6 +354,284 @@ def parse(text: str, arity: int) -> HoloExpr:
     if not isinstance(arity, int) or arity < 1:
         raise InputError("arity must be a positive integer")
     return HoloExpr(_Parser(text, arity).parse(), arity)
+
+
+# --------------------------------------------------------------------------
+# Compilation to a tape
+# --------------------------------------------------------------------------
+#
+# A tape is the expression as straight-line code over numbered slots, built
+# once per HoloExpr by an iterative walk, so trees of any depth evaluate.
+# Repeated subexpressions share a slot, operations on constants are folded,
+# and a slot is released after its last use.  Values are arrays over the
+# batch of points (constants are 1-element arrays that broadcast).  Beside
+# each value the tape carries a tuple of tangent columns: n of them, one per
+# variable, for gradients (eval_jet_batch), one for a directional derivative
+# (eval_line_jets), none for plain values (eval_values).  A tangent column is
+# None where it is identically zero, and its products are then skipped.
+#
+# Every operation uses the arithmetic, operand order and pole rule of the
+# forward-mode jet rules it implements, so results are bit-identical to
+# propagating full (m, n) gradient arrays, up to the sign of a zero.  A
+# skipped zero term v * 0 still contributes what IEEE arithmetic gives it:
+# NaN wherever v is not finite.
+
+_NAN = np.array([complex(np.nan, np.nan)])
+_ZERO = np.array([0j])
+_ONE = np.array([1 + 0j])
+
+_OPERANDS = {Add: ("left", "right"), Sub: ("left", "right"),
+             Mul: ("left", "right"), Div: ("left", "right"),
+             Pow: ("base",), Call: ("arg",)}
+
+
+def _postorder(root: Node):
+    """The distinct nodes under ``root``, each after its operands, left
+    operands first; walked with an explicit stack."""
+    done = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in done:
+            continue
+        operands = _OPERANDS.get(type(node), ())
+        if expanded or not operands:
+            if not operands and not isinstance(node, (Const, Var)):
+                raise TypeError(f"unknown node {node!r}")
+            done.add(id(node))
+            yield node
+        else:
+            stack.append((node, True))
+            stack.extend((getattr(node, name), False) for name in reversed(operands))
+
+
+def _nonfinite(v: np.ndarray):
+    """Mask of the entries of ``v`` that are not finite, or None if there are none."""
+    if np.isfinite(v.view(np.float64)).all():  # both parts at once: half the work
+        return None
+    return ~np.isfinite(v)
+
+
+def _poison(t, bad):
+    """Tangent ``t`` (None: zero) plus a skipped v * 0 term, NaN where ``bad``."""
+    if bad is None:
+        return t
+    return np.where(bad, _NAN, _ZERO if t is None else t)
+
+
+def _skips(tangents) -> bool:
+    return any(t is None for t in tangents)
+
+
+def _add(va, ta, vb, tb, arg, pole):
+    return va + vb, tuple(x if y is None else y if x is None else x + y
+                          for x, y in zip(ta, tb))
+
+
+def _sub(va, ta, vb, tb, arg, pole):
+    return va - vb, tuple(x if y is None else -y if x is None else x - y
+                          for x, y in zip(ta, tb))
+
+
+def _mul(va, ta, vb, tb, arg, pole):
+    # d(ab) = a db + b da
+    bad_a = _nonfinite(va) if _skips(tb) else None
+    bad_b = _nonfinite(vb) if _skips(ta) else None
+    t = []
+    for x, y in zip(ta, tb):
+        if x is None:
+            t.append(_poison(_poison(None, bad_a) if y is None else va * y, bad_b))
+        elif y is None:
+            t.append(_poison(vb * x, bad_a))
+        else:
+            t.append(va * y + vb * x)
+    return va * vb, tuple(t)
+
+
+def _div(va, ta, vb, tb, arg, pole):
+    # Denominators below POLE_THRESHOLD mark the pole mask and continue as 1;
+    # d(a/b) = (da b - a db) / (b b)
+    bad = np.abs(vb) < POLE_THRESHOLD
+    if bad.any():
+        pole |= bad
+        vb = np.where(bad, 1.0, vb)
+    if not ta:
+        return va / vb, ()
+    den = vb * vb
+    bad_a = _nonfinite(va) if _skips(tb) else None
+    bad_b = _nonfinite(vb) if _skips(ta) else None
+    t = []
+    for x, y in zip(ta, tb):
+        if x is None and y is None:
+            q = (_ZERO * vb - va * _ZERO) / den
+            t.append(None if (q == 0).all() else q)
+        elif x is None:
+            t.append(_poison(-(va * y) / den, bad_b))
+        elif y is None:
+            t.append(_poison(x * vb / den, bad_a))
+        else:
+            t.append((x * vb - va * y) / den)
+    return va / vb, tuple(t)
+
+
+def _pow(va, ta, vb, tb, k, pole):
+    if k == 0:
+        return _ONE, (None,) * len(ta)
+    if not ta:
+        return va ** k, ()
+    dv = k * va ** (k - 1)
+    bad = _nonfinite(dv) if _skips(ta) else None
+    return va ** k, tuple(_poison(None, bad) if x is None else dv * x for x in ta)
+
+
+def _call(va, ta, vb, tb, func, pole):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if func == "exp":
+            v = np.exp(va)
+            dv = v
+        elif func == "sin":
+            v = np.sin(va)
+            dv = np.cos(va) if ta else None
+        else:
+            v = np.cos(va)
+            dv = -np.sin(va) if ta else None
+        bad = _nonfinite(dv) if _skips(ta) else None
+        return v, tuple(_poison(None, bad) if x is None else dv * x for x in ta)
+
+
+_BINARY = {Add: _add, Sub: _sub, Mul: _mul, Div: _div}
+
+
+@dataclass(frozen=True)
+class Tape:
+    """An expression compiled to straight-line code over numbered slots.
+
+    ``consts`` preloads slots with folded constants (1-element arrays) and
+    ``inputs`` with variable columns, as (slot, value) and (slot, 0-based
+    variable index) pairs.  Each ``code`` entry (op, out, a, b, arg, free)
+    fills slot ``out`` from slots ``a`` and ``b`` and then releases the
+    slots in ``free``, whose last use it is.  ``result`` holds the value.
+    """
+
+    consts: tuple
+    inputs: tuple
+    code: tuple
+    size: int
+    result: int
+
+
+def _fold(op, va, vb, arg):
+    """The constant op(va, vb), or None if it marks a pole or its gradient
+    is not exactly zero (a non-finite operand makes it NaN)."""
+    pole = np.zeros(1, dtype=bool)
+    with np.errstate(all="ignore"):
+        v, (t,) = op(va, (None,), vb, (None,), arg, pole)
+    return v if t is None and not pole[0] else None
+
+
+def compile_tape(root: Node) -> Tape:
+    """Compile the tree under ``root`` to a :class:`Tape`."""
+    new_slot = itertools.count()
+    slot_of: dict = {}   # id(node) -> slot
+    keyed: dict = {}     # structural key -> slot: equal subexpressions share one
+    consts: dict = {}    # slot -> constant value
+    inputs = []
+    code = []
+
+    def intern(key, value=None):
+        if key not in keyed:
+            keyed[key] = next(new_slot)
+            if value is not None:
+                consts[keyed[key]] = value
+        return keyed[key]
+
+    for node in _postorder(root):
+        kind = type(node)
+        if kind is Const:
+            value = np.array([node.value], dtype=complex)
+            slot = intern(("const", value.tobytes()), value)
+        elif kind is Var:
+            if ("var", node.index) not in keyed:
+                inputs.append((intern(("var", node.index)), node.index - 1))
+            slot = keyed[("var", node.index)]
+        else:
+            if kind is Pow:
+                op, a, b, arg = _pow, slot_of[id(node.base)], None, node.exponent
+            elif kind is Call:
+                op, a, b, arg = _call, slot_of[id(node.arg)], None, node.func
+            else:
+                op, arg = _BINARY[kind], None
+                a, b = slot_of[id(node.left)], slot_of[id(node.right)]
+            b = a if b is None else b
+            key = (op, a, b, arg)
+            if key not in keyed:
+                folded = None
+                if a in consts and b in consts:
+                    folded = _fold(op, consts[a], consts[b], arg)
+                if folded is not None:
+                    keyed[key] = intern(("const", folded.tobytes()), folded)
+                else:
+                    code.append((op, intern(key), a, b, arg))
+            slot = keyed[key]
+        slot_of[id(node)] = slot
+
+    result = slot_of[id(root)]
+    last = {result: len(code)}
+    for i, (_, _, a, b, _) in enumerate(code):
+        last[a] = last[b] = i
+    free = [[] for _ in code]
+    for slot, i in last.items():
+        if slot != result:
+            free[i].append(slot)
+    return Tape(consts=tuple((s, v) for s, v in consts.items() if s in last),
+                inputs=tuple(inputs),
+                code=tuple((*ins, tuple(fr)) for ins, fr in zip(code, free)),
+                size=next(new_slot), result=result)
+
+
+def _run(tape: Tape, columns, seeds, ntan: int, m: int):
+    """Evaluate a tape at m points.  ``columns[k]`` holds variable k's values,
+    ``seeds[k]`` its ``ntan`` tangent columns.  Returns (value, tangents,
+    pole mask); the value and tangents may be 1-element arrays or None."""
+    V = [None] * tape.size
+    T = [None] * tape.size
+    zero = (None,) * ntan
+    for slot, value in tape.consts:
+        V[slot], T[slot] = value, zero
+    for slot, k in tape.inputs:
+        V[slot], T[slot] = columns[k], seeds[k]
+    pole = np.zeros(m, dtype=bool)
+    for op, out, a, b, arg, free in tape.code:
+        V[out], T[out] = op(V[a], T[a], V[b], T[b], arg, pole)
+        for slot in free:
+            V[slot] = T[slot] = None
+    return V[tape.result], T[tape.result], pole
+
+
+#: Points per evaluation block.  The allocator reuses the 64 KiB arrays of a
+#: block, where the temporaries of a 15,360-point ladder grid are mapped and
+#: faulted in afresh for every operation.  Every operation is pointwise, so
+#: blocks change no bit.
+BLOCK = 4096
+
+
+def _evaluate(tape: Tape, m: int, ntan: int, block_inputs):
+    """Run ``tape`` over m points in blocks; ``block_inputs(s, e)`` gives the
+    variable columns and tangent seeds of points s..e-1.  Returns (values,
+    (m, ntan) tangents, pole mask), with NaN at poles."""
+    vals = np.empty(m, dtype=complex)
+    tangents = np.empty((m, ntan), dtype=complex)
+    pole = np.empty(m, dtype=bool)
+    for s in range(0, m, BLOCK):
+        e = min(s + BLOCK, m)
+        v, t, pole[s:e] = _run(tape, *block_inputs(s, e), ntan, e - s)
+        vals[s:e] = v
+        for k, tk in enumerate(t):
+            tangents[s:e, k] = 0 if tk is None else tk
+    if pole.any():
+        vals[pole] = np.nan
+        tangents[pole] = np.nan
+    return vals, tangents, pole
 
 
 # --------------------------------------------------------------------------
@@ -360,73 +656,8 @@ def as_points(z, arity: int) -> np.ndarray:
     raise InputError(f"cannot interpret array of shape {a.shape} as points in C^{arity}")
 
 
-def _eval_node(node: Node, Z: np.ndarray, pole: np.ndarray, want_grad: bool):
-    """Recursive jet propagation over a batch of points.
-
-    Returns (values, gradients) where gradients is None when want_grad is
-    False.  Divisions with tiny denominators mark ``pole`` and continue with
-    a safe denominator; the marked entries are set to NaN afterwards.
-    """
-    m, n = Z.shape
-    if isinstance(node, Const):
-        vals = np.full(m, node.value, dtype=complex)
-        grads = np.zeros((m, n), dtype=complex) if want_grad else None
-        return vals, grads
-    if isinstance(node, Var):
-        vals = Z[:, node.index - 1].copy()
-        if want_grad:
-            grads = np.zeros((m, n), dtype=complex)
-            grads[:, node.index - 1] = 1.0
-        else:
-            grads = None
-        return vals, grads
-    if isinstance(node, (Add, Sub)):
-        v1, g1 = _eval_node(node.left, Z, pole, want_grad)
-        v2, g2 = _eval_node(node.right, Z, pole, want_grad)
-        if isinstance(node, Add):
-            return v1 + v2, (g1 + g2 if want_grad else None)
-        return v1 - v2, (g1 - g2 if want_grad else None)
-    if isinstance(node, Mul):
-        v1, g1 = _eval_node(node.left, Z, pole, want_grad)
-        v2, g2 = _eval_node(node.right, Z, pole, want_grad)
-        vals = v1 * v2
-        grads = v1[:, None] * g2 + v2[:, None] * g1 if want_grad else None
-        return vals, grads
-    if isinstance(node, Div):
-        v1, g1 = _eval_node(node.left, Z, pole, want_grad)
-        v2, g2 = _eval_node(node.right, Z, pole, want_grad)
-        bad = np.abs(v2) < POLE_THRESHOLD
-        if bad.any():
-            pole |= bad
-            v2 = np.where(bad, 1.0, v2)
-        vals = v1 / v2
-        grads = (g1 * v2[:, None] - v1[:, None] * g2) / (v2 * v2)[:, None] if want_grad else None
-        return vals, grads
-    if isinstance(node, Pow):
-        vb, gb = _eval_node(node.base, Z, pole, want_grad)
-        k = node.exponent
-        if k == 0:
-            vals = np.ones(m, dtype=complex)
-            grads = np.zeros((m, n), dtype=complex) if want_grad else None
-            return vals, grads
-        vals = vb ** k
-        grads = (k * vb ** (k - 1))[:, None] * gb if want_grad else None
-        return vals, grads
-    if isinstance(node, Call):
-        va, ga = _eval_node(node.arg, Z, pole, want_grad)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if node.func == "exp":
-                vals = np.exp(va)
-                dv = vals
-            elif node.func == "sin":
-                vals = np.sin(va)
-                dv = np.cos(va)
-            else:
-                vals = np.cos(va)
-                dv = -np.sin(va)
-            grads = dv[:, None] * ga if want_grad else None
-        return vals, grads
-    raise TypeError(f"unknown node {node!r}")
+def _columns(pts: np.ndarray) -> list:
+    return [pts[:, k].copy() for k in range(pts.shape[1])]
 
 
 def eval_jet_batch(f: HoloExpr, Z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -437,22 +668,43 @@ def eval_jet_batch(f: HoloExpr, Z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     from overflow are the caller's concern; see ``np.isfinite``.
     """
     pts = as_points(Z, f.arity)
-    pole = np.zeros(pts.shape[0], dtype=bool)
-    vals, grads = _eval_node(f.root, pts, pole, want_grad=True)
-    if pole.any():
-        vals = np.where(pole, np.nan + 0j, vals)
-        grads = np.where(pole[:, None], np.nan + 0j, grads)
-    return vals, grads, pole
+    m, n = pts.shape
+    seeds = [tuple(_ONE if j == k else None for j in range(n)) for k in range(n)]
+    return _evaluate(f.tape, m, n, lambda s, e: (_columns(pts[s:e]), seeds))
 
 
 def eval_values(f: HoloExpr, Z) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised values only: ``(values, pole_mask)``."""
     pts = as_points(Z, f.arity)
-    pole = np.zeros(pts.shape[0], dtype=bool)
-    vals, _ = _eval_node(f.root, pts, pole, want_grad=False)
-    if pole.any():
-        vals = np.where(pole, np.nan + 0j, vals)
+    m, n = pts.shape
+    vals, _, pole = _evaluate(f.tape, m, 0, lambda s, e: (_columns(pts[s:e]), [()] * n))
     return vals, pole
+
+
+def eval_line_jets(f: HoloExpr, c, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directional jets of the slice g(lambda) = f(lambda * c).
+
+    Returns ``(values, derivatives, pole_mask)`` at the points ``lam``,
+    with g'(lambda) = grad f(lambda c) . c: the numbers
+    ``eval_jet_batch(restrict_function(f, c), lam)`` gives (its one
+    gradient column), but from the tape of ``f`` with a single tangent and
+    without building the substituted tree.
+    """
+    cv = np.asarray(c, dtype=complex).reshape(-1)
+    if cv.shape[0] != f.arity:
+        raise InputError(f"direction must have {f.arity} coordinates")
+    lam = np.ascontiguousarray(as_points(lam, 1)[:, 0])
+    coords = [cv[k:k + 1] for k in range(f.arity)]
+
+    def block_inputs(s, e):
+        # coordinate k as the substituted tree computes it: c_k * lambda,
+        # with tangent c_k * 1 + lambda * 0
+        bad = _nonfinite(lam[s:e])
+        return ([ck * lam[s:e] for ck in coords],
+                [(_poison(ck * _ONE, bad),) for ck in coords])
+
+    vals, deriv, pole = _evaluate(f.tape, lam.shape[0], 1, block_inputs)
+    return vals, deriv[:, 0], pole
 
 
 def eval_jet(f: HoloExpr, z) -> Jet:
@@ -488,24 +740,23 @@ def eval_value(f: HoloExpr, z) -> complex:
 # Structural operations
 # --------------------------------------------------------------------------
 
-def _subst(node: Node, parts: Sequence[Node]) -> Node:
-    if isinstance(node, Const):
-        return node
-    if isinstance(node, Var):
-        return parts[node.index - 1]
-    if isinstance(node, Add):
-        return Add(_subst(node.left, parts), _subst(node.right, parts))
-    if isinstance(node, Sub):
-        return Sub(_subst(node.left, parts), _subst(node.right, parts))
-    if isinstance(node, Mul):
-        return Mul(_subst(node.left, parts), _subst(node.right, parts))
-    if isinstance(node, Div):
-        return Div(_subst(node.left, parts), _subst(node.right, parts))
-    if isinstance(node, Pow):
-        return Pow(_subst(node.base, parts), node.exponent)
-    if isinstance(node, Call):
-        return Call(node.func, _subst(node.arg, parts))
-    raise TypeError(f"unknown node {node!r}")
+def _subst(root: Node, parts: Sequence[Node]) -> Node:
+    """The tree under ``root`` with each Var(k) replaced by ``parts[k-1]``."""
+    done: dict = {}
+    for node in _postorder(root):
+        kind = type(node)
+        if kind is Var:
+            new = parts[node.index - 1]
+        elif kind is Const:
+            new = node
+        elif kind is Pow:
+            new = Pow(done[id(node.base)], node.exponent)
+        elif kind is Call:
+            new = Call(node.func, done[id(node.arg)])
+        else:
+            new = kind(done[id(node.left)], done[id(node.right)])
+        done[id(node)] = new
+    return done[id(root)]
 
 
 def substitute(f: HoloExpr, parts: Iterable[HoloExpr]) -> HoloExpr:

@@ -1,11 +1,13 @@
 """Line restrictions on the ball: slice certifiers and series convergence.
 
 A function or family on the unit ball is probed along complex lines
-lambda -> lambda * c through the origin.  Restrictions are exact expression
-compositions, so all one-variable machinery (ladders, trend verdicts)
-applies unchanged.  For power series the same direction sweep yields
-root-test radius estimates and a convergence verdict for the Hartogs-type
-partial-sum argument.
+lambda -> lambda * c through the origin.  A slice g(lambda) = f(lambda * c)
+is evaluated by the directional mode of f's tape (value and grad f . c), so
+all one-variable machinery (ladders, trend verdicts) applies unchanged
+without building the composed expression; ``restrict_function`` still
+builds it for callers that want the tree.  For power series the same
+direction sweep yields root-test radius estimates and a convergence verdict
+for the Hartogs-type partial-sum argument.
 """
 
 from __future__ import annotations
@@ -128,6 +130,38 @@ def _aggregate(per_line: list[nr.Verdict], sup_samples: int) -> nr.Verdict:
     return nr.Verdict(nr.INCONCLUSIVE, est, nr.GROWTH_FACTOR, trend)
 
 
+def _check_directions(D: DirectionSet | None, arity: int) -> DirectionSet:
+    if D is None:
+        D = direction_set(arity)
+    if D.arity != arity:
+        raise InputError("direction set arity mismatch")
+    if len(D) == 0:
+        raise InputError("direction set is empty")
+    return D
+
+
+def _slice_verdicts(fam, D: DirectionSet, ladder, radii: int, angles: int):
+    """Family verdict of each line slice, and their aggregate.
+
+    The ladder grid is built once; per line, each member's weighted sharp
+    table comes from its directional jets along the line.
+    """
+    grid = nr.disc_ladder(ladder, radii, angles)
+    reports = []
+    verdicts = []
+    total = 0
+    for c in D.directions:
+        cc = canonical_direction(c)
+        tables = [grid.weights * nr._finite_or_raise(
+                      nr.line_sharp(f, cc, grid.points), "weighted ladder")
+                  for f in fam]
+        v = _family_line_verdict(tables, grid, ladder)
+        verdicts.append(v)
+        reports.append(LineReport(direction=c, verdict=v))
+        total += v.estimate.samples
+    return _aggregate(verdicts, total), reports
+
+
 def alexander_function_test(f: ex.HoloExpr, D: DirectionSet | None = None,
                             ladder=sp.DEFAULT_LADDER, radii: int = 48,
                             angles: int = 64) -> tuple[nr.Verdict, list[LineReport]]:
@@ -135,23 +169,9 @@ def alexander_function_test(f: ex.HoloExpr, D: DirectionSet | None = None,
 
     The aggregate is BOUNDED only when every slice stabilises; one slice
     with sustained growth drives the whole verdict to UNBOUNDED_TREND.
+    Each slice's verdict is ``yosida_bound`` of the slice.
     """
-    if D is None:
-        D = direction_set(f.arity)
-    if D.arity != f.arity:
-        raise InputError("direction set arity mismatch")
-    if len(D) == 0:
-        raise InputError("direction set is empty")
-    reports = []
-    verdicts = []
-    total = 0
-    for c in D.directions:
-        g = restrict_function(f, canonical_direction(c))
-        v = nr.lehto_virtanen_check(g, ladder, radii, angles)
-        verdicts.append(v)
-        reports.append(LineReport(direction=c, verdict=v))
-        total += v.estimate.samples
-    return _aggregate(verdicts, total), reports
+    return _slice_verdicts([f], _check_directions(D, f.arity), ladder, radii, angles)
 
 
 def _prefix_checkpoints(size: int) -> list[int]:
@@ -159,38 +179,30 @@ def _prefix_checkpoints(size: int) -> list[int]:
     return pts
 
 
-def _family_line_verdict(family, ladder, radii, angles) -> nr.Verdict:
+def _family_line_verdict(tables, grid: nr.DiscLadder, ladder) -> nr.Verdict:
     """Trend of a one-variable family along both refinement axes.
 
-    Axis one is the boundary ladder (suprema of (1-|l|^2) sharp over the
-    whole family, cumulative grids).  Axis two is family size: the running
-    supremum at the deepest rung, read at doubling checkpoints.  Either axis
-    showing sustained geometric growth is an unbounded trend; BOUNDED needs
-    both to stabilise.
+    ``tables`` hold each member's (1-|l|^2) sharp on ``grid``.  Axis one is
+    the boundary ladder (suprema over the whole family, cumulative grids).
+    Axis two is family size: the running supremum at the deepest rung, read
+    at doubling checkpoints.  Either axis showing sustained geometric growth
+    is an unbounded trend; BOUNDED needs both to stabilise.  For a single
+    member this is the ``yosida_bound`` verdict.
     """
-    sups, arg, total, member_running = nr.weighted_sharp_sups(
-        family, ladder, radii, angles)
+    sups, arg, member_running = nr.rung_sups(tables, grid.lengths, grid.points)
     rung_label, rung_trend = nr.classify_trend(sups)
     cps = _prefix_checkpoints(len(member_running))
     prefix = [member_running[i - 1] for i in cps]
     if len(prefix) >= 2:
-        ratios = []
-        for a, b in zip(prefix, prefix[1:]):
-            if a == 0.0 and b == 0.0:
-                ratios.append(1.0)
-            elif a == 0.0:
-                ratios.append(math.inf)
-            else:
-                ratios.append(b / a)
+        ratios = nr.consecutive_ratios(prefix)
         prefix_trend = min(ratios)
         prefix_growing = prefix_trend >= nr.GROWTH_FACTOR
-        last = ratios[-1]
-        prefix_stable = last <= 1.0 + nr.STABILIZATION
+        prefix_stable = ratios[-1] <= 1.0 + nr.STABILIZATION
     else:
         prefix_trend = 1.0
         prefix_growing = False
         prefix_stable = True
-    est = nr.SupEstimate(max(sups), arg, total,
+    est = nr.SupEstimate(max(sups), arg, len(tables) * grid.points.shape[0],
                          growth_series=list(zip([float(e) for e in ladder], sups)))
     if rung_label == nr.UNBOUNDED_TREND or prefix_growing:
         trend = max(rung_trend, prefix_trend)
@@ -216,25 +228,11 @@ def alexander_family_test(family, D: DirectionSet | None = None,
     if not fam:
         raise InputError("family must be nonempty")
     arity = fam[0].arity
-    if D is None:
-        D = direction_set(arity)
-    if D.arity != arity:
-        raise InputError("direction set arity mismatch")
-    if len(D) == 0:
-        raise InputError("direction set is empty")
-    reports = []
-    verdicts = []
-    total = 0
-    for c in D.directions:
-        cc = canonical_direction(c)
-        lines = [restrict_function(f, cc) for f in fam]
-        v = _family_line_verdict(lines, ladder, radii, angles)
-        verdicts.append(v)
-        reports.append(LineReport(direction=c, verdict=v))
-        total += v.estimate.samples
+    verdict, reports = _slice_verdicts(fam, _check_directions(D, arity),
+                                       ladder, radii, angles)
     grid = sp.ball_grid(arity, ball_radius, ball_directions, ball_radii, seed)
     ball_est = nr.marty_sup(fam, grid)
-    return _aggregate(verdicts, total), reports, ball_est
+    return verdict, reports, ball_est
 
 
 # --------------------------------------------------------------------------
@@ -266,12 +264,7 @@ def hartogs_test(F: se.PowerSeries, D: DirectionSet | None = None,
         )
     if R_min <= 0:
         raise InputError("R_min must be positive")
-    if D is None:
-        D = direction_set(F.arity)
-    if D.arity != F.arity:
-        raise InputError("direction set arity mismatch")
-    if len(D) == 0:
-        raise InputError("direction set is empty")
+    D = _check_directions(D, F.arity)
     half_len = F.max_degree // 2 + 1
     reports = []
     worst = math.inf

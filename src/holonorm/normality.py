@@ -20,6 +20,7 @@ sampled data, not proofs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -84,6 +85,19 @@ class Verdict:
         }
 
 
+def consecutive_ratios(values) -> list[float]:
+    """b / a for each consecutive pair; 0 -> 0 reads 1, a rise from 0 reads inf."""
+    ratios = []
+    for a, b in zip(values, values[1:]):
+        if a == 0.0 and b == 0.0:
+            ratios.append(1.0)
+        elif a == 0.0:
+            ratios.append(math.inf)
+        else:
+            ratios.append(b / a)
+    return ratios
+
+
 def classify_trend(sups, growth_factor: float = GROWTH_FACTOR,
                    stabilization: float = STABILIZATION) -> tuple[str, float]:
     """Classify a sequence of ladder suprema; returns (label, trend_ratio).
@@ -94,15 +108,7 @@ def classify_trend(sups, growth_factor: float = GROWTH_FACTOR,
     s = [float(x) for x in sups]
     if len(s) < 2:
         return INCONCLUSIVE, 1.0
-    ratios = []
-    for a, b in zip(s, s[1:]):
-        if a == 0.0 and b == 0.0:
-            ratios.append(1.0)
-        elif a == 0.0:
-            ratios.append(math.inf)
-        else:
-            ratios.append(b / a)
-    trend = min(ratios)
+    trend = min(consecutive_ratios(s))
     if trend >= growth_factor:
         return UNBOUNDED_TREND, trend
     if len(s) >= 3:
@@ -133,6 +139,26 @@ def mu(f: ex.HoloExpr, z) -> float:
     return 2.0 * d / (1.0 + abs(jet.value) ** 2)
 
 
+def _mu_with_fallback(jets, f: ex.HoloExpr, lam: np.ndarray) -> np.ndarray:
+    """mu from ``jets(g, lam) -> (values, derivatives, pole)``, taking the
+    reciprocal 1/f on points that are poles or evaluate non-finite (mu(f) =
+    mu(1/f)).  Entries that fail both routes come back NaN."""
+    vals, deriv, pole = jets(f, lam)
+    out = 2.0 * np.abs(deriv) / (1.0 + np.abs(vals) ** 2)
+    bad = pole | ~np.isfinite(out)
+    if bad.any():
+        rvals, rderiv, rpole = jets(ex.reciprocal(f), lam[bad])
+        rout = 2.0 * np.abs(rderiv) / (1.0 + np.abs(rvals) ** 2)
+        rout[rpole] = np.nan
+        out[bad] = rout
+    return out
+
+
+def _one_variable_jets(f: ex.HoloExpr, lam: np.ndarray):
+    vals, grads, pole = ex.eval_jet_batch(f, lam)
+    return vals, grads[:, 0], pole
+
+
 def mu_batch(f: ex.HoloExpr, Z) -> np.ndarray:
     """Vectorised mu with reciprocal fallback on pole-flagged points.
 
@@ -140,15 +166,22 @@ def mu_batch(f: ex.HoloExpr, Z) -> np.ndarray:
     """
     if f.arity != 1:
         raise InputError("mu is defined for one-variable expressions")
-    vals, grads, pole = ex.eval_jet_batch(f, Z)
-    out = 2.0 * np.abs(grads[:, 0]) / (1.0 + np.abs(vals) ** 2)
-    bad = pole | ~np.isfinite(out)
-    if bad.any():
-        pts = ex.as_points(Z, 1)[bad]
-        rvals, rgrads, rpole = ex.eval_jet_batch(ex.reciprocal(f), pts)
-        rout = 2.0 * np.abs(rgrads[:, 0]) / (1.0 + np.abs(rvals) ** 2)
-        rout[rpole] = np.nan
-        out[bad] = rout
+    return _mu_with_fallback(_one_variable_jets, f, ex.as_points(Z, 1)[:, 0])
+
+
+def line_sharp(f: ex.HoloExpr, c, lam) -> np.ndarray:
+    """sharp of the slice g(lambda) = f(lambda * c) at the points ``lam``.
+
+    The values of ``sharp_batch(restrict_function(f, c), lam)``, from the
+    directional jets of ``f`` (one tangent, no substituted tree), with the
+    same reciprocal fallback at poles, taken in blocks of ``ex.BLOCK``
+    points as the evaluation is.
+    """
+    lam = ex.as_points(lam, 1)[:, 0]
+    out = np.empty(lam.shape[0])
+    for s in range(0, lam.shape[0], ex.BLOCK):
+        out[s:s + ex.BLOCK] = 0.5 * _mu_with_fallback(
+            lambda g, pts: ex.eval_line_jets(g, c, pts), f, lam[s:s + ex.BLOCK])
     return out
 
 
@@ -258,6 +291,49 @@ def mu_local_boundedness(family, K) -> SupEstimate:
 # Boundary-weighted ladders on the disc
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class DiscLadder:
+    """The cumulative disc grids of a ladder (``sp.disc_ladder_grids``) as
+    the deepest grid, the length of each rung's prefix of it, and the
+    boundary weights 1 - |z|^2 on it."""
+
+    points: np.ndarray
+    lengths: list
+    weights: np.ndarray
+
+
+def disc_ladder(ladder=sp.DEFAULT_LADDER, radii: int = sp.DEFAULT_RADII,
+                angles: int = sp.DEFAULT_ANGLES) -> DiscLadder:
+    grids = sp.disc_ladder_grids(ladder, radii, angles)
+    deep = grids[-1]
+    return DiscLadder(deep, [g.shape[0] for g in grids], 1.0 - np.abs(deep) ** 2)
+
+
+def rung_sups(tables, lengths, points):
+    """Per-rung suprema of a family of sample tables on cumulative grids.
+
+    ``tables`` hold each member's samples at ``points``; rung k covers the
+    first ``lengths[k]`` of them.  Returns (sups, argmax point, running),
+    where running[i] is the supremum over the first i+1 members at the
+    deepest rung.
+    """
+    sups = []
+    best = -math.inf
+    arg = None
+    for m in lengths:
+        rung_best = -math.inf
+        for q in tables:
+            j = int(np.argmax(q[:m]))
+            if q[j] > rung_best:
+                rung_best = float(q[j])
+                if rung_best > best:
+                    best = rung_best
+                    arg = points[j]
+        sups.append(rung_best)
+    running = list(itertools.accumulate((float(np.max(q)) for q in tables), max))
+    return sups, arg, running
+
+
 def weighted_sharp_sups(family, ladder=sp.DEFAULT_LADDER,
                         radii: int = sp.DEFAULT_RADII,
                         angles: int = sp.DEFAULT_ANGLES):
@@ -270,37 +346,19 @@ def weighted_sharp_sups(family, ladder=sp.DEFAULT_LADDER,
     fam = _as_family(family)
     if fam[0].arity != 1:
         raise InputError("ladder certifiers run on one-variable expressions")
-    grids = sp.disc_ladder_grids(ladder, radii, angles)
-    weights = [1.0 - np.abs(g) ** 2 for g in grids]
-    sups = []
-    best = -math.inf
-    arg = None
-    member_vals_deep = []
-    total = 0
-    deep_grid = grids[-1]
-    per_member_tables = []
-    for f in fam:
-        vals = _finite_or_raise(sharp_batch(f, deep_grid), "weighted ladder")
-        per_member_tables.append(vals)
-        total += deep_grid.shape[0]
-    lengths = [g.shape[0] for g in grids]
-    for k, m in enumerate(lengths):
-        rung_best = -math.inf
-        for vals in per_member_tables:
-            q = weights[k] * vals[:m]
-            j = int(np.argmax(q))
-            if q[j] > rung_best:
-                rung_best = float(q[j])
-                if rung_best > best:
-                    best = rung_best
-                    arg = grids[k][j]
-        sups.append(rung_best)
-    running = -math.inf
-    deep_w = weights[-1]
-    for vals in per_member_tables:
-        running = max(running, float(np.max(deep_w * vals)))
-        member_vals_deep.append(running)
-    return sups, arg, total, member_vals_deep
+    lad = disc_ladder(ladder, radii, angles)
+    tables = [lad.weights * _finite_or_raise(sharp_batch(f, lad.points), "weighted ladder")
+              for f in fam]
+    sups, arg, running = rung_sups(tables, lad.lengths, lad.points)
+    return sups, arg, len(fam) * lad.points.shape[0], running
+
+
+def ladder_verdict(sups, arg, samples: int, ladder) -> Verdict:
+    """Trend verdict on a ladder of suprema, growth series keyed by eps."""
+    label, trend = classify_trend(sups)
+    est = SupEstimate(max(sups), arg, samples,
+                      growth_series=list(zip([float(e) for e in ladder], sups)))
+    return Verdict(label, est, threshold=GROWTH_FACTOR, trend_ratio=trend)
 
 
 def yosida_bound(f: ex.HoloExpr, ladder=sp.DEFAULT_LADDER,
@@ -313,17 +371,14 @@ def yosida_bound(f: ex.HoloExpr, ladder=sp.DEFAULT_LADDER,
     non-normal one.
     """
     sups, arg, total, _ = weighted_sharp_sups([f], ladder, radii, angles)
-    label, trend = classify_trend(sups)
-    est = SupEstimate(max(sups), arg, total,
-                      growth_series=list(zip([float(e) for e in ladder], sups)))
-    return Verdict(label, est, threshold=GROWTH_FACTOR, trend_ratio=trend)
+    return ladder_verdict(sups, arg, total, ladder)
 
 
 def lehto_virtanen_check(f: ex.HoloExpr, ladder=sp.DEFAULT_LADDER,
                          radii: int = sp.DEFAULT_RADII,
                          angles: int = sp.DEFAULT_ANGLES) -> Verdict:
-    """Same ladder and verdict as yosida_bound, reported under the
-    boundary-limit label used for line restrictions."""
+    """Alias of yosida_bound, no longer exported by the package.  It stays
+    in this module only because bench/tracer.py wraps it by name."""
     return yosida_bound(f, ladder, radii, angles)
 
 
@@ -530,10 +585,8 @@ def disc_family_probe(f: ex.HoloExpr, discs=None, count: int = 200,
         discs = [mt.require_contained(d) for d in discs]
         if not discs:
             raise InputError("disc list must be nonempty")
-    grids = sp.disc_ladder_grids(lad, radii, angles)
-    deep = grids[-1]
-    lengths = [g.shape[0] for g in grids]
-    weights = 1.0 - np.abs(deep) ** 2
+    grid = disc_ladder(lad, radii, angles)
+    deep, weights = grid.points, grid.weights
     per_disc = []
     for phi in discs:
         if phi.arity != f.arity:
@@ -546,19 +599,8 @@ def disc_family_probe(f: ex.HoloExpr, discs=None, count: int = 200,
         gderiv = np.einsum("ij,ij->i", grads, dphi)
         q = weights * np.abs(gderiv) / (1.0 + np.abs(vals) ** 2)
         per_disc.append(q)
-    sups = []
-    best = -math.inf
-    arg = None
-    for m in lengths:
-        rung_best = -math.inf
-        for q in per_disc:
-            j = int(np.argmax(q[:m]))
-            if q[j] > rung_best:
-                rung_best = float(q[j])
-                if rung_best > best:
-                    best = rung_best
-                    arg = deep[j]
-        sups.append(rung_best)
+    sups, arg, _ = rung_sups(per_disc, grid.lengths, deep)
+    best = max(sups)
     series = list(zip([float(e) for e in lad], sups))
     return SupEstimate(best, arg, samples=len(per_disc) * deep.shape[0],
                        growth_series=series)

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, canonical output, file handling."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -102,6 +103,38 @@ def test_out_of_range_counts_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "input error" in err
+
+
+def test_deeply_nested_parentheses_exit_2(capsys):
+    text = "(" * 400 + "0.5*z1" + ")" * 400
+    code, out, err = run(capsys, "sharp", "--expr", text, "--at", "0.1")
+    assert code == 2
+    assert out == ""
+    assert "nested deeper" in err
+
+
+def test_twelve_hundred_summands_exit_0(capsys):
+    text = " + ".join(f"{(k % 9 + 1) / 10}*z1" for k in range(1200))
+    code, out, _ = run(capsys, "sharp", "--expr", text, "--at", "0.1")
+    assert code == 0
+    # sharp(c z) = |c| / (1 + |c z|^2) with c the sum of the coefficients
+    c = sum((k % 9 + 1) / 10 for k in range(1200))
+    value = json.loads(out)["results"]["value"]
+    assert value == pytest.approx(c / (1 + (0.1 * c) ** 2), rel=1e-9)
+
+
+def test_hartogs_on_a_1035_term_series_exit_0(capsys, tmp_path):
+    # dense arity 2, degree 44: (45 * 46) / 2 = 1,035 terms of exp(z1/2 + z2/3)
+    terms = {(j, d - j): 0.5 ** j / math.factorial(j) * (1 / 3) ** (d - j)
+             / math.factorial(d - j) for d in range(45) for j in range(d + 1)}
+    F = se.PowerSeries(2, 44, terms)
+    assert len(F) == 1035
+    path = series_file(tmp_path, F)
+    code, out, _ = run(capsys, "hartogs", "--series", path, "--directions", "8")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["classification"] == "CONVERGENT"
+    assert results["partial_sum_sup"]["samples"] > 0
 
 
 def test_internal_value_error_is_not_an_input_error(monkeypatch):
