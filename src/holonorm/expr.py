@@ -127,6 +127,11 @@ class HoloExpr:
         """This expression compiled to straight-line code, once."""
         return compile_tape(self.root)
 
+    @cached_property
+    def inverse(self) -> "HoloExpr":
+        """``reciprocal(self)``, built once so that its tape compiles once."""
+        return reciprocal(self)
+
     # -- algebra on expressions (used when composing maps programmatically) --
 
     def _coerce(self, other) -> "HoloExpr":

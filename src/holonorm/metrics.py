@@ -12,6 +12,7 @@ Hermitian pairing <v, z> = sum v_mu * conj(z_mu).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -410,13 +411,15 @@ def random_disc_maps(arity: int, count: int, degree: int, seed: int,
 # --------------------------------------------------------------------------
 
 def _affine_candidate(z, v_hat, v_norm):
-    """Largest safe affine disc in direction v_hat and its alpha."""
+    """(alpha, disc) for the largest safe affine disc in direction v_hat;
+    None when no positive stretch fits, i.e. when |z| >= 1 - margin."""
     R = 1.0 - CONTAINMENT_MARGIN
     pair = abs(complex(np.sum(z * v_hat.conjugate())))  # |<z, v_hat>|
     s2 = R * R - float(np.vdot(z, z).real) + pair * pair
     stretch = -pair + math.sqrt(max(s2, 0.0))
-    disc = affine_disc(z, v_hat, stretch)
-    return disc, v_norm / stretch
+    if stretch <= 0.0:
+        return None
+    return v_norm / stretch, affine_disc(z, v_hat, stretch)
 
 
 def _extremal_parameters(z, v_hat):
@@ -455,8 +458,9 @@ def _truncated_geodesic_candidate(z, v_hat, v_norm, t, q, degrees):
     """Degree-d truncations of the geodesic disc, argument-scaled to fit.
 
     The scale sigma of every degree is bisected in lockstep, one
-    (degrees, samples) pass per step.  Returns (disc, alpha) for every
-    degree whose scaled truncation passes ``contained_in_unit_ball``.
+    (degrees, samples) pass per step.  Returns, for every degree with
+    sigma > 0, an iterator of its unchecked (alpha, disc) tries (see
+    ``_truncation_tries``).
     """
     target = 1.0 - CONTAINMENT_MARGIN
     sigma = np.ones(len(degrees))
@@ -470,43 +474,34 @@ def _truncated_geodesic_candidate(z, v_hat, v_norm, t, q, degrees):
             lo = np.where(ok, mid, lo)
             hi = np.where(ok, hi, mid)
         sigma[rows] = lo
-    fitted = (_fit_truncation(z, v_hat, v_norm, t, q, d, float(sig))
-              for d, sig in zip(degrees, sigma))
-    return [cand for cand in fitted if cand is not None]
+    return [_truncation_tries(z, v_hat, v_norm, t, q, d, float(sig))
+            for d, sig in zip(degrees, sigma) if sig > 0.0]
 
 
-def _fit_truncation(z, v_hat, v_norm, t, q, d, sigma):
-    """The degree-d truncation at scale sigma and its alpha, shrunk by 0.1%
-    at most 8 times until it passes the containment check; else None."""
-    if sigma <= 0.0:
-        return None
+def _truncation_tries(z, v_hat, v_norm, t, q, d, sigma):
+    """(alpha, disc) for the degree-d truncation at scale sigma, then with
+    sigma shrunk by 0.1% per try, 8 tries in all; alpha grows per try."""
     j = np.arange(1, d + 1)
-
-    def build(sig):
-        scale = (sig ** j) * (q ** (j - 1))
+    for _ in range(8):
+        scale = (sigma ** j) * (q ** (j - 1))
         coeffs = np.zeros((d + 1, len(z)), dtype=complex)
         coeffs[0] = z
         coeffs[1:] = t * scale[:, None] * v_hat[None, :]
-        return DiscMap(coeffs)
-
-    disc = build(sigma)
-    for _ in range(8):
-        if disc.contained_in_unit_ball():
-            return disc, v_norm / (t * sigma)
+        yield v_norm / (t * sigma), DiscMap(coeffs)
         sigma *= 0.999
-        disc = build(sigma)
-    return None
 
 
-def _quadratic_candidate(z, v_hat, v_norm, rng, count):
+def _quadratic_candidate(z, v_hat, v_norm, rng, count, cutoff=None):
     """``count`` seeded degree-2 perturbations z + beta l v_hat + gamma l^2 u.
 
     Each candidate draws u, |gamma| and arg(gamma) from rng in turn.  The
     largest beta in (0, 1.5] that passes the containment check is bisected
     for all candidates in lockstep: one (count, n, samples) Horner pass per
-    step, with the beta-free term gamma l^2 u computed once.  Returns
-    (disc, alpha) for every candidate with beta > 0 whose disc passes
-    ``contained_in_unit_ball`` on its exact coefficients.
+    step, with the beta-free term gamma l^2 u computed once.  Given a
+    ``cutoff``, a row leaves the bisection once v_norm / hi >= cutoff: its
+    final beta is at most hi, so its alpha can no longer fall below the
+    cutoff.  Returns the unchecked (alpha, disc) of every remaining
+    candidate with beta > 0 and alpha below the cutoff, in draw order.
     """
     n = len(z)
     nz = float(np.linalg.norm(z))
@@ -533,26 +528,58 @@ def _quadratic_candidate(z, v_hat, v_norm, rng, count):
     top = fits(quad, hi)
     lo[top] = 1.5
     rows = np.flatnonzero(~top)
-    if rows.size:
-        quad = quad[rows]
-        blo, bhi = lo[rows], hi[rows]
-        for _ in range(24):
-            mid = 0.5 * (blo + bhi)
-            ok = fits(quad, mid)
-            blo = np.where(ok, mid, blo)
-            bhi = np.where(ok, bhi, mid)
-        lo[rows] = blo
+    quad = quad[rows]
+    for _ in range(24):
+        if cutoff is not None:
+            keep = v_norm / hi[rows] < cutoff
+            if not keep.all():
+                rows, quad = rows[keep], quad[keep]
+        if not rows.size:
+            break
+        mid = 0.5 * (lo[rows] + hi[rows])
+        ok = fits(quad, mid)
+        lo[rows] = np.where(ok, mid, lo[rows])
+        hi[rows] = np.where(ok, hi[rows], mid)
 
-    accepted = []
+    # a pruned row's partial beta gives an alpha >= cutoff, dropped here
+    found = []
     for k in np.flatnonzero(lo > 0.0):
         beta = float(lo[k])
-        disc = DiscMap(np.stack([z, beta * v_hat, a2[k]]))
-        if disc.contained_in_unit_ball():
-            accepted.append((disc, v_norm / beta))
-    return accepted
+        alpha = v_norm / beta
+        if cutoff is None or alpha < cutoff:
+            found.append((alpha, DiscMap(np.stack([z, beta * v_hat, a2[k]]))))
+    return found
 
 
 _GEODESIC_DEGREES = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
+
+
+def _verified_min(candidates, best=None):
+    """The smallest alpha below ``best`` whose disc passes the check.
+
+    Each candidate is an iterable of (alpha, disc) tries with alpha
+    nondecreasing, and its next try is taken only after its previous one
+    fails.  Tries are checked in ascending (alpha, candidate index) order,
+    so the first that passes is the minimum, over all candidates, of the
+    alpha of each one's first passing try: what checking every candidate
+    and taking the min would give.  Returns ``best`` (None while nothing
+    has passed) when no try below it passes.
+    """
+    heap = []
+
+    def push(k, tries):
+        nxt = next(tries, None)
+        if nxt is not None:
+            heapq.heappush(heap, (nxt[0], k, nxt[1], tries))
+
+    for k, cand in enumerate(candidates):
+        push(k, iter(cand))
+    while heap and (best is None or heap[0][0] < best):
+        alpha, k, disc, tries = heapq.heappop(heap)
+        if disc.contained_in_unit_ball():
+            return alpha
+        push(k, tries)
+    return best
 
 
 def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
@@ -566,11 +593,17 @@ def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
     truncations' scales bisected together as one (degrees, samples) array,
     the perturbations' in blocks of at most LOCKSTEP_BYTES per
     (candidates, n, samples) array, so memory stays bounded at any budget.
-    Each accepted disc passes the sampled containment check (ring radius
-    1 - 1e-6, margin 1e-9) once, on its exact coefficients, so each
-    candidate's alpha is a genuine upper bound by the defining infimum.
-    The result is nonincreasing in ``budget`` and reproducible for a fixed
-    seed.
+    Candidates are checked by branch and bound: the affine disc and the
+    truncations in ascending alpha order (ties to the affine disc, then
+    to the lower degree) until one passes the sampled containment check
+    (ring radius 1 - 1e-6, margin 1e-9) on its exact coefficients; its
+    alpha is the bound so far.  Each block of perturbations drops from
+    its bisection the rows that can no longer beat the bound, and checks
+    the rest in the same order, only those below the bound.  The returned
+    alpha is the minimum over all candidates that pass the check, and its
+    disc is verified, so it is a genuine upper bound by the defining
+    infimum.  The result is nonincreasing in ``budget`` and reproducible
+    for a fixed seed.
     """
     if B.radius != 1.0:
         raise InputError("upper estimator is stated for the unit ball")
@@ -578,6 +611,8 @@ def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
         raise InputError("budget must be at least 1")
     zz = _point(z, B.arity)
     vv = _point(v, B.arity)
+    if not (np.isfinite(zz).all() and np.isfinite(vv).all()):
+        raise InputError("base point and direction vector must be finite")
     v_norm = float(np.linalg.norm(vv))
     if v_norm == 0.0:
         raise InputError("direction vector must be nonzero")
@@ -585,10 +620,8 @@ def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
         raise InputError("base point must lie in the open ball")
     v_hat = vv / v_norm
 
-    alphas = []
-    disc, alpha = _affine_candidate(zz, v_hat, v_norm)
-    if disc.contained_in_unit_ball():
-        alphas.append(alpha)
+    affine = _affine_candidate(zz, v_hat, v_norm)
+    candidates = [] if affine is None else [[affine]]
     used = 1
 
     nz = float(np.linalg.norm(zz))
@@ -596,17 +629,18 @@ def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
         t, q = _extremal_parameters(zz, v_hat)
         if abs(q) > 1e-14:
             degrees = _GEODESIC_DEGREES[:budget - used]
-            alphas += [calpha for _, calpha in
-                       _truncated_geodesic_candidate(zz, v_hat, v_norm, t, q, degrees)]
+            candidates += _truncated_geodesic_candidate(zz, v_hat, v_norm, t, q, degrees)
             used += len(degrees)
+    best = _verified_min(candidates)
 
     rng = np.random.default_rng(seed)
     block = max(1, LOCKSTEP_BYTES // (16 * B.arity * _ring_samples(2)))
     while used < budget:
         count = min(block, budget - used)
-        alphas += [calpha for _, calpha in _quadratic_candidate(zz, v_hat, v_norm, rng, count)]
+        found = _quadratic_candidate(zz, v_hat, v_norm, rng, count, cutoff=best)
+        best = _verified_min([[cand] for cand in found], best)
         used += count
 
-    if not alphas:
+    if best is None:
         raise ContainmentError("no admissible disc found within budget")
-    return min(alphas)
+    return best

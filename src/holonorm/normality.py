@@ -134,7 +134,7 @@ def mu(f: ex.HoloExpr, z) -> float:
     try:
         jet = ex.eval_jet(f, z)
     except PoleError:
-        jet = ex.eval_jet(ex.reciprocal(f), z)
+        jet = ex.eval_jet(f.inverse, z)
     d = abs(jet.gradient[0])
     return 2.0 * d / (1.0 + abs(jet.value) ** 2)
 
@@ -147,7 +147,7 @@ def _mu_with_fallback(jets, f: ex.HoloExpr, lam: np.ndarray) -> np.ndarray:
     out = 2.0 * np.abs(deriv) / (1.0 + np.abs(vals) ** 2)
     bad = pole | ~np.isfinite(out)
     if bad.any():
-        rvals, rderiv, rpole = jets(ex.reciprocal(f), lam[bad])
+        rvals, rderiv, rpole = jets(f.inverse, lam[bad])
         rout = 2.0 * np.abs(rderiv) / (1.0 + np.abs(rvals) ** 2)
         rout[rpole] = np.nan
         out[bad] = rout

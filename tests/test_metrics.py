@@ -1,6 +1,7 @@
 """Chordal, Poincare, Bergman, Kobayashi, and the automorphism groups."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -455,6 +456,11 @@ def _alpha_matches_derivative(disc, alpha, v_norm):
     return abs(alpha - v_norm / d0) <= 1e-12 * alpha
 
 
+def _first_passing(tries):
+    """The first (alpha, disc) try of a candidate that passes the check."""
+    return next(((a, d) for a, d in tries if d.contained_in_unit_ball()), None)
+
+
 @pytest.mark.parametrize("arity", [2, 3])
 def test_candidate_discs_contained_with_matching_alpha(arity):
     rng = np.random.default_rng(arity)
@@ -465,14 +471,22 @@ def test_candidate_discs_contained_with_matching_alpha(arity):
         v_norm = float(np.linalg.norm(v))
         v_hat = v / v_norm
         t, q = mt._extremal_parameters(z, v_hat)
-        geodesic = mt._truncated_geodesic_candidate(z, v_hat, v_norm, t, q,
-                                                    mt._GEODESIC_DEGREES)
-        quadratic = mt._quadratic_candidate(z, v_hat, v_norm, rng, 40)
-        assert geodesic and quadratic
-        for disc, alpha in geodesic + quadratic:
-            assert np.array_equal(disc.coefficients[0], z)
+        geodesic = [list(tries) for tries in mt._truncated_geodesic_candidate(
+            z, v_hat, v_norm, t, q, mt._GEODESIC_DEGREES)]
+        quadratic = [[cand] for cand in mt._quadratic_candidate(z, v_hat, v_norm, rng, 40)]
+        affine = mt._affine_candidate(z, v_hat, v_norm)
+        assert {len(tries) for tries in geodesic} == {8}  # sigma, then 7 retries
+        for tries in geodesic + quadratic + [[affine]]:
+            alphas = [alpha for alpha, _ in tries]
+            assert alphas == sorted(alphas)  # what the lazy retries rely on
+            for alpha, disc in tries:
+                assert np.array_equal(disc.coefficients[0], z)
+                assert _alpha_matches_derivative(disc, alpha, v_norm)
+        verified = {kind: [c for c in map(_first_passing, cands) if c is not None]
+                    for kind, cands in (("geodesic", geodesic), ("quadratic", quadratic))}
+        assert verified["geodesic"] and verified["quadratic"]
+        for _, disc in verified["geodesic"] + verified["quadratic"]:
             assert disc.contained_in_unit_ball()
-            assert _alpha_matches_derivative(disc, alpha, v_norm)
 
 
 def _one_disc_quadratic_search(z, v_hat, rng):
@@ -513,14 +527,153 @@ def test_quadratic_lockstep_matches_one_disc_search(arity):
         ref_rng = np.random.default_rng(trial)
         want = [_one_disc_quadratic_search(z, v_hat, ref_rng) for _ in range(count)]
         want = [w for w in want if w is not None]
-        rng = np.random.default_rng(trial)
-        got = mt._quadratic_candidate(z, v_hat, v_norm, rng, count)
-        assert rng.random() == ref_rng.random()  # same draws consumed
-        assert len(got) == len(want)
-        for (disc, alpha), (a2, beta) in zip(got, want):
-            assert np.array_equal(disc.coefficients[2], a2)
-            assert disc.coefficients[1].tobytes() == (beta * v_hat).tobytes()
-            assert alpha == v_norm / beta
+        ref_next = ref_rng.random()
+        ref_alphas = sorted(v_norm / beta for _, beta in want)
+        # no cutoff, then cutoffs that keep every row, about half, and none
+        cutoffs = [None, 2 * ref_alphas[-1], ref_alphas[len(ref_alphas) // 2], ref_alphas[0]]
+        for cutoff in cutoffs:
+            rng = np.random.default_rng(trial)
+            got = mt._quadratic_candidate(z, v_hat, v_norm, rng, count, cutoff=cutoff)
+            assert rng.random() == ref_next  # same draws consumed
+            # the rows kept are exactly those whose reference alpha is below
+            # the cutoff, each with the reference's bits
+            kept = [w for w in want if cutoff is None or v_norm / w[1] < cutoff]
+            assert len(got) == len(kept)
+            for (alpha, disc), (a2, beta) in zip(got, kept):
+                assert np.array_equal(disc.coefficients[2], a2)
+                assert disc.coefficients[1].tobytes() == (beta * v_hat).tobytes()
+                assert alpha == v_norm / beta
+        assert len(ref_alphas) >= 2 and ref_alphas[0] < ref_alphas[len(ref_alphas) // 2]
+
+
+def _eager_kobayashi_upper(B, z, v, budget, seed):
+    """Reference: check every candidate's tries in turn and take the min of
+    the first passing alphas, as the estimator did before branch and bound."""
+    z = np.asarray(z, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    v_norm = float(np.linalg.norm(v))
+    v_hat = v / v_norm
+    affine = mt._affine_candidate(z, v_hat, v_norm)
+    candidates = [] if affine is None else [[affine]]
+    used = 1
+    if float(np.linalg.norm(z)) > 1e-12 and used < budget:
+        t, q = mt._extremal_parameters(z, v_hat)
+        if abs(q) > 1e-14:
+            degrees = mt._GEODESIC_DEGREES[:budget - used]
+            candidates += mt._truncated_geodesic_candidate(z, v_hat, v_norm, t, q, degrees)
+            used += len(degrees)
+    rng = np.random.default_rng(seed)
+    block = max(1, mt.LOCKSTEP_BYTES // (16 * B.arity * mt._ring_samples(2)))
+    while used < budget:
+        count = min(block, budget - used)
+        candidates += [[c] for c in mt._quadratic_candidate(z, v_hat, v_norm, rng, count)]
+        used += count
+    alphas = [c[0] for c in map(_first_passing, candidates) if c is not None]
+    if not alphas:
+        raise ContainmentError("no admissible disc found within budget")
+    return min(alphas)
+
+
+def _lazy_eager_cases(count):
+    rng = np.random.default_rng(1234)
+    for i in range(count):
+        n = int(rng.integers(1, 10))
+        budget = int(rng.integers(1, 201))
+        raw = rng.standard_normal(2 * n)
+        u = raw[:n] + 1j * raw[n:]
+        r = 0.0 if i % 8 == 0 else float(rng.uniform(0.0, 0.97))
+        raw = rng.standard_normal(2 * n)
+        v = (raw[:n] + 1j * raw[n:]) * float(rng.uniform(0.2, 3.0))
+        yield n, r * u / np.linalg.norm(u), v, budget, int(rng.integers(0, 100))
+
+
+def test_kobayashi_upper_matches_eager_reference():
+    for n, z, v, budget, seed in _lazy_eager_cases(40):
+        B = mt.BallDomain(n)
+        want = _eager_kobayashi_upper(B, z, v, budget, seed)
+        assert mt.kobayashi_upper(B, z, v, budget, seed=seed).hex() == want.hex()
+
+
+@pytest.mark.parametrize("rejected", [1, 3, 12, 40])
+def test_rejected_checks_follow_ascending_alpha(monkeypatch, rejected):
+    """The first ``rejected`` checks fail.  The estimator must then check in
+    ascending alpha with ties to the lower candidate (the affine disc, then
+    the lower degree), retry a rejected truncation at a 0.1% smaller scale,
+    and return what the eager search gives when the same discs fail."""
+    original = mt.DiscMap.contained_in_unit_ball
+    verified_min = mt._verified_min
+    cases = [(2, np.array([0.35 + 0.1j, -0.2 + 0.25j]), np.array([0.5 - 0.3j, 0.8 + 0.1j]), 60, 0),
+             (3, np.zeros(3, complex), np.array([0.3, 0.4j, -0.2]), 30, 5),
+             (1, np.array([0.6j]), np.array([1.5 + 0j]), 25, 1)]
+    cases += list(_lazy_eager_cases(6))
+    ties = 0
+    for n, z, v, budget, seed in cases:
+        B = mt.BallDomain(n)
+        seen, failed, alpha_of, stage, lazy = [], set(), {}, [0], [True]
+
+        def reject_first(disc, samples=None):
+            key = (disc.coefficients.shape, disc.coefficients.tobytes())
+            if lazy[0] and len(seen) < rejected:
+                seen.append((stage[0], alpha_of[id(disc)], disc.degree))
+                failed.add(key)
+                return False
+            return key not in failed and original(disc, samples)
+
+        def noting(tries):
+            for alpha, disc in tries:
+                alpha_of[id(disc)] = alpha
+                yield alpha, disc
+
+        def staged(candidates, best=None):
+            stage[0] += 1
+            return verified_min([noting(c) for c in candidates], best)
+
+        monkeypatch.setattr(mt.DiscMap, "contained_in_unit_ball", reject_first)
+        monkeypatch.setattr(mt, "_verified_min", staged)
+        try:
+            got = mt.kobayashi_upper(B, z, v, budget, seed=seed).hex()
+        except ContainmentError:
+            got = None
+        lazy[0] = False
+        try:
+            want = _eager_kobayashi_upper(B, z, v, budget, seed).hex()
+        except ContainmentError:
+            want = None
+        monkeypatch.setattr(mt.DiscMap, "contained_in_unit_ball", original)
+        assert got == want
+        assert len(seen) == rejected or got is None
+        # ascending within each heap: stage 1 holds the affine disc and the
+        # truncations, each later stage one block of perturbations
+        for (s0, a0, d0), (s1, a1, d1) in zip(seen, seen[1:]):
+            if s1 == s0:
+                assert a1 >= a0
+                if s0 == 1 and a1 == a0:
+                    assert d1 > d0
+                    ties += 1
+    assert ties or rejected < 3
+
+
+def test_kobayashi_upper_near_the_sphere_raises_containment_error():
+    # |z| = 1 - 1e-10 is inside the ball but beyond the containment margin;
+    # the affine stretch is 0 there, which divided by zero
+    B = mt.BallDomain(2)
+    for v in ([0j, 1 + 0j], [1 + 0j, 0j], [0.6 + 0j, 0.8j]):
+        for budget in (1, 20):
+            with pytest.raises(ContainmentError):
+                mt.kobayashi_upper(B, [1 - 1e-10 + 0j, 0j], v, budget)
+
+
+@pytest.mark.parametrize("z,v", [
+    ([math.nan, 0.0], [0.0, 1.0]),
+    ([0.0, 0.0], [math.inf, 1.0]),
+    ([0.1, 0.0], [1.0, complex(0.0, math.nan)]),
+    ([complex(math.inf, 0.0), 0.0], [1.0, 0.0]),
+])
+def test_kobayashi_upper_rejects_non_finite_input(z, v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            mt.kobayashi_upper(mt.BallDomain(2), z, v, budget=20)
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3, 5, 8, 9, 17])

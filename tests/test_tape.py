@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import holonorm.expr as ex
 from holonorm.errors import ParseError
-from holonorm.linescan import restrict_function
+from holonorm.linescan import alexander_function_test, direction_set, restrict_function
 
 
 def _oracle_node(node, Z, pole, want_grad):
@@ -235,3 +235,15 @@ def test_blocks_change_no_bit():
     assert same(got[0], want[0]) and same(got[1], want[1])
     assert np.array_equal(slice_got[2], slice_want[2])
     assert same(slice_got[0], slice_want[0]) and same(slice_got[1], slice_want[1][:, 0])
+
+
+def test_reciprocal_tape_compiles_once(monkeypatch):
+    # every line of 1/(z1 + 0.5 z2) has its pole at lambda = 0, so each line
+    # evaluates the reciprocal; its tape is compiled on the first one only
+    compiled = []
+    compile_tape = ex.compile_tape
+    monkeypatch.setattr(ex, "compile_tape", lambda root: compiled.append(root) or compile_tape(root))
+    f = ex.parse("1/(z1 + 0.5*z2)", 2)
+    alexander_function_test(f, direction_set(2, 8, 0))
+    assert len(compiled) == 2
+    assert compiled == [f.root, f.inverse.root]
