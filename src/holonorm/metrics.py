@@ -31,8 +31,8 @@ CONTAINMENT_SAMPLES = 256
 CONTAINMENT_RING = 1.0 - 1e-6
 CONTAINMENT_MARGIN = 1e-9
 
-#: Byte budget of one (candidates, n, samples) complex block of the
-#: lockstep candidate search; a check holds a few such arrays at once.
+#: Byte budget of one complex block of the lockstep candidate search and of
+#: the ball ratio reducer in normality; each holds a few such arrays at once.
 LOCKSTEP_BYTES = 2 << 20
 
 
@@ -613,9 +613,14 @@ def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
     vv = _point(v, B.arity)
     if not (np.isfinite(zz).all() and np.isfinite(vv).all()):
         raise InputError("base point and direction vector must be finite")
-    v_norm = float(np.linalg.norm(vv))
-    if v_norm == 0.0:
-        raise InputError("direction vector must be nonzero")
+    with np.errstate(over="ignore"):
+        v_norm = float(np.linalg.norm(vv))
+    if not math.sqrt(np.finfo(float).tiny) <= v_norm < math.inf:
+        # |v|^2 is not a normal float: scale by the largest part instead
+        big = float(np.max(np.abs(np.concatenate([vv.real, vv.imag]))))
+        v_norm = big * float(np.linalg.norm(vv / big)) if big > 0.0 else 0.0
+    if not 0.0 < v_norm < math.inf:
+        raise InputError("direction vector must be nonzero, with a finite norm")
     if float(np.linalg.norm(zz)) >= 1.0:
         raise InputError("base point must lie in the open ball")
     v_hat = vv / v_norm

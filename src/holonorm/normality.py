@@ -244,6 +244,19 @@ def _as_family(family) -> list:
     return fam
 
 
+def _family_sup(fam, pts, sample, what: str) -> SupEstimate:
+    best, arg, series = -math.inf, None, []
+    for idx, f in enumerate(fam, start=1):
+        vals = _finite_or_raise(sample(f, pts), what)
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            best = float(vals[j])
+            arg = pts[j]
+        series.append((float(idx), best))
+    return SupEstimate(best, arg, samples=len(fam) * pts.shape[0],
+                       growth_series=series)
+
+
 def marty_sup(family, K) -> SupEstimate:
     """sup of sharp over family x grid, with prefix growth per member.
 
@@ -252,19 +265,7 @@ def marty_sup(family, K) -> SupEstimate:
     which is nondecreasing by construction.
     """
     fam = _as_family(family)
-    pts = ex.as_points(K, fam[0].arity)
-    best = -math.inf
-    arg = None
-    series = []
-    for idx, f in enumerate(fam, start=1):
-        vals = _finite_or_raise(sharp_batch(f, pts), "marty_sup")
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best = float(vals[j])
-            arg = pts[j]
-        series.append((float(idx), best))
-    return SupEstimate(best, arg, samples=len(fam) * pts.shape[0],
-                       growth_series=series)
+    return _family_sup(fam, ex.as_points(K, fam[0].arity), sharp_batch, "marty_sup")
 
 
 def mu_local_boundedness(family, K) -> SupEstimate:
@@ -272,19 +273,7 @@ def mu_local_boundedness(family, K) -> SupEstimate:
     fam = _as_family(family)
     if fam[0].arity != 1:
         raise InputError("mu_local_boundedness applies to one-variable families")
-    pts = ex.as_points(K, 1)
-    best = -math.inf
-    arg = None
-    series = []
-    for idx, f in enumerate(fam, start=1):
-        vals = _finite_or_raise(mu_batch(f, pts), "mu_local_boundedness")
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best = float(vals[j])
-            arg = pts[j]
-        series.append((float(idx), best))
-    return SupEstimate(best, arg, samples=len(fam) * pts.shape[0],
-                       growth_series=series)
+    return _family_sup(fam, ex.as_points(K, 1), mu_batch, "mu_local_boundedness")
 
 
 # --------------------------------------------------------------------------
@@ -474,18 +463,46 @@ def random_ball_params(arity: int, count: int, seed: int, max_norm: float = 0.9)
 # Ball ratios: Levi form against invariant metrics
 # --------------------------------------------------------------------------
 
-def _levi_ratio_tables(f: ex.HoloExpr, z_points: np.ndarray, v_samples: np.ndarray):
-    """Levi numerators and value row data for a block of points.
-
-    Returns (levi, pairs_abs2, denominators...) laid out as matrices
-    (num_z, num_v) ready for metric normalisation.
-    """
-    vals, grads, pole = ex.eval_jet_batch(f, z_points)
+def _levi_ratio_tables(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale):
+    """np.max of each row of the (points x vectors) table levi_form(f, z, v)
+    / (scale * F_K(z, v)^2), F_K the Kobayashi metric of the unit ball.  NaN
+    propagates; np.argmax of the maxima is the row of the table's argmax.
+    Jets and per-row terms are computed once, the table in reused blocks of
+    LOCKSTEP_BYTES // (16 * vectors) rows, each entry rounded as in the
+    whole table, so memory is bounded at any number of points."""
+    m, k = Z.shape[0], V.shape[0]
+    if m == 0 or not np.all(np.linalg.norm(Z, axis=1) < 1.0):
+        raise InputError("z samples must be nonempty and lie in the open unit ball")
+    v2 = np.einsum("ij,ij->i", V, V.conjugate()).real
+    if k == 0 or not np.all(np.isfinite(v2) & (v2 > 0.0)):
+        raise InputError("direction vectors must be nonzero with a finite squared norm")
+    vals, grads, pole = ex.eval_jet_batch(f, Z)
     if pole.any():
         raise InputError("pole signal inside the ball; certifier input must be holomorphic")
-    contr = grads @ v_samples.T  # (mz, mv): sum_k d_k f * v_k
-    levi = np.abs(contr) ** 2 / (1.0 + np.abs(vals) ** 2)[:, None] ** 2
-    return levi
+    den = (1.0 + np.abs(vals) ** 2) ** 2
+    d = 1.0 - np.einsum("ij,ij->i", Z, Z.conjugate()).real
+    d2, Zc, VT = d ** 2, Z.conjugate(), V.T
+    # no one-row block unless m == 1: numpy computes a one-row product by
+    # gemv, which rounds differently from the rows of a matrix product
+    rows = max(2, mt.LOCKSTEP_BYTES // (16 * k))
+    cap = min(m, rows + 1)
+    prod, levi, fk2 = np.empty((cap, k), complex), np.empty((cap, k)), np.empty((cap, k))
+    top = np.empty(m)
+    for s, e in itertools.pairwise([0, *range(rows, m - 1, rows), m]):
+        c, lv, fk = prod[:e - s], levi[:e - s], fk2[:e - s]
+        # fk2 = scale * (v2/d + |<v, z>|^2/d^2)
+        np.abs(np.matmul(Zc[s:e], VT, out=c), out=fk)
+        np.square(fk, out=fk)
+        np.divide(fk, d2[s:e, None], out=fk)
+        np.add(np.divide(v2, d[s:e, None], out=lv), fk, out=fk)
+        np.multiply(fk, scale, out=fk)
+        # levi = |grad f . v|^2 / (1 + |f|^2)^2, then levi / fk2
+        np.abs(np.matmul(grads[s:e], VT, out=c), out=lv)
+        np.square(lv, out=lv)
+        np.divide(lv, den[s:e, None], out=lv)
+        np.divide(lv, fk, out=lv)
+        np.max(lv, axis=1, out=top[s:e])
+    return top
 
 
 def ball_normal_ratio(f: ex.HoloExpr, z_samples, v_samples) -> SupEstimate:
@@ -493,29 +510,18 @@ def ball_normal_ratio(f: ex.HoloExpr, z_samples, v_samples) -> SupEstimate:
 
     A finite stable value certifies the Levi form is dominated by the Bergman
     metric on the sampled region, the defining estimate for ball normality.
+    ``_levi_ratio_tables`` reduces the pairs in bounded memory (the Bergman
+    length is (n+1) F_K^2); the growth series keeps every (m // 16)-th row.
     """
     Z = ex.as_points(z_samples, f.arity)
     V = ex.as_points(v_samples, f.arity)
-    if np.any(np.linalg.norm(Z, axis=1) >= 1.0):
-        raise InputError("z samples must lie in the open unit ball")
-    levi = _levi_ratio_tables(f, Z, V)
-    n = f.arity
-    s = np.einsum("ij,ij->i", Z, Z.conjugate()).real
-    d = 1.0 - s
-    v2 = np.einsum("ij,ij->i", V, V.conjugate()).real
-    pair = Z.conjugate() @ V.T  # (mz, mv): <v, z> transposed pairing
-    berg = (n + 1) * (v2[None, :] / d[:, None] + np.abs(pair) ** 2 / (d ** 2)[:, None])
-    ratio = levi / berg
-    flat = int(np.argmax(ratio))
-    i, j = divmod(flat, ratio.shape[1])
-    series = []
-    best = -math.inf
-    for i2 in range(Z.shape[0]):
-        best = max(best, float(np.max(ratio[i2])))
-        series.append((float(i2 + 1), best))
+    top = _levi_ratio_tables(f, Z, V, f.arity + 1)
+    i = int(np.argmax(top))
+    # (0, -inf) first, as the running max starts there and skips NaN rows
+    series = list(enumerate(itertools.accumulate(top.tolist(), max, initial=-math.inf)))[1:]
     step = max(1, len(series) // 16)
     series = series[step - 1::step] if len(series) > 16 else series
-    return SupEstimate(float(ratio[i, j]), Z[i], samples=int(ratio.size),
+    return SupEstimate(float(top[i]), Z[i], samples=top.size * V.shape[0],
                        growth_series=series)
 
 
@@ -525,10 +531,11 @@ def kobayashi_normality_check(f: ex.HoloExpr, z_rungs=None, v_samples=None,
                               seed: int = 0) -> Verdict:
     """Trend of sup levi_form / F_K^2 along an exhaustion of the unit ball.
 
-    Equals (n+1) times the Bergman-normalised ratio at every sample.  Rung
-    grids are cumulative, so the ladder of suprema is nondecreasing;
-    stabilization reads BOUNDED, sustained geometric growth reads
-    UNBOUNDED_TREND.
+    Equals (n+1) times the Bergman-normalised ratio at every sample.  Each
+    rung must be a prefix of the deepest, as the cumulative rung grids are,
+    so the ladder of suprema is nondecreasing and one bounded-memory pass of
+    ``_levi_ratio_tables`` serves them all; stabilization reads BOUNDED,
+    sustained geometric growth reads UNBOUNDED_TREND.
     """
     lad = sp.check_ladder(ladder)
     n = f.arity
@@ -537,31 +544,19 @@ def kobayashi_normality_check(f: ex.HoloExpr, z_rungs=None, v_samples=None,
     if v_samples is None:
         v_samples = np.concatenate([sp.axis_directions(n),
                                     sp.unit_sphere_points(n, v_count, seed + 1)])
+    rungs = [ex.as_points(rung, n) for rung in z_rungs]
+    deep = rungs[-1] if rungs else np.empty((0, n), dtype=complex)
+    if not all(len(r) and np.array_equal(r, deep[:len(r)], equal_nan=True) for r in rungs):
+        raise InputError("every z rung must be a nonempty prefix of the deepest rung")
     V = ex.as_points(v_samples, n)
-    sups = []
-    best = -math.inf
-    arg = None
-    deep = ex.as_points(z_rungs[-1], n)
-    levi = _levi_ratio_tables(f, deep, V)
-    s = np.einsum("ij,ij->i", deep, deep.conjugate()).real
-    d = 1.0 - s
-    v2 = np.einsum("ij,ij->i", V, V.conjugate()).real
-    pair = deep.conjugate() @ V.T
-    fk2 = v2[None, :] / d[:, None] + np.abs(pair) ** 2 / (d ** 2)[:, None]
-    ratio = levi / fk2
-    for rung in z_rungs:
-        m = ex.as_points(rung, n).shape[0]
-        block = ratio[:m]
-        j = int(np.argmax(block))
-        i1, j1 = divmod(j, block.shape[1])
-        if block[i1, j1] > best:
-            best = float(block[i1, j1])
-            arg = deep[i1]
-        sups.append(float(np.max(block)))
-    label, trend = classify_trend(sups)
-    est = SupEstimate(max(sups), arg, samples=int(ratio.size),
-                      growth_series=list(zip([float(e) for e in lad], sups)))
-    return Verdict(label, est, threshold=GROWTH_FACTOR, trend_ratio=trend)
+    top = _levi_ratio_tables(f, deep, V, 1)
+    sups, best, arg = [], -math.inf, None
+    for m in map(len, rungs):
+        i = int(np.argmax(top[:m]))
+        if top[i] > best:
+            best, arg = float(top[i]), deep[i]
+        sups.append(float(top[i]))
+    return ladder_verdict(sups, arg, top.size * V.shape[0], lad)
 
 
 # --------------------------------------------------------------------------

@@ -676,6 +676,25 @@ def test_kobayashi_upper_rejects_non_finite_input(z, v):
             mt.kobayashi_upper(mt.BallDomain(2), z, v, budget=20)
 
 
+@pytest.mark.parametrize("t", [1e300, 1e-200])
+def test_kobayashi_upper_is_homogeneous_at_extreme_scales(t):
+    B = mt.BallDomain(3)
+    z = np.array([0.3 + 0.1j, -0.2j, 0.25])
+    v = np.array([0.4 - 0.3j, 0.7, -0.1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = mt.kobayashi_upper(B, z, v, 40, seed=3)
+        scaled = mt.kobayashi_upper(B, z, t * v, 40, seed=3)
+    assert scaled == pytest.approx(t * base, rel=1e-12)
+
+
+def test_kobayashi_upper_rejects_a_direction_whose_norm_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            mt.kobayashi_upper(mt.BallDomain(2), [0.1, 0.0], [1.5e308, 1.5e308], 20)
+
+
 @pytest.mark.parametrize("arity", [1, 2, 3, 5, 8, 9, 17])
 def test_ring_norm_rounds_as_numpy_norm(arity):
     # one sample per row, so the max is each row's own norm

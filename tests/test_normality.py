@@ -1,6 +1,9 @@
 """Spherical derivative, Levi form, and the normality certifiers."""
 
+import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -443,6 +446,155 @@ def test_kobayashi_check_detects_axis_blowup():
     v = nr.kobayashi_normality_check(ex.parse("sin(1/(1-z1))", 2))
     assert v.classification == nr.UNBOUNDED_TREND
     assert v.trend_ratio >= nr.GROWTH_FACTOR
+
+
+# ------------------------------------------------- row-blocked ratio reducer
+
+def _eager_ratio(f, Z, V, scale):
+    """The whole (points x vectors) matrix levi / (scale * F_K^2), as the
+    ball ratios computed it before the row-blocked reducer."""
+    vals, grads, pole = ex.eval_jet_batch(f, Z)
+    assert not pole.any()
+    contr = grads @ V.T
+    levi = np.abs(contr) ** 2 / (1.0 + np.abs(vals) ** 2)[:, None] ** 2
+    s = np.einsum("ij,ij->i", Z, Z.conjugate()).real
+    d = 1.0 - s
+    v2 = np.einsum("ij,ij->i", V, V.conjugate()).real
+    pair = Z.conjugate() @ V.T
+    fk2 = v2[None, :] / d[:, None] + np.abs(pair) ** 2 / (d ** 2)[:, None]
+    return levi / (scale * fk2)
+
+
+def _eager_ball_normal_ratio(f, Z, V):
+    ratio = _eager_ratio(f, Z, V, f.arity + 1)
+    flat = int(np.argmax(ratio))
+    i, j = divmod(flat, ratio.shape[1])
+    series = []
+    best = -math.inf
+    for i2 in range(Z.shape[0]):
+        best = max(best, float(np.max(ratio[i2])))
+        series.append((float(i2 + 1), best))
+    step = max(1, len(series) // 16)
+    series = series[step - 1::step] if len(series) > 16 else series
+    return nr.SupEstimate(float(ratio[i, j]), Z[i], samples=int(ratio.size),
+                          growth_series=series)
+
+
+def _eager_kobayashi_check(f, z_rungs, V, ladder):
+    deep = z_rungs[-1]
+    ratio = _eager_ratio(f, deep, V, 1)
+    sups = []
+    best = -math.inf
+    arg = None
+    for rung in z_rungs:
+        block = ratio[:rung.shape[0]]
+        i1, j1 = divmod(int(np.argmax(block)), block.shape[1])
+        if block[i1, j1] > best:
+            best = float(block[i1, j1])
+            arg = deep[i1]
+        sups.append(float(np.max(block)))
+    label, trend = nr.classify_trend(sups)
+    est = nr.SupEstimate(max(sups), arg, samples=int(ratio.size),
+                         growth_series=list(zip([float(e) for e in ladder], sups)))
+    return nr.Verdict(label, est, threshold=nr.GROWTH_FACTOR, trend_ratio=trend)
+
+
+def _canonical(report) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+REDUCER_EXPRS = {
+    1: ["z1^3-2*z1", "exp(40/(1-z1))", "0.7"],
+    2: ["exp(z1)*z2+z1", "0.7+i", "exp(40/(1-z1))", "sin(1/(1-z1))"],
+    3: ["z1*z2+z3", "3", "exp(40/(1-z1))"],
+    4: ["z1*z4+z2*z3^2", "exp(40/(1-z1))"],
+}
+
+
+# rows per block asked of the budget: 1 (clamped to 2, see the reducer),
+# small counts that split the rungs of every grid below, and the default
+@pytest.mark.parametrize("rows", [1, 3, 7, 50, None])
+def test_ball_ratios_match_the_whole_matrix(monkeypatch, rows):
+    rng = np.random.default_rng(rows or 0)
+    ladder = (0.2, 0.1, 0.02, 0.01)
+    nan_seen = False
+    for case in range(12):
+        n = case % 4 + 1
+        text = REDUCER_EXPRS[n][case % len(REDUCER_EXPRS[n])]
+        f = ex.parse(text, n)
+        seed = int(rng.integers(1000))
+        z_rungs = sp.ball_ladder_grids(n, ladder, int(rng.integers(1, 12)),
+                                       int(rng.integers(1, 6)), seed)
+        V = sp.unit_sphere_points(n, int(rng.integers(1, 24)), seed + 1)
+        V = V * rng.uniform(0.1, 3.0, (V.shape[0], 1))
+        if rows is not None:
+            monkeypatch.setattr(mt, "LOCKSTEP_BYTES", rows * 16 * V.shape[0])
+        Z = z_rungs[-1][rng.permutation(z_rungs[-1].shape[0])]
+        with np.errstate(all="ignore"):
+            want_k = _canonical(_eager_kobayashi_check(f, z_rungs, V, ladder))
+            got_k = _canonical(nr.kobayashi_normality_check(f, z_rungs, V, ladder))
+            want_b = _canonical(_eager_ball_normal_ratio(f, Z, V))
+            got_b = _canonical(nr.ball_normal_ratio(f, Z, V))
+        assert got_k == want_k, (text, seed)
+        assert got_b == want_b, (text, seed)
+        # every row maximum, not only those the reports show
+        with np.errstate(all="ignore"):
+            want = np.max(_eager_ratio(f, Z, V, 1), axis=1)
+            got = nr._levi_ratio_tables(f, Z, V, 1)
+        assert got.tobytes() == want.tobytes(), (text, seed)
+        nan_seen |= "NaN" in want_k
+    assert nan_seen  # the overflowing f reaches the NaN rows
+
+
+def test_kobayashi_check_memory_is_bounded():
+    f = ex.parse("exp(z1)*z2 + z3^2", 3)
+    tracemalloc.start()
+    try:
+        nr.kobayashi_normality_check(f, directions=256, radii=32, v_count=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+
+
+@pytest.mark.parametrize("rungs", [
+    [[[0.9, 0.0]], [[0.1, 0.0], [0.2, 0.0]]],  # not a prefix of the deepest
+    [[[0.1, 0.0]], [[0.1, 0.0], [1.2, 0.0]]],  # a point outside the ball
+    [[[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]], [[0.1, 0.0], [0.2, 0.0]]],  # longer
+    [np.empty((0, 2)), [[0.1, 0.0]]],  # empty rung
+    [[[0.1, 0.0], [math.nan, 0.0]]],
+])
+def test_kobayashi_check_rejects_bad_rungs(rungs):
+    z_rungs = [np.asarray(r, dtype=complex).reshape(-1, 2) for r in rungs]
+    with pytest.raises(InputError):
+        nr.kobayashi_normality_check(ex.parse("z1", 2), z_rungs=z_rungs,
+                                     v_samples=np.eye(2))
+
+
+@pytest.mark.parametrize("Z", [[[1.0, 0.0]], [[0.1, 0.0], [math.nan, 0.0]], np.empty((0, 2))])
+def test_ball_normal_ratio_rejects_points_off_the_open_ball(Z):
+    with pytest.raises(InputError):
+        nr.ball_normal_ratio(ex.parse("z1", 2), Z, np.eye(2))
+
+
+@pytest.mark.parametrize("V", [
+    [[1.0, 0.0], [0.0, 0.0]],
+    [[1.0, 0.0], [math.nan, 0.0]],
+    [[1.0, 0.0], [0.0, complex(0.0, math.inf)]],
+    [[1e-200, 0.0]],  # squared norm underflows to zero
+    [[1e200, 1e200]],  # squared norm overflows
+    np.empty((0, 2)),
+])
+@pytest.mark.parametrize("check", ["ball_normal_ratio", "kobayashi_normality_check"])
+def test_ball_ratios_reject_degenerate_vectors(V, check):
+    f = ex.parse("exp(z1)*z2", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            if check == "ball_normal_ratio":
+                nr.ball_normal_ratio(f, sp.uniform_ball_points(2, 20, 0.9, 3), V)
+            else:
+                nr.kobayashi_normality_check(f, v_samples=V, directions=4, radii=2)
 
 
 # ------------------------------------------------------------- disc probe
