@@ -33,7 +33,6 @@ from .metrics import (
     INF,
     BallDomain,
     DiscMap,
-    MetricSample,
     ball_automorphism,
     bergman_kernel_ball,
     bergman_norm_sq,
@@ -83,7 +82,7 @@ __all__ = [
     "HoloExpr", "Jet", "parse", "eval_jet", "reciprocal", "substitute",
     "PowerSeries", "UniSeries", "partial_sum", "restrict_to_line",
     "radius_estimate", "load_series",
-    "INF", "BallDomain", "DiscMap", "MetricSample",
+    "INF", "BallDomain", "DiscMap",
     "chordal_distance", "poincare_tensor", "poincare_distance",
     "bergman_kernel_ball", "bergman_tensor_ball", "bergman_norm_sq",
     "disc_automorphism", "ball_automorphism",

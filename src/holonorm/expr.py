@@ -188,18 +188,6 @@ def var_expr(index: int, arity: int) -> HoloExpr:
     return HoloExpr(Var(index), arity)
 
 
-def exp_of(e: HoloExpr) -> HoloExpr:
-    return HoloExpr(Call("exp", e.root), e.arity)
-
-
-def sin_of(e: HoloExpr) -> HoloExpr:
-    return HoloExpr(Call("sin", e.root), e.arity)
-
-
-def cos_of(e: HoloExpr) -> HoloExpr:
-    return HoloExpr(Call("cos", e.root), e.arity)
-
-
 # --------------------------------------------------------------------------
 # Tokenizer / parser
 # --------------------------------------------------------------------------

@@ -53,17 +53,13 @@ class DirectionSet:
 
 
 def direction_set(arity: int, count: int = DEFAULT_DIRECTIONS,
-                  seed: int = 0, include_axes: bool = True) -> DirectionSet:
+                  seed: int = 0) -> DirectionSet:
     """Seeded uniform sphere directions; the n coordinate axes always lead."""
     if count < 0:
         raise InputError("direction count must be nonnegative")
-    rows = []
-    if include_axes:
-        rows.append(np.eye(arity, dtype=complex))
+    rows = [np.eye(arity, dtype=complex)]
     if count:
         rows.append(sp.unit_sphere_points(arity, count, seed))
-    if not rows:
-        raise InputError("direction set is empty")
     return DirectionSet(np.concatenate(rows), seed=seed, count=count)
 
 
@@ -214,15 +210,13 @@ def _family_line_verdict(tables, grid: nr.DiscLadder, ladder) -> nr.Verdict:
 
 def alexander_family_test(family, D: DirectionSet | None = None,
                           ladder=sp.DEFAULT_LADDER, radii: int = 48,
-                          angles: int = 64, ball_radius: float = 0.5,
-                          ball_directions: int = 64, ball_radii: int = 12,
-                          seed: int = 0):
+                          angles: int = 64, seed: int = 0):
     """Family slices along lines, aggregated, plus a direct ball supremum.
 
     Returns (verdict, line reports, ball SupEstimate).  Running the family
-    on the ball grid directly and along slices reports both sides of the
-    slice-versus-ball comparison.  A singleton family reproduces
-    alexander_function_test report for report.
+    on the ball grid directly (radius 0.5, 64 seeded directions, 12 radii)
+    and along slices reports both sides of the slice-versus-ball comparison.
+    A singleton family reproduces alexander_function_test report for report.
     """
     fam = [f for f in family]
     if not fam:
@@ -230,7 +224,7 @@ def alexander_family_test(family, D: DirectionSet | None = None,
     arity = fam[0].arity
     verdict, reports = _slice_verdicts(fam, _check_directions(D, arity),
                                        ladder, radii, angles)
-    grid = sp.ball_grid(arity, ball_radius, ball_directions, ball_radii, seed)
+    grid = sp.ball_grid(arity, 0.5, 64, 12, seed)
     ball_est = nr.marty_sup(fam, grid)
     return verdict, reports, ball_est
 
@@ -241,9 +235,7 @@ def alexander_family_test(family, D: DirectionSet | None = None,
 
 def hartogs_test(F: se.PowerSeries, D: DirectionSet | None = None,
                  R_min: float = DEFAULT_RMIN, window: float = se.DEFAULT_WINDOW,
-                 probe_partial_sums: bool = True,
-                 probe_directions: int = 32, probe_radii: int = 8,
-                 seed: int = 0):
+                 probe_partial_sums: bool = True, seed: int = 0):
     """Directional convergence verdict for a truncated power series.
 
     Per direction the slice coefficients feed a windowed root test twice,
@@ -252,8 +244,8 @@ def hartogs_test(F: se.PowerSeries, D: DirectionSet | None = None,
     truncations without material shrink, DIVERGENT when some direction
     falls below R_min and keeps shrinking as the degree grows, otherwise
     INCONCLUSIVE.  Optionally the partial sums f_0 .. f_M are run through
-    marty_sup on the ball of half the worst radius, the family whose
-    normality the slice argument feeds on.
+    marty_sup on a grid (32 seeded directions, 8 radii) of the ball of half
+    the worst radius, the family whose normality the slice argument feeds on.
 
     Returns (verdict, line reports, partial-sum SupEstimate or None).
     """
@@ -306,7 +298,6 @@ def hartogs_test(F: se.PowerSeries, D: DirectionSet | None = None,
         ball_r = min(ball_r, 4.0)
         if ball_r > 0:
             fam = [se.partial_sum(F, m) for m in range(F.max_degree + 1)]
-            grid = sp.ball_grid(F.arity, ball_r, probe_directions,
-                                probe_radii, seed)
+            grid = sp.ball_grid(F.arity, ball_r, 32, 8, seed)
             partial_report = nr.marty_sup(fam, grid)
     return verdict, reports, partial_report

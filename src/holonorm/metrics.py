@@ -99,10 +99,6 @@ class BallDomain:
         if self.radius <= 0:
             raise InputError("ball radius must be positive")
 
-    def contains(self, z, strict: bool = True) -> bool:
-        nz = float(np.linalg.norm(np.asarray(z, dtype=complex)))
-        return nz < self.radius if strict else nz <= self.radius
-
 
 def _point(z, arity: int) -> np.ndarray:
     a = np.asarray(z, dtype=complex)
@@ -125,22 +121,10 @@ def bergman_kernel_ball(B: BallDomain, z) -> float:
     return math.factorial(n) / math.pi ** n * (1.0 - s) ** (-(n + 1))
 
 
-@dataclass(frozen=True)
-class MetricSample:
-    """A Hermitian metric tensor attached to a point."""
-
-    point: np.ndarray
-    tensor: np.ndarray  # (n, n) complex, Hermitian positive definite
-
-    def norm_sq(self, v) -> float:
-        """Squared length sum_{mu,nu} g_{mu nu} v_mu conj(v_nu)."""
-        vv = np.asarray(v, dtype=complex).reshape(-1)
-        val = np.einsum("mn,m,n->", self.tensor, vv, vv.conjugate())
-        return float(val.real)
-
-
-def bergman_tensor_ball(B: BallDomain, z) -> MetricSample:
-    """Bergman metric tensor of the radius-r ball at z.
+def bergman_tensor_ball(B: BallDomain, z) -> np.ndarray:
+    """Bergman metric tensor of the radius-r ball at z, an (n, n) complex
+    Hermitian positive definite array g with squared length
+    sum_{mu,nu} g_{mu nu} v_mu conj(v_nu).
 
     g_{mu nu} = (n+1) [ delta_{mu nu}/(r^2-|z|^2) + conj(z_mu) z_nu/(r^2-|z|^2)^2 ].
     """
@@ -152,7 +136,15 @@ def bergman_tensor_ball(B: BallDomain, z) -> MetricSample:
     n = B.arity
     d = r2 - s
     g = np.eye(n, dtype=complex) / d + np.outer(zz.conjugate(), zz) / (d * d)
-    return MetricSample(point=zz, tensor=(n + 1) * g)
+    return (n + 1) * g
+
+
+def _length_sq(zz: np.ndarray, vv: np.ndarray, d: float) -> float:
+    """|v|^2/d + |<v, z>|^2/d^2: the squared Kobayashi length of v at z in
+    the unit ball for d = 1 - |z|^2, and 1/(n+1) of the Bergman one."""
+    v2 = float(np.vdot(vv, vv).real)
+    pair = complex(np.sum(vv * zz.conjugate()))  # <v, z>
+    return v2 / d + abs(pair) ** 2 / (d * d)
 
 
 def bergman_norm_sq(B: BallDomain, z, v) -> float:
@@ -163,10 +155,7 @@ def bergman_norm_sq(B: BallDomain, z, v) -> float:
     s = float(np.vdot(zz, zz).real)
     if s >= r2:
         raise InputError("metric evaluation point must lie in the open ball")
-    d = r2 - s
-    v2 = float(np.vdot(vv, vv).real)
-    pair = complex(np.sum(vv * zz.conjugate()))  # <v, z>
-    return (B.arity + 1) * (v2 / d + abs(pair) ** 2 / (d * d))
+    return (B.arity + 1) * _length_sq(zz, vv, r2 - s)
 
 
 # --------------------------------------------------------------------------
@@ -260,10 +249,7 @@ def kobayashi_closed_form_ball(z, v) -> float:
     s = float(np.vdot(zz, zz).real)
     if s >= 1.0:
         raise InputError("Kobayashi evaluation point must lie in the open ball")
-    d = 1.0 - s
-    v2 = float(np.vdot(vv, vv).real)
-    pair = complex(np.sum(vv * zz.conjugate()))
-    return math.sqrt(v2 / d + abs(pair) ** 2 / (d * d))
+    return math.sqrt(_length_sq(zz, vv, 1.0 - s))
 
 
 # --------------------------------------------------------------------------
@@ -381,8 +367,7 @@ def affine_disc(z, direction, stretch: float) -> DiscMap:
     return DiscMap(np.stack([zz, stretch * dd]))
 
 
-def random_disc_maps(arity: int, count: int, degree: int, seed: int,
-                     through_origin: bool = False) -> list[DiscMap]:
+def random_disc_maps(arity: int, count: int, degree: int, seed: int) -> list[DiscMap]:
     """Seeded polynomial discs, rescaled into the unit ball and verified."""
     if count < 1 or degree < 1:
         raise InputError("need count >= 1 and degree >= 1")
@@ -390,10 +375,9 @@ def random_disc_maps(arity: int, count: int, degree: int, seed: int,
     discs = []
     for _ in range(count):
         coeffs = np.zeros((degree + 1, arity), dtype=complex)
-        if not through_origin:
-            raw = rng.standard_normal(2 * arity)
-            center = raw[:arity] + 1j * raw[arity:]
-            coeffs[0] = 0.4 * center / max(1.0, np.linalg.norm(center))
+        raw = rng.standard_normal(2 * arity)
+        center = raw[:arity] + 1j * raw[arity:]
+        coeffs[0] = 0.4 * center / max(1.0, np.linalg.norm(center))
         for j in range(1, degree + 1):
             raw = rng.standard_normal(2 * arity)
             coeffs[j] = (raw[:arity] + 1j * raw[arity:]) * (0.5 / j)
@@ -434,15 +418,15 @@ def _extremal_parameters(z, v_hat):
     return t, q
 
 
-def _geometric_boundary_max(z, v_hat, t, q, sigma, degrees, samples=512):
+def _geometric_boundary_max(z, v_hat, t, q, sigma, degrees):
     """Exact boundary maxima of degree-d truncations scaled by sigma.
 
     Row k is the disc z + t v_hat G(l) with
-    G(l) = sum_{j=1..d} (sigma_k l)^j q^(j-1), d = degrees[k]; the
-    geometric form keeps the evaluation O(samples) independent of d.
+    G(l) = sum_{j=1..d} (sigma_k l)^j q^(j-1), d = degrees[k], on 512
+    ring samples; the geometric form keeps the evaluation independent of d.
     Returns one maximum per row.
     """
-    w = np.asarray(sigma, dtype=float)[:, None] * _ring(samples)
+    w = np.asarray(sigma, dtype=float)[:, None] * _ring(512)
     ratio = q * w
     # one power per row with a Python int exponent, as numpy's scalar fast
     # path for exponent 2 rounds differently from its array power

@@ -98,8 +98,7 @@ def consecutive_ratios(values) -> list[float]:
     return ratios
 
 
-def classify_trend(sups, growth_factor: float = GROWTH_FACTOR,
-                   stabilization: float = STABILIZATION) -> tuple[str, float]:
+def classify_trend(sups) -> tuple[str, float]:
     """Classify a sequence of ladder suprema; returns (label, trend_ratio).
 
     trend_ratio is the smallest consecutive ratio, the binding one for an
@@ -109,12 +108,12 @@ def classify_trend(sups, growth_factor: float = GROWTH_FACTOR,
     if len(s) < 2:
         return INCONCLUSIVE, 1.0
     trend = min(consecutive_ratios(s))
-    if trend >= growth_factor:
+    if trend >= GROWTH_FACTOR:
         return UNBOUNDED_TREND, trend
     if len(s) >= 3:
         tail = s[-3:]
         hi, lo = max(tail), min(tail)
-        if hi == 0.0 or (lo > 0.0 and hi / lo <= 1.0 + stabilization):
+        if hi == 0.0 or (lo > 0.0 and hi / lo <= 1.0 + STABILIZATION):
             return BOUNDED, trend
     return INCONCLUSIVE, trend
 
@@ -219,11 +218,12 @@ def sharp_batch(f: ex.HoloExpr, Z) -> np.ndarray:
     return out
 
 
-def _finite_or_raise(arr: np.ndarray, what: str, limit: float = 0.05):
+def _finite_or_raise(arr: np.ndarray, what: str):
+    """arr with non-finite entries at -inf; raises when over 5% are."""
     bad = ~np.isfinite(arr)
     if bad.any():
         frac = float(bad.mean())
-        if frac > limit:
+        if frac > 0.05:
             raise ArithmeticError(
                 f"{what}: {frac:.1%} of samples failed to evaluate"
             )
@@ -444,19 +444,19 @@ def ball_orbit(f: ex.HoloExpr, params) -> list[ex.HoloExpr]:
     return orbit
 
 
-def random_disc_params(count: int, seed: int, max_norm: float = 0.9):
+def random_disc_params(count: int, seed: int):
     if count < 1:
         raise InputError("count must be positive")
     rng = np.random.default_rng(seed)
-    r = max_norm * np.sqrt(rng.uniform(size=count))
+    r = 0.9 * np.sqrt(rng.uniform(size=count))
     th = rng.uniform(0.0, 2.0 * np.pi, size=count)
     rot = rng.uniform(0.0, 2.0 * np.pi, size=count)
     return [(complex(r[i] * np.cos(th[i]), r[i] * np.sin(th[i])), float(rot[i]))
             for i in range(count)]
 
 
-def random_ball_params(arity: int, count: int, seed: int, max_norm: float = 0.9):
-    return list(sp.uniform_ball_points(arity, count, max_norm, seed))
+def random_ball_params(arity: int, count: int, seed: int):
+    return list(sp.uniform_ball_points(arity, count, 0.9, seed))
 
 
 # --------------------------------------------------------------------------
@@ -531,11 +531,12 @@ def kobayashi_normality_check(f: ex.HoloExpr, z_rungs=None, v_samples=None,
                               seed: int = 0) -> Verdict:
     """Trend of sup levi_form / F_K^2 along an exhaustion of the unit ball.
 
-    Equals (n+1) times the Bergman-normalised ratio at every sample.  Each
-    rung must be a prefix of the deepest, as the cumulative rung grids are,
-    so the ladder of suprema is nondecreasing and one bounded-memory pass of
-    ``_levi_ratio_tables`` serves them all; stabilization reads BOUNDED,
-    sustained geometric growth reads UNBOUNDED_TREND.
+    Equals (n+1) times the Bergman-normalised ratio at every sample.  There
+    is one rung per ladder entry, and each must be a prefix of the deepest,
+    as the cumulative rung grids are, so the ladder of suprema is
+    nondecreasing and one bounded-memory pass of ``_levi_ratio_tables``
+    serves them all; stabilization reads BOUNDED, sustained geometric growth
+    reads UNBOUNDED_TREND.
     """
     lad = sp.check_ladder(ladder)
     n = f.arity
@@ -545,7 +546,9 @@ def kobayashi_normality_check(f: ex.HoloExpr, z_rungs=None, v_samples=None,
         v_samples = np.concatenate([sp.axis_directions(n),
                                     sp.unit_sphere_points(n, v_count, seed + 1)])
     rungs = [ex.as_points(rung, n) for rung in z_rungs]
-    deep = rungs[-1] if rungs else np.empty((0, n), dtype=complex)
+    if len(rungs) != len(lad):
+        raise InputError(f"{len(rungs)} z rungs for a ladder of {len(lad)} entries")
+    deep = rungs[-1]
     if not all(len(r) and np.array_equal(r, deep[:len(r)], equal_nan=True) for r in rungs):
         raise InputError("every z rung must be a nonempty prefix of the deepest rung")
     V = ex.as_points(v_samples, n)

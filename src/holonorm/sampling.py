@@ -42,6 +42,14 @@ def first_rung_radii(eps: float, count: int) -> np.ndarray:
     return 1.0 - eps ** (j / (count - 1)) if count > 1 else np.array([1.0 - eps])
 
 
+def _rung_radii(lad: tuple, radii: int):
+    """The radii each rung of a ladder adds: out to 1 - eps for the first,
+    then the annulus between consecutive entries."""
+    yield first_rung_radii(lad[0], radii)
+    for outer, inner in zip(lad, lad[1:]):
+        yield annulus_radii(outer, inner, radii)
+
+
 def disc_ladder_grids(ladder=DEFAULT_LADDER, radii: int = DEFAULT_RADII,
                       angles: int = DEFAULT_ANGLES) -> list[np.ndarray]:
     """Cumulative radial-angular grids on |z| <= 1 - eps for each rung.
@@ -56,12 +64,9 @@ def disc_ladder_grids(ladder=DEFAULT_LADDER, radii: int = DEFAULT_RADII,
     ring = np.exp(1j * theta)
     grids = []
     blocks = []
-    prev_eps = None
-    for eps in lad:
-        rs = first_rung_radii(eps, radii) if prev_eps is None else annulus_radii(prev_eps, eps, radii)
+    for rs in _rung_radii(lad, radii):
         blocks.append((rs[:, None] * ring[None, :]).ravel())
         grids.append(np.concatenate(blocks))
-        prev_eps = eps
     return grids
 
 
@@ -77,11 +82,8 @@ def axis_directions(arity: int) -> np.ndarray:
     return np.eye(arity, dtype=complex)
 
 
-def unit_sphere_points(arity: int, count: int, seed: int) -> np.ndarray:
-    """Seeded uniform sample on the unit sphere of C^arity, shape (count, arity)."""
-    if count < 1:
-        raise InputError("count must be positive")
-    rng = np.random.default_rng(seed)
+def _unit_rows(rng, arity: int, count: int) -> np.ndarray:
+    """count unit rows of C^arity, normalised Gaussian draws from rng."""
     raw = rng.standard_normal((count, 2 * arity))
     vecs = raw[:, :arity] + 1j * raw[:, arity:]
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -90,17 +92,21 @@ def unit_sphere_points(arity: int, count: int, seed: int) -> np.ndarray:
     return vecs / norms
 
 
+def unit_sphere_points(arity: int, count: int, seed: int) -> np.ndarray:
+    """Seeded uniform sample on the unit sphere of C^arity, shape (count, arity)."""
+    if count < 1:
+        raise InputError("count must be positive")
+    return _unit_rows(np.random.default_rng(seed), arity, count)
+
+
 def uniform_ball_points(arity: int, count: int, radius: float, seed: int) -> np.ndarray:
     """Seeded uniform sample in the closed complex ball of the given radius."""
     if count < 1:
         raise InputError("count must be positive")
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((count, 2 * arity))
-    vecs = raw[:, :arity] + 1j * raw[:, arity:]
-    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
+    dirs = _unit_rows(rng, arity, count)
     u = rng.uniform(size=(count, 1))
-    return vecs / norms * (radius * u ** (1.0 / (2 * arity)))
+    return dirs * (radius * u ** (1.0 / (2 * arity)))
 
 
 def uniform_disc_points(count: int, radius: float, seed: int) -> np.ndarray:
@@ -139,11 +145,8 @@ def ball_ladder_grids(arity: int, ladder=DEFAULT_LADDER, directions: int = 64,
                            unit_sphere_points(arity, directions, seed)])
     grids = []
     blocks = [np.zeros((1, arity), dtype=complex)]
-    prev_eps = None
-    for eps in lad:
-        rs = first_rung_radii(eps, radii) if prev_eps is None else annulus_radii(prev_eps, eps, radii)
+    for rs in _rung_radii(lad, radii):
         rs = rs[rs > 0]
         blocks.append((rs[:, None, None] * dirs[None, :, :]).reshape(-1, arity))
         grids.append(np.concatenate(blocks))
-        prev_eps = eps
     return grids

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -137,13 +138,55 @@ def test_hartogs_on_a_1035_term_series_exit_0(capsys, tmp_path):
     assert results["partial_sum_sup"]["samples"] > 0
 
 
-def test_internal_value_error_is_not_an_input_error(monkeypatch):
+# each subcommand with the certifier it calls, looked up through cli's modules
+CERTIFIERS = [
+    ("sharp", "nr", "sharp", ["--at", "0.1"]),
+    ("mu", "nr", "mu_local_boundedness", []),
+    ("marty", "nr", "marty_sup", []),
+    ("yosida", "nr", "yosida_bound", []),
+    ("ball-ratio", "nr", "ball_normal_ratio", []),
+    ("kobayashi", "nr", "kobayashi_normality_check", []),
+    ("disc-probe", "nr", "disc_family_probe", []),
+    ("linescan", "ls", "alexander_function_test", []),
+    ("hartogs", "ls", "hartogs_test", []),
+    ("orbit", "nr", "translate_orbit", []),
+]
+
+
+@pytest.mark.parametrize("command,module,name,extra", CERTIFIERS,
+                         ids=[c[0] for c in CERTIFIERS])
+def test_internal_value_error_is_not_an_input_error(monkeypatch, tmp_path, command,
+                                                    module, name, extra):
     def broken(*args, **kwargs):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr(cli.nr, "marty_sup", broken)
+    monkeypatch.setattr(getattr(cli, module), name, broken)
+    source = (["--series", series_file(tmp_path, geometric())] if command == "hartogs"
+              else ["--expr", "z1"])
     with pytest.raises(ValueError, match="internal bug"):
-        cli.main(["marty", "--expr", "z1"])
+        cli.main([command, *source, *extra])
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 5.96 GiB")
+
+    monkeypatch.setattr(cli.nr, "yosida_bound", exhausted)
+    code, out, err = run(capsys, "yosida", "--expr", "z1")
+    assert code == 3
+    assert out == ""
+    assert err == "holonorm: numeric failure: out of memory: Unable to allocate 5.96 GiB\n"
+
+
+@pytest.mark.parametrize("command", ["sharp", "mu"])
+@pytest.mark.parametrize("at", ["nan", "inf", "1e400", "0.1+nanj"])
+def test_non_finite_point_exits_2(capsys, command, at):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, "--expr", "1/z1", "--at", at)
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
 
 
 FAST_COMMANDS = [

@@ -112,8 +112,6 @@ def test_direction_set_seeded_and_prefix_nested():
 def test_direction_set_validation():
     with pytest.raises(hn.InputError):
         ls.direction_set(2, count=-1)
-    with pytest.raises(hn.InputError):
-        ls.direction_set(2, count=0, include_axes=False)
 
 
 # --------------------------------------------------------------------------

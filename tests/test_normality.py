@@ -568,6 +568,18 @@ def test_kobayashi_check_rejects_bad_rungs(rungs):
     z_rungs = [np.asarray(r, dtype=complex).reshape(-1, 2) for r in rungs]
     with pytest.raises(InputError):
         nr.kobayashi_normality_check(ex.parse("z1", 2), z_rungs=z_rungs,
+                                     v_samples=np.eye(2),
+                                     ladder=sp.DEFAULT_LADDER[:len(z_rungs)])
+
+
+@pytest.mark.parametrize("ladder,used", [(sp.DEFAULT_LADDER, 2),
+                                         (sp.DEFAULT_LADDER + (0.005,), 6)],
+                         ids=["2-rungs", "6-rungs"])
+def test_kobayashi_check_needs_one_rung_per_ladder_entry(ladder, used):
+    # valid prefix rungs, but 2 or 6 of them against the 5-entry default ladder
+    z_rungs = sp.ball_ladder_grids(2, ladder, 4, 3)[:used]
+    with pytest.raises(InputError, match="for a ladder of 5 entries"):
+        nr.kobayashi_normality_check(ex.parse("z1", 2), z_rungs=z_rungs,
                                      v_samples=np.eye(2))
 
 
