@@ -201,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
                            action="append" if family else None,
                            help="expression in the z1..zn language"
                                 + (" (repeatable)" if family else ""))
-        p.add_argument("--arity", type=int, default=1, metavar="N",
-                       help="number of complex variables (default 1)")
+            p.add_argument("--arity", type=int, default=1, metavar="N",
+                           help="number of complex variables (default 1)")
         p.add_argument("--seed", type=int, default=0, metavar="S")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", metavar="PATH", default=None,

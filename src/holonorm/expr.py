@@ -19,7 +19,7 @@ parentheses) is accepted as sugar for ``0 - term``.  Parentheses nest at most
 
 Evaluation propagates first-order jets: the value together with the complex
 gradient (d/dz_1, ..., d/dz_n), or with one directional derivative along a
-complex line.  Derivatives are therefore exact up to rounding; no numerical
+map of the disc.  Derivatives are therefore exact up to rounding; no numerical
 differencing is involved.  Each expression is compiled once to a flat tape
 (see :func:`compile_tape`), so trees of any depth evaluate.  Divisions whose
 denominator has magnitude below ``POLE_THRESHOLD`` raise :class:`PoleError`
@@ -360,7 +360,7 @@ def parse(text: str, arity: int) -> HoloExpr:
 # batch of points (constants are 1-element arrays that broadcast).  Beside
 # each value the tape carries a tuple of tangent columns: n of them, one per
 # variable, for gradients (eval_jet_batch), one for a directional derivative
-# (eval_line_jets), none for plain values (eval_values).  A tangent column is
+# (eval_disc_jets), none for plain values (eval_values).  A tangent column is
 # None where it is identically zero, and its products are then skipped.
 #
 # Every operation uses the arithmetic, operand order and pole rule of the
@@ -674,27 +674,35 @@ def eval_values(f: HoloExpr, Z) -> tuple[np.ndarray, np.ndarray]:
     return vals, pole
 
 
-def eval_line_jets(f: HoloExpr, c, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Directional jets of the slice g(lambda) = f(lambda * c).
-
-    Returns ``(values, derivatives, pole_mask)`` at the points ``lam``,
-    with g'(lambda) = grad f(lambda c) . c: the numbers
-    ``eval_jet_batch(restrict_function(f, c), lam)`` gives (its one
-    gradient column), but from the tape of ``f`` with a single tangent and
-    without building the substituted tree.
-    """
+def line_map(c):
+    """The complex line lambda -> lambda * c as a map for
+    :func:`eval_disc_jets`.  Coordinate k is c_k * lambda, with tangent
+    c_k * 1 + lambda * 0, rounded as ``restrict_function(f, c)`` computes them."""
     cv = np.asarray(c, dtype=complex).reshape(-1)
-    if cv.shape[0] != f.arity:
-        raise InputError(f"direction must have {f.arity} coordinates")
+    coords = [cv[k:k + 1] for k in range(cv.shape[0])]
+
+    def phi(lam):
+        bad = _nonfinite(lam)
+        return [ck * lam for ck in coords], [_poison(ck * _ONE, bad) for ck in coords]
+    return phi
+
+
+def eval_disc_jets(f: HoloExpr, phi, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jets of f along a map of the disc: g(lambda) = f(phi(lambda)).
+
+    ``phi(lam)`` gives, for a block of points, the coordinate columns
+    phi_k(lam) and the tangent columns phi_k'(lam) (a tangent may be a
+    1-element array that broadcasts).  Returns ``(values, derivatives,
+    pole_mask)`` with g'(lambda) = grad f(phi(lambda)) . phi'(lambda), from
+    the tape of ``f`` with a single tangent, block by block.
+    """
     lam = np.ascontiguousarray(as_points(lam, 1)[:, 0])
-    coords = [cv[k:k + 1] for k in range(f.arity)]
 
     def block_inputs(s, e):
-        # coordinate k as the substituted tree computes it: c_k * lambda,
-        # with tangent c_k * 1 + lambda * 0
-        bad = _nonfinite(lam[s:e])
-        return ([ck * lam[s:e] for ck in coords],
-                [(_poison(ck * _ONE, bad),) for ck in coords])
+        coords, tangents = phi(lam[s:e])
+        if len(coords) != f.arity:
+            raise InputError(f"map must have {f.arity} coordinates")
+        return coords, [(t,) for t in tangents]
 
     vals, deriv, pole = _evaluate(f.tape, lam.shape[0], 1, block_inputs)
     return vals, deriv[:, 0], pole

@@ -2,10 +2,10 @@
 
 A function or family on the unit ball is probed along complex lines
 lambda -> lambda * c through the origin.  A slice g(lambda) = f(lambda * c)
-is evaluated by the directional mode of f's tape (value and grad f . c), so
-all one-variable machinery (ladders, trend verdicts) applies unchanged
-without building the composed expression; ``restrict_function`` still
-builds it for callers that want the tree.  For power series the same
+is evaluated along ``ex.line_map(c)`` by the directional mode of f's tape
+(value and grad f . c), so all one-variable machinery (ladders, trend
+verdicts) applies unchanged without building the composed expression;
+``restrict_function`` still builds it for callers that want the tree.  For power series the same
 direction sweep yields root-test radius estimates and a convergence verdict
 for the Hartogs-type partial-sum argument.
 """
@@ -13,7 +13,7 @@ for the Hartogs-type partial-sum argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,26 +186,15 @@ def _family_line_verdict(tables, grid: nr.DiscLadder, ladder) -> nr.Verdict:
     member this is the ``yosida_bound`` verdict.
     """
     sups, arg, member_running = nr.rung_sups(tables, grid.lengths, grid.points)
-    rung_label, rung_trend = nr.classify_trend(sups)
+    v = nr.ladder_verdict(sups, arg, len(tables) * grid.points.shape[0], ladder)
     cps = _prefix_checkpoints(len(member_running))
-    prefix = [member_running[i - 1] for i in cps]
-    if len(prefix) >= 2:
-        ratios = nr.consecutive_ratios(prefix)
-        prefix_trend = min(ratios)
-        prefix_growing = prefix_trend >= nr.GROWTH_FACTOR
-        prefix_stable = ratios[-1] <= 1.0 + nr.STABILIZATION
-    else:
-        prefix_trend = 1.0
-        prefix_growing = False
-        prefix_stable = True
-    est = nr.SupEstimate(max(sups), arg, len(tables) * grid.points.shape[0],
-                         growth_series=list(zip([float(e) for e in ladder], sups)))
-    if rung_label == nr.UNBOUNDED_TREND or prefix_growing:
-        trend = max(rung_trend, prefix_trend)
-        return nr.Verdict(nr.UNBOUNDED_TREND, est, nr.GROWTH_FACTOR, trend)
-    if rung_label == nr.BOUNDED and prefix_stable:
-        return nr.Verdict(nr.BOUNDED, est, nr.GROWTH_FACTOR, rung_trend)
-    return nr.Verdict(nr.INCONCLUSIVE, est, nr.GROWTH_FACTOR, rung_trend)
+    ratios = nr.consecutive_ratios([member_running[i - 1] for i in cps])
+    if ratios and min(ratios) >= nr.GROWTH_FACTOR:
+        return replace(v, classification=nr.UNBOUNDED_TREND,
+                       trend_ratio=max(v.trend_ratio, min(ratios)))
+    if v.classification == nr.BOUNDED and ratios and ratios[-1] > 1.0 + nr.STABILIZATION:
+        return replace(v, classification=nr.INCONCLUSIVE)
+    return v
 
 
 def alexander_family_test(family, D: DirectionSet | None = None,

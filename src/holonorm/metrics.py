@@ -88,16 +88,13 @@ def poincare_distance(z1, z2) -> float:
 
 @dataclass(frozen=True)
 class BallDomain:
-    """The ball of the given radius in C^arity (radius 1 unless stated)."""
+    """The unit ball in C^arity."""
 
     arity: int
-    radius: float = 1.0
 
     def __post_init__(self):
         if self.arity < 1:
             raise InputError("ball arity must be at least 1")
-        if self.radius <= 0:
-            raise InputError("ball radius must be positive")
 
 
 def _point(z, arity: int) -> np.ndarray:
@@ -111,8 +108,6 @@ def _point(z, arity: int) -> np.ndarray:
 
 def bergman_kernel_ball(B: BallDomain, z) -> float:
     """On-diagonal Bergman kernel of the unit ball, n!/pi^n (1-|z|^2)^-(n+1)."""
-    if B.radius != 1.0:
-        raise InputError("kernel closed form is stated for the unit ball")
     zz = _point(z, B.arity)
     s = float(np.vdot(zz, zz).real)
     if s >= 1.0:
@@ -122,19 +117,18 @@ def bergman_kernel_ball(B: BallDomain, z) -> float:
 
 
 def bergman_tensor_ball(B: BallDomain, z) -> np.ndarray:
-    """Bergman metric tensor of the radius-r ball at z, an (n, n) complex
+    """Bergman metric tensor of the unit ball at z, an (n, n) complex
     Hermitian positive definite array g with squared length
     sum_{mu,nu} g_{mu nu} v_mu conj(v_nu).
 
-    g_{mu nu} = (n+1) [ delta_{mu nu}/(r^2-|z|^2) + conj(z_mu) z_nu/(r^2-|z|^2)^2 ].
+    g_{mu nu} = (n+1) [ delta_{mu nu}/(1-|z|^2) + conj(z_mu) z_nu/(1-|z|^2)^2 ].
     """
     zz = _point(z, B.arity)
-    r2 = B.radius ** 2
     s = float(np.vdot(zz, zz).real)
-    if s >= r2:
+    if s >= 1.0:
         raise InputError("metric evaluation point must lie in the open ball")
     n = B.arity
-    d = r2 - s
+    d = 1.0 - s
     g = np.eye(n, dtype=complex) / d + np.outer(zz.conjugate(), zz) / (d * d)
     return (n + 1) * g
 
@@ -151,11 +145,10 @@ def bergman_norm_sq(B: BallDomain, z, v) -> float:
     """Closed-form squared Bergman length of tangent vector v at z."""
     zz = _point(z, B.arity)
     vv = _point(v, B.arity)
-    r2 = B.radius ** 2
     s = float(np.vdot(zz, zz).real)
-    if s >= r2:
+    if s >= 1.0:
         raise InputError("metric evaluation point must lie in the open ball")
-    return (B.arity + 1) * _length_sq(zz, vv, r2 - s)
+    return (B.arity + 1) * _length_sq(zz, vv, 1.0 - s)
 
 
 # --------------------------------------------------------------------------
@@ -279,15 +272,20 @@ class DiscMap:
     def arity(self) -> int:
         return self.coefficients.shape[1]
 
-    def _horner(self, lam) -> np.ndarray:
-        """Values at points lam in (n, ...) layout, by in-place Horner."""
+    def _horner(self, lam, derivative: bool = False) -> np.ndarray:
+        """Values at points lam in (n, ...) layout, by in-place Horner, of
+        phi or, given ``derivative``, of phi' (coefficients j * a_j)."""
+        coefficients = self.coefficients
+        if derivative:
+            coefficients = np.arange(1, self.degree + 1)[:, None] * coefficients[1:]
         L = np.asarray(lam, dtype=complex)
         out = np.zeros((self.arity,) + L.shape, dtype=complex)
         tail = (slice(None),) + (None,) * L.ndim
-        for a in self.coefficients[::-1]:
-            # numpy multiplies a one-element array in place through a scalar
-            # loop that rounds differently from its vector loop
-            out = out * L if out.size == 1 else np.multiply(out, L, out=out)
+        for a in coefficients[::-1]:
+            # numpy multiplies a one-element array in place, or by a
+            # one-element array of fewer dimensions, through a scalar loop
+            # that rounds differently from its vector loop
+            out = out * L.reshape(out.shape) if out.size == 1 else np.multiply(out, L, out=out)
             out += a[tail]
         return out
 
@@ -296,12 +294,13 @@ class DiscMap:
         return np.ascontiguousarray(np.moveaxis(self._horner(lam), 0, -1))
 
     def derivative(self, lam) -> np.ndarray:
-        L = np.asarray(lam, dtype=complex)
-        out = np.zeros(L.shape + (self.arity,), dtype=complex)
-        d = self.degree
-        for j in range(d, 0, -1):
-            out = out * L[..., None] + j * self.coefficients[j]
-        return out
+        """phi' at points lam (any shape); returns (..., n)."""
+        return np.ascontiguousarray(np.moveaxis(self._horner(lam, True), 0, -1))
+
+    def jets(self, lam):
+        """Coordinate and tangent columns phi_k(lam), phi_k'(lam): the disc
+        as a map for ``ex.eval_disc_jets``."""
+        return self._horner(lam), self._horner(lam, True)
 
     def derivative_at_zero(self) -> np.ndarray:
         if self.degree < 1:
@@ -589,8 +588,6 @@ def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
     infimum.  The result is nonincreasing in ``budget`` and reproducible
     for a fixed seed.
     """
-    if B.radius != 1.0:
-        raise InputError("upper estimator is stated for the unit ball")
     if budget < 1:
         raise InputError("budget must be at least 1")
     zz = _point(z, B.arity)

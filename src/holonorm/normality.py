@@ -138,24 +138,19 @@ def mu(f: ex.HoloExpr, z) -> float:
     return 2.0 * d / (1.0 + abs(jet.value) ** 2)
 
 
-def _mu_with_fallback(jets, f: ex.HoloExpr, lam: np.ndarray) -> np.ndarray:
-    """mu from ``jets(g, lam) -> (values, derivatives, pole)``, taking the
-    reciprocal 1/f on points that are poles or evaluate non-finite (mu(f) =
-    mu(1/f)).  Entries that fail both routes come back NaN."""
-    vals, deriv, pole = jets(f, lam)
+def _mu_with_fallback(f: ex.HoloExpr, phi, lam: np.ndarray) -> np.ndarray:
+    """mu of f o phi at the points ``lam`` (``ex.eval_disc_jets``), taking
+    the reciprocal 1/f on points that are poles or evaluate non-finite
+    (mu(f) = mu(1/f)).  Entries that fail both routes come back NaN."""
+    vals, deriv, pole = ex.eval_disc_jets(f, phi, lam)
     out = 2.0 * np.abs(deriv) / (1.0 + np.abs(vals) ** 2)
     bad = pole | ~np.isfinite(out)
     if bad.any():
-        rvals, rderiv, rpole = jets(f.inverse, lam[bad])
+        rvals, rderiv, rpole = ex.eval_disc_jets(f.inverse, phi, lam[bad])
         rout = 2.0 * np.abs(rderiv) / (1.0 + np.abs(rvals) ** 2)
         rout[rpole] = np.nan
         out[bad] = rout
     return out
-
-
-def _one_variable_jets(f: ex.HoloExpr, lam: np.ndarray):
-    vals, grads, pole = ex.eval_jet_batch(f, lam)
-    return vals, grads[:, 0], pole
 
 
 def mu_batch(f: ex.HoloExpr, Z) -> np.ndarray:
@@ -165,22 +160,23 @@ def mu_batch(f: ex.HoloExpr, Z) -> np.ndarray:
     """
     if f.arity != 1:
         raise InputError("mu is defined for one-variable expressions")
-    return _mu_with_fallback(_one_variable_jets, f, ex.as_points(Z, 1)[:, 0])
+    one = np.ones(1, dtype=complex)  # along the identity map of C^1
+    return _mu_with_fallback(f, lambda lam: ([lam], [one]), ex.as_points(Z, 1)[:, 0])
 
 
 def line_sharp(f: ex.HoloExpr, c, lam) -> np.ndarray:
     """sharp of the slice g(lambda) = f(lambda * c) at the points ``lam``.
 
     The values of ``sharp_batch(restrict_function(f, c), lam)``, from the
-    directional jets of ``f`` (one tangent, no substituted tree), with the
+    jets of ``f`` along ``ex.line_map(c)`` (no substituted tree), with the
     same reciprocal fallback at poles, taken in blocks of ``ex.BLOCK``
     points as the evaluation is.
     """
     lam = ex.as_points(lam, 1)[:, 0]
+    line = ex.line_map(c)
     out = np.empty(lam.shape[0])
     for s in range(0, lam.shape[0], ex.BLOCK):
-        out[s:s + ex.BLOCK] = 0.5 * _mu_with_fallback(
-            lambda g, pts: ex.eval_line_jets(g, c, pts), f, lam[s:s + ex.BLOCK])
+        out[s:s + ex.BLOCK] = 0.5 * _mu_with_fallback(f, line, lam[s:s + ex.BLOCK])
     return out
 
 
@@ -573,8 +569,8 @@ def disc_family_probe(f: ex.HoloExpr, discs=None, count: int = 200,
     """sup over analytic discs phi of (1-|l|^2) * sharp(f o phi)(l).
 
     Discs are either supplied (and re-verified) or sampled with the given
-    count/degree/seed.  The derivative of f o phi is contracted exactly:
-    (f o phi)'(l) = sum_k d_k f(phi(l)) phi_k'(l).
+    count/degree/seed.  The derivative (f o phi)'(l) = grad f(phi(l)) . phi'(l)
+    is exact: one tangent of f's tape along the disc (``ex.eval_disc_jets``).
     """
     lad = sp.check_ladder(ladder)
     if discs is None:
@@ -589,14 +585,10 @@ def disc_family_probe(f: ex.HoloExpr, discs=None, count: int = 200,
     for phi in discs:
         if phi.arity != f.arity:
             raise InputError("disc arity mismatch")
-        pts = phi(deep)
-        vals, grads, pole = ex.eval_jet_batch(f, pts)
+        vals, deriv, pole = ex.eval_disc_jets(f, phi.jets, deep)
         if pole.any():
             raise InputError("pole signal under a probe disc")
-        dphi = phi.derivative(deep)
-        gderiv = np.einsum("ij,ij->i", grads, dphi)
-        q = weights * np.abs(gderiv) / (1.0 + np.abs(vals) ** 2)
-        per_disc.append(q)
+        per_disc.append(weights * np.abs(deriv) / (1.0 + np.abs(vals) ** 2))
     sups, arg, _ = rung_sups(per_disc, grid.lengths, deep)
     best = max(sups)
     series = list(zip([float(e) for e in lad], sups))

@@ -84,6 +84,15 @@ def test_missing_series_file_exits_2(capsys):
     assert "input error" in err
 
 
+def test_hartogs_rejects_arity_flag(capsys, tmp_path):
+    # a series file carries its own arity; the flag used to be accepted and ignored
+    path = series_file(tmp_path, geometric())
+    code, out, err = run(capsys, "hartogs", "--series", path, "--arity", "5")
+    assert code == 2
+    assert out == ""
+    assert "--arity" in err
+
+
 def test_non_utf8_series_file_exits_2(capsys, tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"arity": 1, "name": "\xe9"}')

@@ -43,6 +43,8 @@ COMMANDS = {
     "kobayashi": ["kobayashi", "--expr", "z1*z2", "--arity", "2",
                   "--directions", "16", "--radii", "8", "--vectors", "8"],
     "disc-probe": ["disc-probe", "--expr", "z1+z2", "--arity", "2", "--count", "30"],
+    "disc-probe-poly": ["disc-probe", "--expr", "z1*z2*z3 + sin(z2)", "--arity", "3",
+                        "--count", "40", "--degree", "3"],
     "linescan": ["linescan", "--expr", "z1^2", "--arity", "2",
                  "--directions", "16", "--radii", "16", "--angles", "24"],
     "linescan-entire": ["linescan", "--expr", "exp(0.5*z1 - i*z3) + cos(z2)*z1^3",

@@ -436,6 +436,37 @@ def test_kobayashi_check_matches_scaled_ratio_pointwise():
         assert abs(lhs - rhs) <= 1e-10 * max(rhs, 1e-12)
 
 
+def test_disc_theorem_along_kobayashi_geodesics():
+    # psi(l) = z + t v_hat l/(1 - q l) is a complex geodesic of the ball
+    # through z in direction v: F_K(psi, psi') = 1/(1-|l|^2), so the disc
+    # quantity (1-|l|^2) sharp(f o psi) is sqrt(levi_form)/F_K along it
+    battery = ["z1", "z1^2 - z2^2", "z1*z2", "(2*z1 - 1)/(2 - z1)", "exp(z1 + z2)"]
+    for case in range(20):
+        n = 2 + case % 3
+        z = sp.uniform_ball_points(n, 1, 0.95, 600 + case)[0]
+        v = sp.unit_sphere_points(n, 1, 700 + case)[0] * (0.5 + case)
+        v_hat = v / np.linalg.norm(v)
+        t, q = mt._extremal_parameters(z, v_hat)
+
+        def psi(lam):
+            w = 1.0 - q * lam
+            return ([zk + t * vk * lam / w for zk, vk in zip(z, v_hat)],
+                    [t * vk / w ** 2 for vk in v_hat])
+
+        lam = sp.uniform_disc_points(50, 0.9, 800 + case)
+        weight = 1.0 - np.abs(lam) ** 2
+        points, tangents = (np.stack(cols, axis=1) for cols in psi(lam))
+        fk = np.array([mt.kobayashi_closed_form_ball(p, d) for p, d in zip(points, tangents)])
+        assert np.abs(fk * weight - 1.0).max() <= 1e-12
+        for text in battery:
+            f = ex.parse(text, n)
+            vals, deriv, pole = ex.eval_disc_jets(f, psi, lam)
+            assert not pole.any()
+            lhs = weight * np.abs(deriv) / (1.0 + np.abs(vals) ** 2)
+            rhs = np.array([math.sqrt(nr.levi_form(f, p, d)) for p, d in zip(points, tangents)]) / fk
+            assert np.all(np.abs(lhs - rhs) <= 1e-12 * rhs), text
+
+
 def test_kobayashi_check_coordinate_bounded():
     v = nr.kobayashi_normality_check(ex.parse("z1", 2))
     assert v.classification == nr.BOUNDED

@@ -4,6 +4,8 @@
 gradient arrays node by node, kept here as the reference.  Gradient mode
 must reproduce it bit for bit, and directional mode must reproduce it on the
 substituted slice tree, including pole masks and every non-finite entry.
+Along polynomial discs, directional mode is checked against gradient mode
+contracted with the disc's derivative.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holonorm.expr as ex
+import holonorm.metrics as mt
 from holonorm.errors import ParseError
 from holonorm.linescan import alexander_function_test, direction_set, restrict_function
 
@@ -108,7 +111,7 @@ coordinates = st.one_of(
     st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
 
 
-def trees(arity: int):
+def trees(arity: int, constants=constants):
     leaves = st.one_of(
         constants.map(ex.Const),
         st.integers(1, arity).map(ex.Var))
@@ -133,6 +136,69 @@ def cases(draw):
     pts = np.array([[draw(coordinates) for _ in range(arity)] for _ in range(m)])
     c = np.array([draw(coordinates) for _ in range(arity)])
     return ex.HoloExpr(root, arity), pts, c
+
+
+# without subnormal constants, whose rounding is absolute, not relative
+normal_constants = constants.filter(
+    lambda c: not any(0.0 < abs(x) < np.finfo(float).tiny for x in (c.real, c.imag)))
+
+
+@st.composite
+def affine_trees(draw, arity: int):
+    """c +- z_1 +- ... +- z_n, summed left to right.  Unit coefficients keep
+    every product exact: numpy's vector loops may round a * b and b * a of
+    complex arrays differently, and einsum differently again."""
+    node = ex.Const(draw(constants))
+    for k in range(1, arity + 1):
+        node = draw(st.sampled_from([ex.Add, ex.Sub]))(node, ex.Var(k))
+    return node
+
+
+def _tangent_majorant(node, Z, dphi):
+    """(values, M): the chain rule along phi with every term taken in
+    absolute value, the scale of the rounding in either order of summation."""
+    m = Z.shape[0]
+    if isinstance(node, ex.Const):
+        return np.full(m, node.value, dtype=complex), np.zeros(m)
+    if isinstance(node, ex.Var):
+        return Z[:, node.index - 1], np.abs(dphi[:, node.index - 1])
+    if isinstance(node, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
+        va, ma = _tangent_majorant(node.left, Z, dphi)
+        vb, mb = _tangent_majorant(node.right, Z, dphi)
+        if isinstance(node, (ex.Add, ex.Sub)):
+            return (va + vb if isinstance(node, ex.Add) else va - vb), ma + mb
+        if isinstance(node, ex.Mul):
+            return va * vb, np.abs(va) * mb + np.abs(vb) * ma
+        vb = np.where(np.abs(vb) < ex.POLE_THRESHOLD, 1.0, vb)
+        return va / vb, (ma * np.abs(vb) + np.abs(va) * mb) / np.abs(vb) ** 2
+    if isinstance(node, ex.Pow):
+        vb, mb = _tangent_majorant(node.base, Z, dphi)
+        k = node.exponent
+        return vb ** k, (k * np.abs(vb) ** (k - 1) * mb if k else np.zeros(m))
+    va, ma = _tangent_majorant(node.arg, Z, dphi)
+    func, deriv = {"exp": (np.exp, np.exp), "sin": (np.sin, np.cos),
+                   "cos": (np.cos, np.sin)}[node.func]  # |cos'| = |sin|
+    return func(va), np.abs(deriv(va)) * ma
+
+
+@st.composite
+def disc_cases(draw):
+    """(f, affine?, seeded DiscMap of degree 1-3, points): a few drawn
+    points, or more than one evaluation block of seeded points in the disc.
+    The tree's constants are normal floats, so the chain rule rounds
+    relative to its terms (see ``_tangent_majorant``)."""
+    arity = draw(st.integers(1, 3))
+    affine = draw(st.booleans())
+    root = draw(affine_trees(arity) if affine else trees(arity, normal_constants))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 3)) + 1, arity)
+    disc = mt.DiscMap((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / 2)
+    if draw(st.booleans()):
+        lam = np.array([draw(coordinates) for _ in range(draw(st.integers(1, 12)))])
+    else:
+        m = ex.BLOCK + draw(st.integers(1, 40))
+        lam = np.sqrt(rng.uniform(size=m)) * np.exp(2j * np.pi * rng.uniform(size=m))
+    return ex.HoloExpr(root, arity), affine, disc, lam
 
 
 # ---------------------------------------------------------------- tests
@@ -161,11 +227,33 @@ def test_directional_mode_matches_substituted_slice(case):
     with np.errstate(all="ignore"):
         want_v, want_g, want_pole = oracle_jet_batch(g, lam)
         new_v, new_g, new_pole = ex.eval_jet_batch(g, lam)
-        vals, deriv, pole = ex.eval_line_jets(f, c, lam)
+        vals, deriv, pole = ex.eval_disc_jets(f, ex.line_map(c), lam)
     assert np.array_equal(pole, want_pole)
     assert np.array_equal(new_pole, want_pole)
     assert same(vals, want_v) and same(new_v, want_v)
     assert same(deriv, want_g[:, 0]) and same(new_g, want_g)
+
+
+@settings(max_examples=250, deadline=None)
+@given(disc_cases())
+def test_disc_mode_matches_gradient_mode_along_discs(case):
+    f, affine, disc, lam = case
+    with np.errstate(all="ignore"):
+        pts, dphi = disc(lam), disc.derivative(lam)
+        want_v, grads, want_pole = ex.eval_jet_batch(f, pts)
+        want = np.einsum("ij,ij->i", grads, dphi)
+        scale = _tangent_majorant(f.root, pts, dphi)[1]
+        vals, deriv, pole = ex.eval_disc_jets(f, disc.jets, lam)
+    assert np.array_equal(pole, want_pole)
+    assert same(vals, want_v)
+    if affine:
+        exact = np.isfinite(dphi).all(axis=1)
+        assert same(deriv[exact], want[exact])
+    ok = np.isfinite(want) & np.isfinite(scale)
+    assert np.isfinite(deriv[ok]).all()
+    # subnormal results round absolutely, to below the smallest normal float
+    tiny = np.finfo(float).tiny
+    assert (np.abs(deriv[ok] - want[ok]) <= 1e-12 * scale[ok] + tiny).all()
 
 
 def test_tape_shares_folds_and_frees():
@@ -230,7 +318,7 @@ def test_blocks_change_no_bit():
         got = ex.eval_jet_batch(f, pts)
         c = np.array([0.6, 0.8j])
         slice_want = oracle_jet_batch(restrict_function(f, c), pts[:, 0])
-        slice_got = ex.eval_line_jets(f, c, pts[:, 0])
+        slice_got = ex.eval_disc_jets(f, ex.line_map(c), pts[:, 0])
     assert want[2].sum() == 2 and np.array_equal(got[2], want[2])
     assert same(got[0], want[0]) and same(got[1], want[1])
     assert np.array_equal(slice_got[2], slice_want[2])
