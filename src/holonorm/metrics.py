@@ -330,21 +330,23 @@ def _ring(samples: int) -> np.ndarray:
     return lam
 
 
-def _ring_norm_max(vals: np.ndarray) -> np.ndarray:
+def _ring_norm_max(vals: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
     """Max over the last axis of the image norm of (..., n, samples) values.
 
     Rounds exactly as np.linalg.norm over contiguous (samples, n) rows, the
     layout of every containment check before the lockstep search: numpy
-    sums rows shorter than 8 left to right and longer rows pairwise.
+    sums rows shorter than 8 left to right and longer rows pairwise.  Given
+    ``squares``, a complex array of vals' shape, the squared moduli (and
+    for n < 8 their running sums) are written there, not to a new array.
     """
-    sq = np.conjugate(vals)
+    sq = np.conjugate(vals, out=squares)
     sq *= vals
     sq = sq.real
     n = sq.shape[-2]
     if n < 8:
         total = sq[..., 0, :]
         for k in range(1, n):
-            total = total + sq[..., k, :]
+            total += sq[..., k, :]
     else:
         total = np.add.reduce(np.ascontiguousarray(np.swapaxes(sq, -1, -2)), axis=-1)
     return np.sqrt(np.max(total, axis=-1))
@@ -440,25 +442,44 @@ def _geometric_boundary_max(z, v_hat, t, q, sigma, degrees):
 def _truncated_geodesic_candidate(z, v_hat, v_norm, t, q, degrees):
     """Degree-d truncations of the geodesic disc, argument-scaled to fit.
 
-    The scale sigma of every degree is bisected in lockstep, one
-    (degrees, samples) pass per step.  Returns, for every degree with
-    sigma > 0, an iterator of its unchecked (alpha, disc) tries (see
-    ``_truncation_tries``).
+    Every degree is checked at sigma = 1 in one (degrees, samples) pass.
+    Returns, for every degree, an iterator of its unchecked (alpha, disc)
+    tries (see ``_truncation_tries``).  A degree that fits starts at
+    sigma = 1, whose alpha v_norm / t is the least any truncation has.  One
+    that does not first yields the key-only entry
+    (v_norm / (t * (1 - 2**-48)), None): its bisected sigma is at most
+    1 - 2**-48, so the key is strictly above v_norm / t and never above its
+    alpha.  When the first such entry is taken, the scales of all degrees
+    that do not fit are bisected in lockstep, one (degrees, samples) pass
+    per step; a degree whose scale bisects to 0 yields nothing more.
     """
     target = 1.0 - CONTAINMENT_MARGIN
-    sigma = np.ones(len(degrees))
-    rows = np.flatnonzero(_geometric_boundary_max(z, v_hat, t, q, sigma, degrees) > target)
-    if rows.size:
-        sub = [degrees[k] for k in rows]
-        lo, hi = np.zeros(rows.size), np.ones(rows.size)
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            ok = _geometric_boundary_max(z, v_hat, t, q, mid, sub) <= target
-            lo = np.where(ok, mid, lo)
-            hi = np.where(ok, hi, mid)
-        sigma[rows] = lo
-    return [_truncation_tries(z, v_hat, v_norm, t, q, d, float(sig))
-            for d, sig in zip(degrees, sigma) if sig > 0.0]
+    over = _geometric_boundary_max(z, v_hat, t, q, np.ones(len(degrees)), degrees) > target
+    rows = np.flatnonzero(over)
+    sigma = {}
+
+    def bisected(k):
+        if not sigma:
+            sub = [degrees[r] for r in rows]
+            lo, hi = np.zeros(rows.size), np.ones(rows.size)
+            for _ in range(48):
+                mid = 0.5 * (lo + hi)
+                ok = _geometric_boundary_max(z, v_hat, t, q, mid, sub) <= target
+                lo = np.where(ok, mid, lo)
+                hi = np.where(ok, hi, mid)
+            sigma.update(zip(rows.tolist(), lo.tolist()))
+        return sigma[k]
+
+    def tries(k, d):
+        scale = 1.0
+        if over[k]:
+            yield v_norm / (t * (1.0 - 2.0 ** -48)), None
+            scale = bisected(k)
+            if scale <= 0.0:
+                return
+        yield from _truncation_tries(z, v_hat, v_norm, t, q, d, scale)
+
+    return [tries(k, d) for k, d in enumerate(degrees)]
 
 
 def _truncation_tries(z, v_hat, v_norm, t, q, d, sigma):
@@ -480,7 +501,8 @@ def _quadratic_candidate(z, v_hat, v_norm, rng, count, cutoff=None):
     Each candidate draws u, |gamma| and arg(gamma) from rng in turn.  The
     largest beta in (0, 1.5] that passes the containment check is bisected
     for all candidates in lockstep: one (count, n, samples) Horner pass per
-    step, with the beta-free term gamma l^2 u computed once.  Given a
+    step, with the beta-free term gamma l^2 u computed once and every step
+    written into the leading rows of the same two buffers.  Given a
     ``cutoff``, a row leaves the bisection once v_norm / hi >= cutoff: its
     final beta is at most hi, so its alpha can no longer fall below the
     cutoff.  Returns the unchecked (alpha, disc) of every remaining
@@ -500,12 +522,14 @@ def _quadratic_candidate(z, v_hat, v_norm, rng, count, cutoff=None):
     lam = _ring(_ring_samples(2))
     quad = a2[:, :, None] * lam
     target = 1.0 - CONTAINMENT_MARGIN
+    vals, squares = np.empty_like(quad), np.empty_like(quad)
 
     def fits(base, beta):
-        vals = base + (beta[:, None] * v_hat)[:, :, None]
-        vals *= lam
-        vals += z[:, None]
-        return _ring_norm_max(vals) <= target
+        m = len(beta)
+        np.add(base, (beta[:, None] * v_hat)[:, :, None], out=vals[:m])
+        vals[:m] *= lam
+        vals[:m] += z[:, None]
+        return _ring_norm_max(vals[:m], squares[:m]) <= target
 
     lo, hi = np.zeros(count), np.full(count, 1.5)
     top = fits(quad, hi)
@@ -545,7 +569,9 @@ def _verified_min(candidates, best=None):
     fails.  Tries are checked in ascending (alpha, candidate index) order,
     so the first that passes is the minimum, over all candidates, of the
     alpha of each one's first passing try: what checking every candidate
-    and taking the min would give.  Returns ``best`` (None while nothing
+    and taking the min would give.  A try with disc None is a key no
+    greater than the candidate's next alpha; it is passed over unchecked,
+    which leaves that order as it is.  Returns ``best`` (None while nothing
     has passed) when no try below it passes.
     """
     heap = []
@@ -559,7 +585,7 @@ def _verified_min(candidates, best=None):
         push(k, iter(cand))
     while heap and (best is None or heap[0][0] < best):
         alpha, k, disc, tries = heapq.heappop(heap)
-        if disc.contained_in_unit_ball():
+        if disc is not None and disc.contained_in_unit_ball():
             return alpha
         push(k, tries)
     return best
@@ -572,10 +598,13 @@ def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
     candidate analytic discs phi with phi(0) = z and phi'(0) a positive
     multiple of v: the largest safe affine disc in direction v, truncations
     of the geodesic disc at increasing polynomial degree, then seeded
-    degree-2 perturbations.  The disc scales are searched in lockstep: the
-    truncations' scales bisected together as one (degrees, samples) array,
-    the perturbations' in blocks of at most LOCKSTEP_BYTES per
-    (candidates, n, samples) array, so memory stays bounded at any budget.
+    degree-2 perturbations.  The disc scales are searched in lockstep:
+    every truncation is tried at full scale in one (degrees, samples) pass,
+    and the scales of those that do not fit are bisected together only if
+    the search reaches one of them (a truncation that fits at full scale
+    has the least alpha of all); the perturbations' scales are bisected in
+    blocks of at most LOCKSTEP_BYTES per (candidates, n, samples) array, so
+    memory stays bounded at any budget.
     Candidates are checked by branch and bound: the affine disc and the
     truncations in ascending alpha order (ties to the affine disc, then
     to the lower degree) until one passes the sampled containment check
@@ -583,10 +612,12 @@ def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
     alpha is the bound so far.  Each block of perturbations drops from
     its bisection the rows that can no longer beat the bound, and checks
     the rest in the same order, only those below the bound.  The returned
-    alpha is the minimum over all candidates that pass the check, and its
-    disc is verified, so it is a genuine upper bound by the defining
-    infimum.  The result is nonincreasing in ``budget`` and reproducible
-    for a fixed seed.
+    alpha is the minimum over all candidates that pass the check.  It is
+    an upper bound only as far as that check goes: containment is sampled
+    at 256 points (more for high degrees) of |lambda| = 1 - 1e-6, not
+    proved on the closed unit disc, so the bound is not proved, and on the
+    ball it can fall below the closed form by rounding.  The result is
+    nonincreasing in ``budget`` and reproducible for a fixed seed.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")

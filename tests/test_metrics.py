@@ -440,6 +440,36 @@ def test_kobayashi_upper_bit_pinned(arity, r):
     assert got == list(PINNED_HEX[arity, r])
 
 
+# The same for the shapes of the benchmark's discs workload: arity 2 and 3,
+# budgets 20, 100 and 200, seed 7, at the origin and two radii, with z and
+# v from _discs_case.  Recorded before the truncation scales were bisected
+# only when the search reaches them.
+DISCS_BUDGETS = (20, 100, 200)
+DISCS_HEX = {
+    (2, 0.0): ('0x1.255c808ae4683p+1',) * 3,
+    (2, 0.4): ('0x1.4c0244d448424p+1',) * 3,
+    (2, 0.85): ('0x1.8d751b9a87802p+2',) * 3,
+    (3, 0.0): ('0x1.00cd43e974a99p+2',) * 3,
+    (3, 0.4): ('0x1.200d64f21cc58p+2',) * 3,
+    (3, 0.85): ('0x1.44f7d35c208cep+3',) * 3,
+}
+
+
+def _discs_case(arity, r):
+    """A point z with |z| = r and a direction v, seeded by the arity."""
+    raw = np.random.default_rng(arity).standard_normal((2, 2 * arity))
+    u, v = raw[:, :arity] + 1j * raw[:, arity:]
+    return r * u / np.linalg.norm(u), v
+
+
+@pytest.mark.parametrize("arity,r", sorted(DISCS_HEX))
+def test_kobayashi_upper_bit_pinned_on_discs_shapes(arity, r):
+    z, v = _discs_case(arity, r)
+    got = [mt.kobayashi_upper(mt.BallDomain(arity), z, v, budget, seed=7).hex()
+           for budget in DISCS_BUDGETS]
+    assert got == list(DISCS_HEX[arity, r])
+
+
 def _alpha_matches_derivative(disc, alpha, v_norm):
     d0 = float(np.linalg.norm(disc.derivative_at_zero()))
     return abs(alpha - v_norm / d0) <= 1e-12 * alpha
@@ -464,6 +494,13 @@ def test_candidate_discs_contained_with_matching_alpha(arity):
             z, v_hat, v_norm, t, q, mt._GEODESIC_DEGREES)]
         quadratic = [[cand] for cand in mt._quadratic_candidate(z, v_hat, v_norm, rng, 40)]
         affine = mt._affine_candidate(z, v_hat, v_norm)
+        for tries in geodesic:
+            alphas = [alpha for alpha, _ in tries]
+            assert alphas == sorted(alphas)  # a key-only entry included
+        # key-only entries (disc None) are neither tries nor checked; a
+        # degree whose scale bisects to 0 has no tries at all
+        geodesic = [real for real in ([(a, d) for a, d in tries if d is not None]
+                                      for tries in geodesic) if real]
         assert {len(tries) for tries in geodesic} == {8}  # sigma, then 7 retries
         for tries in geodesic + quadratic + [[affine]]:
             alphas = [alpha for alpha, _ in tries]
@@ -535,6 +572,26 @@ def test_quadratic_lockstep_matches_one_disc_search(arity):
         assert len(ref_alphas) >= 2 and ref_alphas[0] < ref_alphas[len(ref_alphas) // 2]
 
 
+def _eager_truncations(z, v_hat, v_norm, t, q, degrees):
+    """Reference: the truncation tries with the scale of every degree that
+    does not fit at sigma = 1 bisected up front, 48 steps in lockstep, as
+    the estimator did before it bisected only when the search reached one."""
+    target = 1.0 - mt.CONTAINMENT_MARGIN
+    sigma = np.ones(len(degrees))
+    rows = np.flatnonzero(mt._geometric_boundary_max(z, v_hat, t, q, sigma, degrees) > target)
+    if rows.size:
+        sub = [degrees[k] for k in rows]
+        lo, hi = np.zeros(rows.size), np.ones(rows.size)
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            ok = mt._geometric_boundary_max(z, v_hat, t, q, mid, sub) <= target
+            lo = np.where(ok, mid, lo)
+            hi = np.where(ok, hi, mid)
+        sigma[rows] = lo
+    return [mt._truncation_tries(z, v_hat, v_norm, t, q, d, float(sig))
+            for d, sig in zip(degrees, sigma) if sig > 0.0]
+
+
 def _eager_kobayashi_upper(B, z, v, budget, seed):
     """Reference: check every candidate's tries in turn and take the min of
     the first passing alphas, as the estimator did before branch and bound."""
@@ -549,7 +606,7 @@ def _eager_kobayashi_upper(B, z, v, budget, seed):
         t, q = mt._extremal_parameters(z, v_hat)
         if abs(q) > 1e-14:
             degrees = mt._GEODESIC_DEGREES[:budget - used]
-            candidates += mt._truncated_geodesic_candidate(z, v_hat, v_norm, t, q, degrees)
+            candidates += _eager_truncations(z, v_hat, v_norm, t, q, degrees)
             used += len(degrees)
     rng = np.random.default_rng(seed)
     block = max(1, mt.LOCKSTEP_BYTES // (16 * B.arity * mt._ring_samples(2)))
@@ -610,7 +667,8 @@ def test_rejected_checks_follow_ascending_alpha(monkeypatch, rejected):
 
         def noting(tries):
             for alpha, disc in tries:
-                alpha_of[id(disc)] = alpha
+                if disc is not None:  # a key-only entry is never checked
+                    alpha_of[id(disc)] = alpha
                 yield alpha, disc
 
         def staged(candidates, best=None):
@@ -640,6 +698,64 @@ def test_rejected_checks_follow_ascending_alpha(monkeypatch, rejected):
                     assert d1 > d0
                     ties += 1
     assert ties or rejected < 3
+
+
+def _boundary_passes(monkeypatch, log):
+    """Log each truncation boundary pass as ("pass", rows) in ``log``."""
+    original = mt._geometric_boundary_max
+
+    def logged(z, v_hat, t, q, sigma, degrees):
+        log.append(("pass", len(degrees)))
+        return original(z, v_hat, t, q, sigma, degrees)
+
+    monkeypatch.setattr(mt, "_geometric_boundary_max", logged)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_truncation_that_fits_at_full_scale_wins_without_bisection(monkeypatch, arity):
+    # at these points 5 of the 17 degrees do not fit at sigma = 1; the eager
+    # search bisected their scales, 48 more passes, and never used them
+    z, v = _discs_case(arity, 0.4)
+    v_norm = float(np.linalg.norm(v))
+    t, _ = mt._extremal_parameters(z, v / v_norm)
+    log = []
+    _boundary_passes(monkeypatch, log)
+    got = mt.kobayashi_upper(mt.BallDomain(arity), z, v, 200, seed=7)
+    assert got == v_norm / t  # the least alpha of any truncation
+    assert log == [("pass", len(mt._GEODESIC_DEGREES))]
+
+
+def test_truncations_bisected_once_after_full_scale_tries_fail(monkeypatch):
+    """With every sigma = 1 try rejected, the search reaches the degrees
+    that do not fit: their scales are bisected once, in lockstep, after the
+    rejected tries, and the result is the eager search's."""
+    B = mt.BallDomain(2)
+    z, v = _discs_case(2, 0.4)
+    v_norm = float(np.linalg.norm(v))
+    v_hat = v / v_norm
+    t, q = mt._extremal_parameters(z, v_hat)
+    full = {next(mt._truncation_tries(z, v_hat, v_norm, t, q, d, 1.0))[1].coefficients.tobytes()
+            for d in mt._GEODESIC_DEGREES}
+    original = mt.DiscMap.contained_in_unit_ball
+    log = []
+
+    def reject_full_scale(disc, samples=None):
+        rejected = disc.coefficients.tobytes() in full
+        log.append(("reject" if rejected else "check", disc.degree))
+        return not rejected and original(disc, samples)
+
+    monkeypatch.setattr(mt.DiscMap, "contained_in_unit_ball", reject_full_scale)
+    _boundary_passes(monkeypatch, log)
+    got = mt.kobayashi_upper(B, z, v, 200, seed=7)
+    passes = [k for k, (kind, _) in enumerate(log) if kind == "pass"]
+    rejects = [k for k, (kind, _) in enumerate(log) if kind == "reject"]
+    # one pass at sigma = 1 over all 17 degrees, 48 over the 5 that do not
+    # fit, and those only after the 12 full-scale tries were rejected
+    assert [log[k] for k in passes] == [("pass", 17)] + [("pass", 5)] * 48
+    assert len(rejects) == 12 and passes[0] < rejects[0] and rejects[-1] < passes[1]
+    assert passes == [passes[0]] + list(range(passes[1], passes[1] + 48))
+    want = _eager_kobayashi_upper(B, z, v, 200, 7)
+    assert got.hex() == want.hex() and got > v_norm / t
 
 
 def test_kobayashi_upper_near_the_sphere_raises_containment_error():
