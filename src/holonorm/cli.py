@@ -4,13 +4,14 @@ One subcommand per certifier, each declared once in ``COMMANDS``.  Reports
 are JSON by default (canonical: the same configuration and seed reproduce
 the same bytes; timing goes to stderr only) or a flattened CSV.  Exit codes:
 0 success, 2 for input errors (syntax, bad file, bad flag, a non-finite
-``--at`` coordinate), 3 for numeric failures (pole storms, no admissible
+``--at`` coordinate or float flag), 3 for numeric failures (pole storms, no admissible
 disc, running out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -226,6 +227,8 @@ def _run(args) -> dict:
         config.update(expr=args.expr, arity=args.arity)
     for name, *_ in flags:
         value = getattr(args, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InputError(f"--{name} {value!r} is not finite")
         config[name] = _parse_ladder(value) if name == "ladder" else value
     return {"tool": "holonorm", "version": __version__,
             "config": config, "results": runner(inp, config)}

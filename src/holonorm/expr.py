@@ -28,6 +28,7 @@ denominator has magnitude below ``POLE_THRESHOLD`` raise :class:`PoleError`
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import re
 from dataclasses import dataclass
@@ -368,6 +369,16 @@ def parse(text: str, arity: int) -> HoloExpr:
 # propagating full (m, n) gradient arrays, up to the sign of a zero.  A
 # skipped zero term v * 0 still contributes what IEEE arithmetic gives it:
 # NaN wherever v is not finite.
+#
+# The rules write into a Workspace instead of allocating.  compile_tape gives
+# each op that depends on a variable a register (a value column and one
+# column per tangent) that no live slot holds: an operand's register returns
+# to the pool only after the op that last reads it.  The result's register is
+# the arrays the evaluation returns.  An op on 1-element operands alone still
+# makes a 1-element array, because numpy's loop for one element rounds
+# differently from its loop over a block.  Registers never overlap: numpy
+# keeps its vector loops when an output is exactly an input, but not when
+# the two overlap in part.
 
 _NAN = np.array([complex(np.nan, np.nan)])
 _ZERO = np.array([0j])
@@ -398,101 +409,208 @@ def _postorder(root: Node):
             stack.extend((getattr(node, name), False) for name in reversed(operands))
 
 
-def _nonfinite(v: np.ndarray):
-    """Mask of the entries of ``v`` that are not finite, or None if there are none."""
-    if np.isfinite(v.view(np.float64)).all():  # both parts at once: half the work
+def _into(col, a, b=_ONE):
+    """``col`` if ``a`` or ``b`` spans the block, else None (numpy then
+    makes the 1-element result)."""
+    return col if a.shape[0] > 1 or b.shape[0] > 1 else None
+
+
+def _nonfinite(v, ws, i: int):
+    """Mask (in ``ws.masks[i]``) of the entries of ``v`` that are not finite,
+    or None if there are none."""
+    wide = v.shape[0] > 1
+    # both parts at once: half the work
+    if np.isfinite(v.view(np.float64), out=ws.finite if wide else None).all():
         return None
-    return ~np.isfinite(v)
+    mask = ws.masks[i] if wide else None
+    return np.logical_not(np.isfinite(v, out=mask), out=mask)
 
 
-def _poison(t, bad):
+def _poison(t, bad, o):
     """Tangent ``t`` (None: zero) plus a skipped v * 0 term, NaN where ``bad``."""
     if bad is None:
         return t
-    return np.where(bad, _NAN, _ZERO if t is None else t)
+    out = _into(o, bad) if t is None else _into(o, bad, t)
+    if out is None:
+        out = np.empty(1, dtype=complex)
+    if t is not out:
+        np.copyto(out, _ZERO if t is None else t)
+    np.copyto(out, _NAN, where=bad)
+    return out
+
+
+def _keep(t, o):
+    """Tangent ``t`` passed through unchanged.  A block-wide one is copied to
+    ``o``: the register it is read from may be reused while this slot lives."""
+    if t is None or t.shape[0] == 1:
+        return t
+    np.copyto(o, t)
+    return o
 
 
 def _skips(tangents) -> bool:
     return any(t is None for t in tangents)
 
 
-def _add(va, ta, vb, tb, arg, pole):
-    return va + vb, tuple(x if y is None else y if x is None else x + y
-                          for x, y in zip(ta, tb))
+def _power(x, k: int, out):
+    """``x ** k``, which numpy computes by np.square for k = 2."""
+    return np.square(x, out=out) if k == 2 else np.power(x, k, out=out)
 
 
-def _sub(va, ta, vb, tb, arg, pole):
-    return va - vb, tuple(x if y is None else -y if x is None else x - y
-                          for x, y in zip(ta, tb))
+# Each rule gets its operands' values and tangents, the op's argument, the
+# workspace, and the value column ``vo`` and tangent columns ``to`` of its
+# register; ``vo`` is None for an op on constants alone.
+
+def _add(va, ta, vb, tb, arg, ws, vo, to):
+    return np.add(va, vb, out=vo), tuple(
+        _keep(x, o) if y is None else _keep(y, o) if x is None
+        else np.add(x, y, out=_into(o, x, y)) for x, y, o in zip(ta, tb, to))
 
 
-def _mul(va, ta, vb, tb, arg, pole):
+def _sub(va, ta, vb, tb, arg, ws, vo, to):
+    return np.subtract(va, vb, out=vo), tuple(
+        _keep(x, o) if y is None else np.negative(y, out=_into(o, y)) if x is None
+        else np.subtract(x, y, out=_into(o, x, y)) for x, y, o in zip(ta, tb, to))
+
+
+def _mul(va, ta, vb, tb, arg, ws, vo, to):
     # d(ab) = a db + b da
-    bad_a = _nonfinite(va) if _skips(tb) else None
-    bad_b = _nonfinite(vb) if _skips(ta) else None
+    bad_a = _nonfinite(va, ws, 0) if _skips(tb) else None
+    bad_b = _nonfinite(vb, ws, 1) if _skips(ta) else None
     t = []
-    for x, y in zip(ta, tb):
+    for x, y, o in zip(ta, tb, to):
         if x is None:
-            t.append(_poison(_poison(None, bad_a) if y is None else va * y, bad_b))
+            p = _poison(None, bad_a, o) if y is None else np.multiply(va, y, out=_into(o, va, y))
+            t.append(_poison(p, bad_b, o))
         elif y is None:
-            t.append(_poison(vb * x, bad_a))
+            t.append(_poison(np.multiply(vb, x, out=_into(o, vb, x)), bad_a, o))
         else:
-            t.append(va * y + vb * x)
-    return va * vb, tuple(t)
+            p = np.multiply(va, y, out=_into(o, va, y))
+            q = np.multiply(vb, x, out=_into(ws.tmp, vb, x))
+            t.append(np.add(p, q, out=_into(o, p, q)))
+    return np.multiply(va, vb, out=vo), tuple(t)
 
 
-def _div(va, ta, vb, tb, arg, pole):
+def _div(va, ta, vb, tb, arg, ws, vo, to):
     # Denominators below POLE_THRESHOLD mark the pole mask and continue as 1;
     # d(a/b) = (da b - a db) / (b b)
-    bad = np.abs(vb) < POLE_THRESHOLD
+    bad = np.less(np.abs(vb, out=_into(ws.mag, vb)), POLE_THRESHOLD,
+                  out=_into(ws.masks[0], vb))
     if bad.any():
-        pole |= bad
-        vb = np.where(bad, 1.0, vb)
-    if not ta:
-        return va / vb, ()
-    den = vb * vb
-    bad_a = _nonfinite(va) if _skips(tb) else None
-    bad_b = _nonfinite(vb) if _skips(ta) else None
+        ws.pole |= bad
+        spare = _into(ws.spare, vb)  # vb may be live: it is never written
+        if spare is None:
+            spare = np.empty(1, dtype=complex)
+        np.copyto(spare, vb)
+        np.copyto(spare, 1.0, where=bad)
+        vb = spare
     t = []
-    for x, y in zip(ta, tb):
-        if x is None and y is None:
-            q = (_ZERO * vb - va * _ZERO) / den
-            t.append(None if (q == 0).all() else q)
-        elif x is None:
-            t.append(_poison(-(va * y) / den, bad_b))
-        elif y is None:
-            t.append(_poison(x * vb / den, bad_a))
-        else:
-            t.append((x * vb - va * y) / den)
-    return va / vb, tuple(t)
+    if ta:
+        den = np.multiply(vb, vb, out=_into(vo, vb))  # vo takes the value last
+        bad_a = _nonfinite(va, ws, 0) if _skips(tb) else None
+        bad_b = _nonfinite(vb, ws, 1) if _skips(ta) else None
+        for x, y, o in zip(ta, tb, to):
+            if x is None and y is None:
+                p = np.multiply(_ZERO, vb, out=_into(o, vb))
+                q = np.multiply(va, _ZERO, out=_into(ws.tmp, va))
+                p = np.subtract(p, q, out=_into(o, p, q))
+                p = np.divide(p, den, out=_into(o, p, den))
+                t.append(p if p.any() else None)
+            elif x is None:
+                p = np.multiply(va, y, out=_into(o, va, y))
+                p = np.divide(np.negative(p, out=p), den, out=_into(o, p, den))
+                t.append(_poison(p, bad_b, o))
+            elif y is None:
+                p = np.multiply(x, vb, out=_into(o, x, vb))
+                t.append(_poison(np.divide(p, den, out=_into(o, p, den)), bad_a, o))
+            else:
+                p = np.multiply(x, vb, out=_into(o, x, vb))
+                q = np.multiply(va, y, out=_into(ws.tmp, va, y))
+                p = np.subtract(p, q, out=_into(o, p, q))
+                t.append(np.divide(p, den, out=_into(o, p, den)))
+    return np.divide(va, vb, out=vo), tuple(t)
 
 
-def _pow(va, ta, vb, tb, k, pole):
+def _pow(va, ta, vb, tb, k, ws, vo, to):
     if k == 0:
         return _ONE, (None,) * len(ta)
     if not ta:
-        return va ** k, ()
-    dv = k * va ** (k - 1)
-    bad = _nonfinite(dv) if _skips(ta) else None
-    return va ** k, tuple(_poison(None, bad) if x is None else dv * x for x in ta)
+        return _power(va, k, vo), ()
+    dv = _power(va, k - 1, None if vo is None else ws.tmp)
+    dv = np.multiply(k, dv, out=dv)
+    bad = _nonfinite(dv, ws, 0) if _skips(ta) else None
+    return _power(va, k, vo), tuple(
+        _poison(None, bad, o) if x is None else np.multiply(dv, x, out=_into(o, dv, x))
+        for x, o in zip(ta, to))
 
 
-def _call(va, ta, vb, tb, func, pole):
+def _call(va, ta, vb, tb, func, ws, vo, to):
+    tmp = None if vo is None else ws.tmp
     with np.errstate(over="ignore", invalid="ignore"):
         if func == "exp":
-            v = np.exp(va)
-            dv = v
+            v = dv = np.exp(va, out=vo)
         elif func == "sin":
-            v = np.sin(va)
-            dv = np.cos(va) if ta else None
+            v = np.sin(va, out=vo)
+            dv = np.cos(va, out=tmp) if ta else None
         else:
-            v = np.cos(va)
-            dv = -np.sin(va) if ta else None
-        bad = _nonfinite(dv) if _skips(ta) else None
-        return v, tuple(_poison(None, bad) if x is None else dv * x for x in ta)
+            v = np.cos(va, out=vo)
+            if ta:
+                dv = np.sin(va, out=tmp)
+                dv = np.negative(dv, out=dv)
+        bad = _nonfinite(dv, ws, 0) if _skips(ta) else None
+        return v, tuple(
+            _poison(None, bad, o) if x is None else np.multiply(dv, x, out=_into(o, dv, x))
+            for x, o in zip(ta, to))
 
 
 _BINARY = {Add: _add, Sub: _sub, Mul: _mul, Div: _div}
+
+_WORKSPACE = contextvars.ContextVar("holonorm_workspace", default=None)
+
+
+class Workspace:
+    """Buffers that tape evaluations write into instead of new arrays.
+
+    An evaluation runs all its blocks through one workspace.  Evaluations
+    inside ``with Workspace():`` share that one, so a scan over many lines
+    maps its buffers once, and they are freed when the scan ends.  Buffers
+    grow to the largest block and tape seen.  The public evaluators return
+    new arrays, never workspace memory.
+    """
+
+    def __init__(self):
+        self._bufs = {}
+
+    def __enter__(self):
+        self._token = _WORKSPACE.set(self)
+        return self
+
+    def __exit__(self, *exc):
+        _WORKSPACE.reset(self._token)
+
+    def take(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
+        """Buffer ``name`` as an array of ``shape``, grown on demand; it
+        holds what the last call for ``name`` wrote."""
+        size = int(np.prod(shape))
+        buf = self._bufs.get(name)
+        if buf is None or buf.shape[0] < size:
+            buf = self._bufs[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def block(self, registers: int, ntan: int, width: int, pole) -> list:
+        """The (value column, tangent columns) of each register for one block
+        of ``width`` points, whose pole mask is ``pole``; the rules' scratch
+        columns become attributes."""
+        cols = self.take("registers", ((1 + ntan) * registers + 3, width))
+        self.tmp, self.spare = cols[-3], cols[-2]
+        scratch = cols[-1].view(np.float64)  # |b| and the flags share a column
+        self.mag = scratch[:width]
+        flags = scratch[width:].view(bool)
+        self.masks = (flags[:width], flags[width:2 * width])
+        self.finite = flags[2 * width:4 * width]
+        self.pole = pole
+        step = 1 + ntan
+        return [(cols[r], tuple(cols[r + 1:r + step])) for r in range(0, step * registers, step)]
 
 
 @dataclass(frozen=True)
@@ -501,9 +619,12 @@ class Tape:
 
     ``consts`` preloads slots with folded constants (1-element arrays) and
     ``inputs`` with variable columns, as (slot, value) and (slot, 0-based
-    variable index) pairs.  Each ``code`` entry (op, out, a, b, arg, free)
-    fills slot ``out`` from slots ``a`` and ``b`` and then releases the
-    slots in ``free``, whose last use it is.  ``result`` holds the value.
+    variable index) pairs.  Each ``code`` entry (op, out, reg, a, b, arg,
+    free) fills slot ``out`` from slots ``a`` and ``b`` and then releases
+    the slots in ``free``, whose last use it is.  It writes register ``reg``
+    of the ``registers`` a block needs, or for ``NARROW`` a new 1-element
+    array (its operands are constants alone), or for ``RESULT`` the arrays
+    the evaluation returns.  ``result`` holds the value.
     """
 
     consts: tuple
@@ -511,15 +632,20 @@ class Tape:
     code: tuple
     size: int
     result: int
+    registers: int
+
+
+NARROW, RESULT = -2, -1
 
 
 def _fold(op, va, vb, arg):
     """The constant op(va, vb), or None if it marks a pole or its gradient
     is not exactly zero (a non-finite operand makes it NaN)."""
-    pole = np.zeros(1, dtype=bool)
+    ws = Workspace()
+    ws.block(0, 1, 1, np.zeros(1, dtype=bool))
     with np.errstate(all="ignore"):
-        v, (t,) = op(va, (None,), vb, (None,), arg, pole)
-    return v if t is None and not pole[0] else None
+        v, (t,) = op(va, (None,), vb, (None,), arg, ws, None, (None,))
+    return v if t is None and not ws.pole[0] else None
 
 
 def compile_tape(root: Node) -> Tape:
@@ -576,51 +702,84 @@ def compile_tape(root: Node) -> Tape:
     for slot, i in last.items():
         if slot != result:
             free[i].append(slot)
+    # A slot spans the block if it depends on a variable (x^0 is 1).  Such an
+    # op takes a register no live slot holds: its operands' registers return
+    # to the pool only after it.
+    narrow = set(consts)
+    reg_of, pool, registers, instructions = {}, [], 0, []
+    for (op, out, a, b, arg), fr in zip(code, free):
+        if (a in narrow and b in narrow) or (op is _pow and arg == 0):
+            narrow.add(out)
+            reg = NARROW
+        elif out == result:
+            reg = RESULT
+        elif pool:
+            reg = pool.pop()
+        else:
+            reg, registers = registers, registers + 1
+        if reg >= 0:
+            reg_of[out] = reg
+        pool.extend(reg_of.pop(s) for s in fr if s in reg_of)
+        instructions.append((op, out, reg, a, b, arg, tuple(fr)))
     return Tape(consts=tuple((s, v) for s, v in consts.items() if s in last),
-                inputs=tuple(inputs),
-                code=tuple((*ins, tuple(fr)) for ins, fr in zip(code, free)),
-                size=next(new_slot), result=result)
+                inputs=tuple(inputs), code=tuple(instructions),
+                size=next(new_slot), result=result, registers=registers)
 
 
-def _run(tape: Tape, columns, seeds, ntan: int, m: int):
-    """Evaluate a tape at m points.  ``columns[k]`` holds variable k's values,
-    ``seeds[k]`` its ``ntan`` tangent columns.  Returns (value, tangents,
-    pole mask); the value and tangents may be 1-element arrays or None."""
+def _run(tape: Tape, columns, seeds, ws: Workspace, vals, tangents, pole):
+    """Evaluate a tape at one block of points into ``vals``, the rows of
+    ``tangents`` and ``pole``.  ``columns[k]`` holds variable k's values,
+    ``seeds[k]`` its tangent columns.  Rows of ``tangents`` that are not
+    contiguous are copied from a workspace register at the end: numpy may
+    round differently when it writes a strided output."""
     V = [None] * tape.size
     T = [None] * tape.size
+    ntan = tangents.shape[0]
     zero = (None,) * ntan
     for slot, value in tape.consts:
         V[slot], T[slot] = value, zero
     for slot, k in tape.inputs:
         V[slot], T[slot] = columns[k], seeds[k]
-    pole = np.zeros(m, dtype=bool)
-    for op, out, a, b, arg, free in tape.code:
-        V[out], T[out] = op(V[a], T[a], V[b], T[b], arg, pole)
+    pole[...] = False
+    final = tuple(tangents)
+    rows = final if tangents.flags.c_contiguous else tuple(ws.take("result", tangents.shape))
+    outs = ws.block(tape.registers, ntan, vals.shape[0], pole)
+    outs += [(None, zero), (vals, rows)]  # NARROW, RESULT
+    for op, out, reg, a, b, arg, free in tape.code:
+        V[out], T[out] = op(V[a], T[a], V[b], T[b], arg, ws, *outs[reg])
         for slot in free:
             V[slot] = T[slot] = None
-    return V[tape.result], T[tape.result], pole
+    for got, d in zip((V[tape.result], *T[tape.result]), (vals, *final)):
+        if got is not d:
+            d[...] = 0 if got is None else got
 
 
-#: Points per evaluation block.  The allocator reuses the 64 KiB arrays of a
-#: block, where the temporaries of a 15,360-point ladder grid are mapped and
-#: faulted in afresh for every operation.  Every operation is pointwise, so
-#: blocks change no bit.
-BLOCK = 4096
+#: Points per evaluation block with one tangent: one default ladder line
+#: (48 radii x 64 angles x 5 rungs), so each line slice is one pass over the
+#: tape.  A block with ``ntan`` tangents has 2 * BLOCK // (1 + ntan) points,
+#: so that its registers take the same bytes.  The rules write into the
+#: workspace's columns, which a scan maps once, so a block this wide faults
+#: in no fresh pages per operation.  Every operation is pointwise, so blocks
+#: change no bit.
+BLOCK = 15360
 
 
-def _evaluate(tape: Tape, m: int, ntan: int, block_inputs):
-    """Run ``tape`` over m points in blocks; ``block_inputs(s, e)`` gives the
-    variable columns and tangent seeds of points s..e-1.  Returns (values,
-    (m, ntan) tangents, pole mask), with NaN at poles."""
-    vals = np.empty(m, dtype=complex)
-    tangents = np.empty((m, ntan), dtype=complex)
-    pole = np.empty(m, dtype=bool)
-    for s in range(0, m, BLOCK):
-        e = min(s + BLOCK, m)
-        v, t, pole[s:e] = _run(tape, *block_inputs(s, e), ntan, e - s)
-        vals[s:e] = v
-        for k, tk in enumerate(t):
-            tangents[s:e, k] = 0 if tk is None else tk
+def _workspace() -> Workspace:
+    """The workspace of the enclosing ``with Workspace():``, else a new one."""
+    return _WORKSPACE.get() or Workspace()
+
+
+def _evaluate(tape: Tape, m: int, ntan: int, block_inputs, ws: Workspace, out=None):
+    """Run ``tape`` over m points in blocks through ``ws``; ``block_inputs(s,
+    e)`` gives the variable columns and tangent seeds of points s..e-1.
+    Returns (values, (m, ntan) tangents, pole mask), with NaN at poles, in
+    ``out`` or in new arrays."""
+    vals, tangents, pole = out or (np.empty(m, dtype=complex),
+                                   np.empty((m, ntan), dtype=complex), np.empty(m, dtype=bool))
+    width = 2 * BLOCK // (1 + ntan)
+    for s in range(0, m, width):
+        e = min(s + width, m)
+        _run(tape, *block_inputs(s, e), ws, vals[s:e], tangents[s:e].T, pole[s:e])
     if pole.any():
         vals[pole] = np.nan
         tangents[pole] = np.nan
@@ -663,28 +822,44 @@ def eval_jet_batch(f: HoloExpr, Z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pts = as_points(Z, f.arity)
     m, n = pts.shape
     seeds = [tuple(_ONE if j == k else None for j in range(n)) for k in range(n)]
-    return _evaluate(f.tape, m, n, lambda s, e: (_columns(pts[s:e]), seeds))
+    return _evaluate(f.tape, m, n, lambda s, e: (_columns(pts[s:e]), seeds), _workspace())
 
 
 def eval_values(f: HoloExpr, Z) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised values only: ``(values, pole_mask)``."""
     pts = as_points(Z, f.arity)
     m, n = pts.shape
-    vals, _, pole = _evaluate(f.tape, m, 0, lambda s, e: (_columns(pts[s:e]), [()] * n))
+    vals, _, pole = _evaluate(f.tape, m, 0, lambda s, e: (_columns(pts[s:e]), [()] * n),
+                              _workspace())
     return vals, pole
 
 
 def line_map(c):
     """The complex line lambda -> lambda * c as a map for
     :func:`eval_disc_jets`.  Coordinate k is c_k * lambda, with tangent
-    c_k * 1 + lambda * 0, rounded as ``restrict_function(f, c)`` computes them."""
+    c_k * 1 + lambda * 0, rounded as ``restrict_function(f, c)`` computes them.
+    Given a workspace, the map writes the coordinates into it."""
     cv = np.asarray(c, dtype=complex).reshape(-1)
-    coords = [cv[k:k + 1] for k in range(cv.shape[0])]
+    scales = cv[:, None]
 
-    def phi(lam):
-        bad = _nonfinite(lam)
-        return [ck * lam for ck in coords], [_poison(ck * _ONE, bad) for ck in coords]
+    def phi(lam, ws=None):
+        out = None if ws is None else ws.take("coordinates", (cv.shape[0], lam.shape[0]))
+        tangents = [scales[k] * _ONE for k in range(cv.shape[0])]
+        bad = ~np.isfinite(lam)
+        if bad.any():
+            tangents = [np.where(bad, _NAN, t) for t in tangents]
+        return list(np.multiply(scales, lam, out=out)), tangents
     return phi
+
+
+def _disc_inputs(f: HoloExpr, phi, lam, *args):
+    """``block_inputs`` of :func:`_evaluate` for f along phi at ``lam``."""
+    def block_inputs(s, e):
+        coords, tangents = phi(lam[s:e], *args)
+        if len(coords) != f.arity:
+            raise InputError(f"map must have {f.arity} coordinates")
+        return coords, [(t,) for t in tangents]
+    return block_inputs
 
 
 def eval_disc_jets(f: HoloExpr, phi, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -697,14 +872,18 @@ def eval_disc_jets(f: HoloExpr, phi, lam) -> tuple[np.ndarray, np.ndarray, np.nd
     the tape of ``f`` with a single tangent, block by block.
     """
     lam = np.ascontiguousarray(as_points(lam, 1)[:, 0])
+    vals, deriv, pole = _evaluate(f.tape, lam.shape[0], 1, _disc_inputs(f, phi, lam),
+                                  _workspace())
+    return vals, deriv[:, 0], pole
 
-    def block_inputs(s, e):
-        coords, tangents = phi(lam[s:e])
-        if len(coords) != f.arity:
-            raise InputError(f"map must have {f.arity} coordinates")
-        return coords, [(t,) for t in tangents]
 
-    vals, deriv, pole = _evaluate(f.tape, lam.shape[0], 1, block_inputs)
+def _line_jets(f: HoloExpr, c, lam):
+    """``eval_disc_jets(f, line_map(c), lam)`` with the line's coordinates
+    and the results in the current workspace: they hold only until it
+    evaluates again.  A scan of many lines thus maps no array per line."""
+    ws, m = _workspace(), lam.shape[0]
+    out = ws.take("values", (m,)), ws.take("tangents", (m, 1)), ws.take("pole", (m,), bool)
+    vals, deriv, pole = _evaluate(f.tape, m, 1, _disc_inputs(f, line_map(c), lam, ws), ws, out)
     return vals, deriv[:, 0], pole
 
 

@@ -139,22 +139,24 @@ def _check_directions(D: DirectionSet | None, arity: int) -> DirectionSet:
 def _slice_verdicts(fam, D: DirectionSet, ladder, radii: int, angles: int):
     """Family verdict of each line slice, and their aggregate.
 
-    The ladder grid is built once; per line, each member's weighted sharp
-    table comes from its directional jets along the line.
+    The ladder grid and the evaluation workspace are built once; per line,
+    each member's weighted sharp table comes from its directional jets
+    along the line.
     """
     grid = nr.disc_ladder(ladder, radii, angles)
     reports = []
     verdicts = []
     total = 0
-    for c in D.directions:
-        cc = canonical_direction(c)
-        tables = [grid.weights * nr._finite_or_raise(
-                      nr.line_sharp(f, cc, grid.points), "weighted ladder")
-                  for f in fam]
-        v = _family_line_verdict(tables, grid, ladder)
-        verdicts.append(v)
-        reports.append(LineReport(direction=c, verdict=v))
-        total += v.estimate.samples
+    with ex.Workspace():
+        for c in D.directions:
+            cc = canonical_direction(c)
+            tables = [grid.weights * nr._finite_or_raise(
+                          nr.line_sharp(f, cc, grid.points), "weighted ladder")
+                      for f in fam]
+            v = _family_line_verdict(tables, grid, ladder)
+            verdicts.append(v)
+            reports.append(LineReport(direction=c, verdict=v))
+            total += v.estimate.samples
     return _aggregate(verdicts, total), reports
 
 

@@ -138,15 +138,16 @@ def mu(f: ex.HoloExpr, z) -> float:
     return 2.0 * d / (1.0 + abs(jet.value) ** 2)
 
 
-def _mu_with_fallback(f: ex.HoloExpr, phi, lam: np.ndarray) -> np.ndarray:
-    """mu of f o phi at the points ``lam`` (``ex.eval_disc_jets``), taking
-    the reciprocal 1/f on points that are poles or evaluate non-finite
-    (mu(f) = mu(1/f)).  Entries that fail both routes come back NaN."""
-    vals, deriv, pole = ex.eval_disc_jets(f, phi, lam)
+def _mu_with_fallback(jets, f: ex.HoloExpr, lam: np.ndarray) -> np.ndarray:
+    """mu of f o phi at the points ``lam``, from ``jets(g, points)``, the
+    values, derivatives and pole mask of g o phi; the reciprocal 1/f is taken
+    on points that are poles or evaluate non-finite (mu(f) = mu(1/f)).
+    Entries that fail both routes come back NaN."""
+    vals, deriv, pole = jets(f, lam)
     out = 2.0 * np.abs(deriv) / (1.0 + np.abs(vals) ** 2)
     bad = pole | ~np.isfinite(out)
     if bad.any():
-        rvals, rderiv, rpole = ex.eval_disc_jets(f.inverse, phi, lam[bad])
+        rvals, rderiv, rpole = jets(f.inverse, lam[bad])
         rout = 2.0 * np.abs(rderiv) / (1.0 + np.abs(rvals) ** 2)
         rout[rpole] = np.nan
         out[bad] = rout
@@ -160,8 +161,11 @@ def mu_batch(f: ex.HoloExpr, Z) -> np.ndarray:
     """
     if f.arity != 1:
         raise InputError("mu is defined for one-variable expressions")
-    one = np.ones(1, dtype=complex)  # along the identity map of C^1
-    return _mu_with_fallback(f, lambda lam: ([lam], [one]), ex.as_points(Z, 1)[:, 0])
+    one = np.ones(1, dtype=complex)
+
+    def jets(g, lam):  # along the identity map of C^1
+        return ex.eval_disc_jets(g, lambda z: ([z], [one]), lam)
+    return _mu_with_fallback(jets, f, ex.as_points(Z, 1)[:, 0])
 
 
 def line_sharp(f: ex.HoloExpr, c, lam) -> np.ndarray:
@@ -169,15 +173,12 @@ def line_sharp(f: ex.HoloExpr, c, lam) -> np.ndarray:
 
     The values of ``sharp_batch(restrict_function(f, c), lam)``, from the
     jets of ``f`` along ``ex.line_map(c)`` (no substituted tree), with the
-    same reciprocal fallback at poles, taken in blocks of ``ex.BLOCK``
-    points as the evaluation is.
+    same reciprocal fallback at poles.  A default ladder line is one block
+    of ``ex.BLOCK`` points, so f's tape runs once per line, and its jets stay
+    in the workspace.
     """
-    lam = ex.as_points(lam, 1)[:, 0]
-    line = ex.line_map(c)
-    out = np.empty(lam.shape[0])
-    for s in range(0, lam.shape[0], ex.BLOCK):
-        out[s:s + ex.BLOCK] = 0.5 * _mu_with_fallback(f, line, lam[s:s + ex.BLOCK])
-    return out
+    lam = np.ascontiguousarray(ex.as_points(lam, 1)[:, 0])
+    return 0.5 * _mu_with_fallback(lambda g, z: ex._line_jets(g, c, z), f, lam)
 
 
 def levi_form(f: ex.HoloExpr, z, v) -> float:
@@ -582,13 +583,14 @@ def disc_family_probe(f: ex.HoloExpr, discs=None, count: int = 200,
     grid = disc_ladder(lad, radii, angles)
     deep, weights = grid.points, grid.weights
     per_disc = []
-    for phi in discs:
-        if phi.arity != f.arity:
-            raise InputError("disc arity mismatch")
-        vals, deriv, pole = ex.eval_disc_jets(f, phi.jets, deep)
-        if pole.any():
-            raise InputError("pole signal under a probe disc")
-        per_disc.append(weights * np.abs(deriv) / (1.0 + np.abs(vals) ** 2))
+    with ex.Workspace():
+        for phi in discs:
+            if phi.arity != f.arity:
+                raise InputError("disc arity mismatch")
+            vals, deriv, pole = ex.eval_disc_jets(f, phi.jets, deep)
+            if pole.any():
+                raise InputError("pole signal under a probe disc")
+            per_disc.append(weights * np.abs(deriv) / (1.0 + np.abs(vals) ** 2))
     sups, arg, _ = rung_sups(per_disc, grid.lengths, deep)
     best = max(sups)
     series = list(zip([float(e) for e in lad], sups))

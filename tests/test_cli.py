@@ -198,6 +198,25 @@ def test_non_finite_point_exits_2(capsys, command, at):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sharp", "--expr", "z1", "--radius", "inf"],
+    ["sharp", "--expr", "z1", "--radius", "nan"],
+    ["mu", "--expr", "z1", "--radius", "inf"],
+    ["marty", "--expr", "z1", "--radius", "1e400"],
+    ["ball-ratio", "--expr", "z1", "--radius", "nan"],
+    ["orbit", "--expr", "z1", "--radius", "inf"],
+    ["hartogs", "--series", "SERIES", "--rmin", "nan"],
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_non_finite_float_flag_exits_2(capsys, tmp_path, argv):
+    argv = [series_file(tmp_path, geometric()) if a == "SERIES" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"holonorm: input error: {argv[-2]} {float(argv[-1])!r} is not finite\n"
+
+
 FAST_COMMANDS = [
     ("sharp", ["sharp", "--expr", "z1*z2", "--arity", "2", "--radius", "0.4"]),
     ("marty", ["marty", "--expr", "z1", "--expr", "2*z1", "--radius", "0.5"]),

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 import holonorm.expr as ex
 import holonorm.metrics as mt
+import holonorm.normality as nr
+import holonorm.sampling as sp
 from holonorm.errors import ParseError
 from holonorm.linescan import alexander_function_test, direction_set, restrict_function
 
@@ -335,3 +337,53 @@ def test_reciprocal_tape_compiles_once(monkeypatch):
     alexander_function_test(f, direction_set(2, 8, 0))
     assert len(compiled) == 2
     assert compiled == [f.root, f.inverse.root]
+
+
+def _default_ladder_line():
+    lam = nr.disc_ladder(sp.DEFAULT_LADDER, 48, 64).points
+    assert lam.shape[0] == ex.BLOCK and (lam == 0).any()
+    return lam, np.array([0.6, 0.8j])
+
+
+def test_line_sharp_runs_each_tape_once_per_default_line(monkeypatch):
+    lam, c = _default_ladder_line()
+    runs = []
+    run = ex._run
+    monkeypatch.setattr(ex, "_run", lambda tape, *args: runs.append(tape) or run(tape, *args))
+    f = ex.parse("exp(z1*z2) + z1^2", 2)
+    nr.line_sharp(f, c, lam)
+    assert runs == [f.tape]
+    # a pole at lambda = 0: the reciprocal evaluates once, on the failed points
+    runs.clear()
+    h = ex.parse("1/(z1 + 0.5*z2)", 2)
+    nr.line_sharp(h, c, lam)
+    assert runs == [h.tape, h.inverse.tape]
+
+
+def test_shared_workspace_keeps_results_apart():
+    lam, c = _default_ladder_line()
+    line = ex.line_map(c)
+    f = ex.parse("z1*z2 + z1", 2)
+    g = ex.parse("exp(z1*z2)/(z1 - 0.5) + sin(z2)^3*cos(z1) - z2/(z1 + 2)", 2)
+    assert g.tape.registers > f.tape.registers
+    with np.errstate(all="ignore"), ex.Workspace():
+        first = ex.eval_disc_jets(f, line, lam)
+        kept = [a.copy() for a in first]
+        ex.eval_disc_jets(g, line, lam)  # grows the workspace
+        third = ex.eval_disc_jets(f, line, lam)
+    assert all(same(a, k) and same(a, t) for a, k, t in zip(first, kept, third))
+    # the reciprocal fallback of line_sharp runs in the same workspace; here
+    # the reciprocal needs more registers than h itself
+    h = ex.parse("(exp(z1*z2)*sin(z2) + cos(z1)*z2^3)/(z1 + 0.5*z2)", 2)
+    assert h.inverse.tape.registers > h.tape.registers
+    with np.errstate(all="ignore"):
+        alone = nr.line_sharp(h, c, lam)
+        want = nr.sharp_batch(restrict_function(h, c), lam)
+        with ex.Workspace():
+            first = nr.line_sharp(h, c, lam)
+            kept = first.copy()
+            nr.line_sharp(g, c, lam)
+            third = nr.line_sharp(h, c, lam)
+    assert np.isnan(alone).any() and not np.isnan(alone).all()
+    assert same(first, kept) and same(first, third) and same(first, alone)
+    assert same(alone, want)
