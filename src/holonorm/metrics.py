@@ -31,10 +31,6 @@ CONTAINMENT_SAMPLES = 256
 CONTAINMENT_RING = 1.0 - 1e-6
 CONTAINMENT_MARGIN = 1e-9
 
-#: Byte budget of one complex block of the lockstep candidate search and of
-#: the ball ratio reducer in normality; each holds a few such arrays at once.
-LOCKSTEP_BYTES = 2 << 20
-
 
 # --------------------------------------------------------------------------
 # Chordal metric on the extended plane
@@ -310,15 +306,11 @@ class DiscMap:
     def boundary_max(self, samples: int | None = None) -> float:
         """Max image norm over the verification ring |lambda| = CONTAINMENT_RING."""
         if samples is None:
-            samples = _ring_samples(self.degree)
-        return float(_ring_norm_max(self._horner(_ring(samples))))
+            samples = max(CONTAINMENT_SAMPLES, 4 * (self.degree + 1))
+        return _ring_norm_max(self._horner(_ring(samples)))
 
     def contained_in_unit_ball(self, samples: int | None = None) -> bool:
         return self.boundary_max(samples) <= 1.0 - CONTAINMENT_MARGIN
-
-
-def _ring_samples(degree: int) -> int:
-    return max(CONTAINMENT_SAMPLES, 4 * (degree + 1))
 
 
 @lru_cache(maxsize=64)
@@ -330,26 +322,21 @@ def _ring(samples: int) -> np.ndarray:
     return lam
 
 
-def _ring_norm_max(vals: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
-    """Max over the last axis of the image norm of (..., n, samples) values.
-
-    Rounds exactly as np.linalg.norm over contiguous (samples, n) rows, the
-    layout of every containment check before the lockstep search: numpy
-    sums rows shorter than 8 left to right and longer rows pairwise.  Given
-    ``squares``, a complex array of vals' shape, the squared moduli (and
-    for n < 8 their running sums) are written there, not to a new array.
-    """
-    sq = np.conjugate(vals, out=squares)
+def _ring_norm_max(vals: np.ndarray) -> float:
+    """Max image norm over the samples of (n, samples) values: faster than
+    np.linalg.norm on this layout, and rounded as it is over (samples, n)
+    rows, where numpy sums rows shorter than 8 left to right, longer ones
+    pairwise."""
+    sq = np.conjugate(vals)
     sq *= vals
     sq = sq.real
-    n = sq.shape[-2]
-    if n < 8:
-        total = sq[..., 0, :]
-        for k in range(1, n):
-            total += sq[..., k, :]
+    if len(sq) < 8:
+        total = sq[0]
+        for row in sq[1:]:
+            total += row
     else:
-        total = np.add.reduce(np.ascontiguousarray(np.swapaxes(sq, -1, -2)), axis=-1)
-    return np.sqrt(np.max(total, axis=-1))
+        total = np.add.reduce(np.ascontiguousarray(sq.T), axis=-1)
+    return math.sqrt(np.max(total))
 
 
 def require_contained(disc: DiscMap) -> DiscMap:
@@ -495,74 +482,15 @@ def _truncation_tries(z, v_hat, v_norm, t, q, d, sigma):
         sigma *= 0.999
 
 
-def _quadratic_candidate(z, v_hat, v_norm, rng, count, cutoff=None):
-    """``count`` seeded degree-2 perturbations z + beta l v_hat + gamma l^2 u.
-
-    Each candidate draws u, |gamma| and arg(gamma) from rng in turn.  The
-    largest beta in (0, 1.5] that passes the containment check is bisected
-    for all candidates in lockstep: one (count, n, samples) Horner pass per
-    step, with the beta-free term gamma l^2 u computed once and every step
-    written into the leading rows of the same two buffers.  Given a
-    ``cutoff``, a row leaves the bisection once v_norm / hi >= cutoff: its
-    final beta is at most hi, so its alpha can no longer fall below the
-    cutoff.  Returns the unchecked (alpha, disc) of every remaining
-    candidate with beta > 0 and alpha below the cutoff, in draw order.
-    """
-    n = len(z)
-    nz = float(np.linalg.norm(z))
-    a2 = np.empty((count, n), dtype=complex)
-    for k in range(count):
-        raw = rng.standard_normal(2 * n)
-        u = raw[:n] + 1j * raw[n:]
-        u /= np.linalg.norm(u)
-        gmag = rng.uniform(0.0, 0.25) * (1.0 - nz)
-        gph = rng.uniform(0.0, 2.0 * np.pi)
-        a2[k] = gmag * complex(math.cos(gph), math.sin(gph)) * u
-
-    lam = _ring(_ring_samples(2))
-    quad = a2[:, :, None] * lam
-    target = 1.0 - CONTAINMENT_MARGIN
-    vals, squares = np.empty_like(quad), np.empty_like(quad)
-
-    def fits(base, beta):
-        m = len(beta)
-        np.add(base, (beta[:, None] * v_hat)[:, :, None], out=vals[:m])
-        vals[:m] *= lam
-        vals[:m] += z[:, None]
-        return _ring_norm_max(vals[:m], squares[:m]) <= target
-
-    lo, hi = np.zeros(count), np.full(count, 1.5)
-    top = fits(quad, hi)
-    lo[top] = 1.5
-    rows = np.flatnonzero(~top)
-    quad = quad[rows]
-    for _ in range(24):
-        if cutoff is not None:
-            keep = v_norm / hi[rows] < cutoff
-            if not keep.all():
-                rows, quad = rows[keep], quad[keep]
-        if not rows.size:
-            break
-        mid = 0.5 * (lo[rows] + hi[rows])
-        ok = fits(quad, mid)
-        lo[rows] = np.where(ok, mid, lo[rows])
-        hi[rows] = np.where(ok, hi[rows], mid)
-
-    # a pruned row's partial beta gives an alpha >= cutoff, dropped here
-    found = []
-    for k in np.flatnonzero(lo > 0.0):
-        beta = float(lo[k])
-        alpha = v_norm / beta
-        if cutoff is None or alpha < cutoff:
-            found.append((alpha, DiscMap(np.stack([z, beta * v_hat, a2[k]]))))
-    return found
+#: Placeholder for a removed search, kept as bench/tracer.py's LAYERS names it.
+_quadratic_candidate = None
 
 
 _GEODESIC_DEGREES = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
 
 
-def _verified_min(candidates, best=None):
-    """The smallest alpha below ``best`` whose disc passes the check.
+def _verified_min(candidates):
+    """The smallest alpha whose disc passes the check, or None.
 
     Each candidate is an iterable of (alpha, disc) tries with alpha
     nondecreasing, and its next try is taken only after its previous one
@@ -571,8 +499,7 @@ def _verified_min(candidates, best=None):
     alpha of each one's first passing try: what checking every candidate
     and taking the min would give.  A try with disc None is a key no
     greater than the candidate's next alpha; it is passed over unchecked,
-    which leaves that order as it is.  Returns ``best`` (None while nothing
-    has passed) when no try below it passes.
+    which leaves that order as it is.
     """
     heap = []
 
@@ -583,41 +510,35 @@ def _verified_min(candidates, best=None):
 
     for k, cand in enumerate(candidates):
         push(k, iter(cand))
-    while heap and (best is None or heap[0][0] < best):
+    while heap:
         alpha, k, disc, tries = heapq.heappop(heap)
         if disc is not None and disc.contained_in_unit_ball():
             return alpha
         push(k, tries)
-    return best
+    return None
 
 
 def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
     """Upper bound on the Kobayashi metric F_K(z, v) of the unit ball.
 
-    Minimises alpha over a fixed, seed-deterministic sequence of ``budget``
-    candidate analytic discs phi with phi(0) = z and phi'(0) a positive
-    multiple of v: the largest safe affine disc in direction v, truncations
-    of the geodesic disc at increasing polynomial degree, then seeded
-    degree-2 perturbations.  The disc scales are searched in lockstep:
-    every truncation is tried at full scale in one (degrees, samples) pass,
-    and the scales of those that do not fit are bisected together only if
-    the search reaches one of them (a truncation that fits at full scale
-    has the least alpha of all); the perturbations' scales are bisected in
-    blocks of at most LOCKSTEP_BYTES per (candidates, n, samples) array, so
-    memory stays bounded at any budget.
-    Candidates are checked by branch and bound: the affine disc and the
-    truncations in ascending alpha order (ties to the affine disc, then
-    to the lower degree) until one passes the sampled containment check
-    (ring radius 1 - 1e-6, margin 1e-9) on its exact coefficients; its
-    alpha is the bound so far.  Each block of perturbations drops from
-    its bisection the rows that can no longer beat the bound, and checks
-    the rest in the same order, only those below the bound.  The returned
-    alpha is the minimum over all candidates that pass the check.  It is
-    an upper bound only as far as that check goes: containment is sampled
-    at 256 points (more for high degrees) of |lambda| = 1 - 1e-6, not
-    proved on the closed unit disc, so the bound is not proved, and on the
-    ball it can fall below the closed form by rounding.  The result is
-    nonincreasing in ``budget`` and reproducible for a fixed seed.
+    Minimises alpha = |v| / |phi'(0)| over analytic discs phi with
+    phi(0) = z and phi'(0) a positive multiple of v: the largest safe
+    affine disc in direction v, then truncations of the geodesic disc at
+    the budget - 1 lowest of the 17 _GEODESIC_DEGREES (none at the origin
+    or for v orthogonal to z, where the geodesic disc is affine), so
+    ``budget`` caps the candidates at 1 + 17.  ``seed`` selects nothing.
+    Every truncation is tried at full scale in one pass; the scales of
+    those that do not fit are bisected together only if the search
+    reaches one of them.  Candidates are checked in ascending alpha order
+    (ties to the affine disc, then to the lower degree) until one passes
+    the sampled containment check on its exact coefficients; a failing
+    truncation is retried at a 0.1% smaller scale, 8 tries in all.  The
+    result is the least alpha of the candidates that pass, nonincreasing
+    in ``budget``; ContainmentError when none passes.  It bounds F_K only
+    as far as the check goes: containment is sampled at 256 points (more
+    for high degrees) of |lambda| = 1 - 1e-6, not proved on the closed
+    disc, so on the ball the result can fall below the closed form by
+    rounding.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
@@ -633,31 +554,19 @@ def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
         v_norm = big * float(np.linalg.norm(vv / big)) if big > 0.0 else 0.0
     if not 0.0 < v_norm < math.inf:
         raise InputError("direction vector must be nonzero, with a finite norm")
-    if float(np.linalg.norm(zz)) >= 1.0:
+    nz = float(np.linalg.norm(zz))
+    if nz >= 1.0:
         raise InputError("base point must lie in the open ball")
     v_hat = vv / v_norm
 
     affine = _affine_candidate(zz, v_hat, v_norm)
     candidates = [] if affine is None else [[affine]]
-    used = 1
-
-    nz = float(np.linalg.norm(zz))
-    if nz > 1e-12 and used < budget:
+    if nz > 1e-12 and budget > 1:
         t, q = _extremal_parameters(zz, v_hat)
         if abs(q) > 1e-14:
-            degrees = _GEODESIC_DEGREES[:budget - used]
+            degrees = _GEODESIC_DEGREES[:budget - 1]
             candidates += _truncated_geodesic_candidate(zz, v_hat, v_norm, t, q, degrees)
-            used += len(degrees)
     best = _verified_min(candidates)
-
-    rng = np.random.default_rng(seed)
-    block = max(1, LOCKSTEP_BYTES // (16 * B.arity * _ring_samples(2)))
-    while used < budget:
-        count = min(block, budget - used)
-        found = _quadratic_candidate(zz, v_hat, v_norm, rng, count, cutoff=best)
-        best = _verified_min([[cand] for cand in found], best)
-        used += count
-
     if best is None:
         raise ContainmentError("no admissible disc found within budget")
     return best

@@ -138,17 +138,28 @@ def mu(f: ex.HoloExpr, z) -> float:
     return 2.0 * d / (1.0 + abs(jet.value) ** 2)
 
 
+def _mu_values(vals: np.ndarray, deriv: np.ndarray) -> np.ndarray:
+    """2|deriv|/(1+|vals|^2), rounded as written, in a new and a scratch array."""
+    out = np.abs(deriv)
+    np.multiply(2.0, out, out=out)
+    den = np.abs(vals)
+    np.square(den, out=den)
+    np.add(1.0, den, out=den)
+    return np.divide(out, den, out=out)
+
+
 def _mu_with_fallback(jets, f: ex.HoloExpr, lam: np.ndarray) -> np.ndarray:
     """mu of f o phi at the points ``lam``, from ``jets(g, points)``, the
     values, derivatives and pole mask of g o phi; the reciprocal 1/f is taken
     on points that are poles or evaluate non-finite (mu(f) = mu(1/f)).
     Entries that fail both routes come back NaN."""
     vals, deriv, pole = jets(f, lam)
-    out = 2.0 * np.abs(deriv) / (1.0 + np.abs(vals) ** 2)
-    bad = pole | ~np.isfinite(out)
+    out = _mu_values(vals, deriv)
+    bad = ~np.isfinite(out)
+    bad |= pole
     if bad.any():
         rvals, rderiv, rpole = jets(f.inverse, lam[bad])
-        rout = 2.0 * np.abs(rderiv) / (1.0 + np.abs(rvals) ** 2)
+        rout = _mu_values(rvals, rderiv)
         rout[rpole] = np.nan
         out[bad] = rout
     return out
@@ -460,12 +471,17 @@ def random_ball_params(arity: int, count: int, seed: int):
 # Ball ratios: Levi form against invariant metrics
 # --------------------------------------------------------------------------
 
+#: Byte budget of one complex block of the (points x vectors) ratio table
+#: in ``_levi_ratio_tables``, which holds three such blocks at once.
+RATIO_BLOCK_BYTES = 2 << 20
+
+
 def _levi_ratio_tables(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale):
     """np.max of each row of the (points x vectors) table levi_form(f, z, v)
     / (scale * F_K(z, v)^2), F_K the Kobayashi metric of the unit ball.  NaN
     propagates; np.argmax of the maxima is the row of the table's argmax.
     Jets and per-row terms are computed once, the table in reused blocks of
-    LOCKSTEP_BYTES // (16 * vectors) rows, each entry rounded as in the
+    RATIO_BLOCK_BYTES // (16 * vectors) rows, each entry rounded as in the
     whole table, so memory is bounded at any number of points."""
     m, k = Z.shape[0], V.shape[0]
     if m == 0 or not np.all(np.linalg.norm(Z, axis=1) < 1.0):
@@ -481,7 +497,7 @@ def _levi_ratio_tables(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale):
     d2, Zc, VT = d ** 2, Z.conjugate(), V.T
     # no one-row block unless m == 1: numpy computes a one-row product by
     # gemv, which rounds differently from the rows of a matrix product
-    rows = max(2, mt.LOCKSTEP_BYTES // (16 * k))
+    rows = max(2, RATIO_BLOCK_BYTES // (16 * k))
     cap = min(m, rows + 1)
     prod, levi, fk2 = np.empty((cap, k), complex), np.empty((cap, k)), np.empty((cap, k))
     top = np.empty(m)

@@ -379,10 +379,10 @@ def test_kobayashi_upper_deterministic():
 
 
 # Estimates as float.hex() for z = r * PINNED_Z[n] / |PINNED_Z[n]|, v =
-# PINNED_V[n], seed 7, at PINNED_BUDGETS.  Budget 300 holds more degree-2
-# candidates than one lockstep block at arity 2 and 3.  Recorded before the
-# candidate search was vectorised; any rounding change in the containment
-# checks shows up here.
+# PINNED_V[n], seed 7, at PINNED_BUDGETS.  Budgets 20 and up hold every
+# candidate (1 + 17), so they read the same.  Recorded before the candidate
+# search was vectorised; any rounding change in the containment checks
+# shows up here.
 PINNED_Z = {2: [1 + 0.5j, -0.3 + 0.7j], 3: [1 + 0.5j, -0.3 + 0.7j, 0.2 - 0.4j]}
 PINNED_V = {2: [0.5 - 0.3j, 0.8 + 0.1j], 3: [0.5 - 0.3j, 0.8 + 0.1j, -0.2 + 0.6j]}
 PINNED_BUDGETS = (1, 2, 5, 20, 200, 300)
@@ -492,7 +492,6 @@ def test_candidate_discs_contained_with_matching_alpha(arity):
         t, q = mt._extremal_parameters(z, v_hat)
         geodesic = [list(tries) for tries in mt._truncated_geodesic_candidate(
             z, v_hat, v_norm, t, q, mt._GEODESIC_DEGREES)]
-        quadratic = [[cand] for cand in mt._quadratic_candidate(z, v_hat, v_norm, rng, 40)]
         affine = mt._affine_candidate(z, v_hat, v_norm)
         for tries in geodesic:
             alphas = [alpha for alpha, _ in tries]
@@ -502,74 +501,16 @@ def test_candidate_discs_contained_with_matching_alpha(arity):
         geodesic = [real for real in ([(a, d) for a, d in tries if d is not None]
                                       for tries in geodesic) if real]
         assert {len(tries) for tries in geodesic} == {8}  # sigma, then 7 retries
-        for tries in geodesic + quadratic + [[affine]]:
+        for tries in geodesic + [[affine]]:
             alphas = [alpha for alpha, _ in tries]
             assert alphas == sorted(alphas)  # what the lazy retries rely on
             for alpha, disc in tries:
                 assert np.array_equal(disc.coefficients[0], z)
                 assert _alpha_matches_derivative(disc, alpha, v_norm)
-        verified = {kind: [c for c in map(_first_passing, cands) if c is not None]
-                    for kind, cands in (("geodesic", geodesic), ("quadratic", quadratic))}
-        assert verified["geodesic"] and verified["quadratic"]
-        for _, disc in verified["geodesic"] + verified["quadratic"]:
+        verified = [c for c in map(_first_passing, geodesic) if c is not None]
+        assert verified
+        for _, disc in verified:
             assert disc.contained_in_unit_ball()
-
-
-def _one_disc_quadratic_search(z, v_hat, rng):
-    """Reference: one degree-2 candidate, bisected one containment check at a
-    time.  Returns (a2, beta) or None."""
-    n = len(z)
-    raw = rng.standard_normal(2 * n)
-    u = raw[:n] + 1j * raw[n:]
-    u /= np.linalg.norm(u)
-    gmag = rng.uniform(0.0, 0.25) * (1.0 - float(np.linalg.norm(z)))
-    gph = rng.uniform(0.0, 2.0 * np.pi)
-    a2 = gmag * complex(math.cos(gph), math.sin(gph)) * u
-
-    def fits(beta):
-        return mt.DiscMap(np.stack([z, beta * v_hat, a2])).contained_in_unit_ball()
-
-    lo, hi = 0.0, 1.5
-    if fits(hi):
-        lo = hi
-    else:
-        for _ in range(24):
-            mid = 0.5 * (lo + hi)
-            if fits(mid):
-                lo = mid
-            else:
-                hi = mid
-    return None if lo <= 0.0 else (a2, lo)
-
-
-@pytest.mark.parametrize("arity", [1, 2, 3, 8])
-def test_quadratic_lockstep_matches_one_disc_search(arity):
-    count = 30
-    for trial in range(3):
-        z = sp.uniform_ball_points(arity, 1, 0.95, 60 + trial)[0] if trial else np.zeros(arity, complex)
-        v = sp.unit_sphere_points(arity, 1, 70 + trial)[0] * (0.5 + trial)
-        v_norm = float(np.linalg.norm(v))
-        v_hat = v / v_norm
-        ref_rng = np.random.default_rng(trial)
-        want = [_one_disc_quadratic_search(z, v_hat, ref_rng) for _ in range(count)]
-        want = [w for w in want if w is not None]
-        ref_next = ref_rng.random()
-        ref_alphas = sorted(v_norm / beta for _, beta in want)
-        # no cutoff, then cutoffs that keep every row, about half, and none
-        cutoffs = [None, 2 * ref_alphas[-1], ref_alphas[len(ref_alphas) // 2], ref_alphas[0]]
-        for cutoff in cutoffs:
-            rng = np.random.default_rng(trial)
-            got = mt._quadratic_candidate(z, v_hat, v_norm, rng, count, cutoff=cutoff)
-            assert rng.random() == ref_next  # same draws consumed
-            # the rows kept are exactly those whose reference alpha is below
-            # the cutoff, each with the reference's bits
-            kept = [w for w in want if cutoff is None or v_norm / w[1] < cutoff]
-            assert len(got) == len(kept)
-            for (alpha, disc), (a2, beta) in zip(got, kept):
-                assert np.array_equal(disc.coefficients[2], a2)
-                assert disc.coefficients[1].tobytes() == (beta * v_hat).tobytes()
-                assert alpha == v_norm / beta
-        assert len(ref_alphas) >= 2 and ref_alphas[0] < ref_alphas[len(ref_alphas) // 2]
 
 
 def _eager_truncations(z, v_hat, v_norm, t, q, degrees):
@@ -592,7 +533,7 @@ def _eager_truncations(z, v_hat, v_norm, t, q, degrees):
             for d, sig in zip(degrees, sigma) if sig > 0.0]
 
 
-def _eager_kobayashi_upper(B, z, v, budget, seed):
+def _eager_kobayashi_upper(z, v, budget):
     """Reference: check every candidate's tries in turn and take the min of
     the first passing alphas, as the estimator did before branch and bound."""
     z = np.asarray(z, dtype=complex)
@@ -601,19 +542,11 @@ def _eager_kobayashi_upper(B, z, v, budget, seed):
     v_hat = v / v_norm
     affine = mt._affine_candidate(z, v_hat, v_norm)
     candidates = [] if affine is None else [[affine]]
-    used = 1
-    if float(np.linalg.norm(z)) > 1e-12 and used < budget:
+    if float(np.linalg.norm(z)) > 1e-12 and budget > 1:
         t, q = mt._extremal_parameters(z, v_hat)
         if abs(q) > 1e-14:
-            degrees = mt._GEODESIC_DEGREES[:budget - used]
+            degrees = mt._GEODESIC_DEGREES[:budget - 1]
             candidates += _eager_truncations(z, v_hat, v_norm, t, q, degrees)
-            used += len(degrees)
-    rng = np.random.default_rng(seed)
-    block = max(1, mt.LOCKSTEP_BYTES // (16 * B.arity * mt._ring_samples(2)))
-    while used < budget:
-        count = min(block, budget - used)
-        candidates += [[c] for c in mt._quadratic_candidate(z, v_hat, v_norm, rng, count)]
-        used += count
     alphas = [c[0] for c in map(_first_passing, candidates) if c is not None]
     if not alphas:
         raise ContainmentError("no admissible disc found within budget")
@@ -636,7 +569,7 @@ def _lazy_eager_cases(count):
 def test_kobayashi_upper_matches_eager_reference():
     for n, z, v, budget, seed in _lazy_eager_cases(40):
         B = mt.BallDomain(n)
-        want = _eager_kobayashi_upper(B, z, v, budget, seed)
+        want = _eager_kobayashi_upper(z, v, budget)
         assert mt.kobayashi_upper(B, z, v, budget, seed=seed).hex() == want.hex()
 
 
@@ -655,12 +588,12 @@ def test_rejected_checks_follow_ascending_alpha(monkeypatch, rejected):
     ties = 0
     for n, z, v, budget, seed in cases:
         B = mt.BallDomain(n)
-        seen, failed, alpha_of, stage, lazy = [], set(), {}, [0], [True]
+        seen, failed, alpha_of, lazy = [], set(), {}, [True]
 
         def reject_first(disc, samples=None):
             key = (disc.coefficients.shape, disc.coefficients.tobytes())
             if lazy[0] and len(seen) < rejected:
-                seen.append((stage[0], alpha_of[id(disc)], disc.degree))
+                seen.append((alpha_of[id(disc)], disc.degree))
                 failed.add(key)
                 return False
             return key not in failed and original(disc, samples)
@@ -671,32 +604,29 @@ def test_rejected_checks_follow_ascending_alpha(monkeypatch, rejected):
                     alpha_of[id(disc)] = alpha
                 yield alpha, disc
 
-        def staged(candidates, best=None):
-            stage[0] += 1
-            return verified_min([noting(c) for c in candidates], best)
+        def noting_all(candidates):
+            return verified_min([noting(c) for c in candidates])
 
         monkeypatch.setattr(mt.DiscMap, "contained_in_unit_ball", reject_first)
-        monkeypatch.setattr(mt, "_verified_min", staged)
+        monkeypatch.setattr(mt, "_verified_min", noting_all)
         try:
             got = mt.kobayashi_upper(B, z, v, budget, seed=seed).hex()
         except ContainmentError:
             got = None
         lazy[0] = False
         try:
-            want = _eager_kobayashi_upper(B, z, v, budget, seed).hex()
+            want = _eager_kobayashi_upper(z, v, budget).hex()
         except ContainmentError:
             want = None
         monkeypatch.setattr(mt.DiscMap, "contained_in_unit_ball", original)
         assert got == want
         assert len(seen) == rejected or got is None
-        # ascending within each heap: stage 1 holds the affine disc and the
-        # truncations, each later stage one block of perturbations
-        for (s0, a0, d0), (s1, a1, d1) in zip(seen, seen[1:]):
-            if s1 == s0:
-                assert a1 >= a0
-                if s0 == 1 and a1 == a0:
-                    assert d1 > d0
-                    ties += 1
+        # one heap holds the affine disc and the truncations
+        for (a0, d0), (a1, d1) in zip(seen, seen[1:]):
+            assert a1 >= a0
+            if a1 == a0:
+                assert d1 > d0
+                ties += 1
     assert ties or rejected < 3
 
 
@@ -754,8 +684,48 @@ def test_truncations_bisected_once_after_full_scale_tries_fail(monkeypatch):
     assert [log[k] for k in passes] == [("pass", 17)] + [("pass", 5)] * 48
     assert len(rejects) == 12 and passes[0] < rejects[0] and rejects[-1] < passes[1]
     assert passes == [passes[0]] + list(range(passes[1], passes[1] + 48))
-    want = _eager_kobayashi_upper(B, z, v, 200, 7)
+    want = _eager_kobayashi_upper(z, v, 200)
     assert got.hex() == want.hex() and got > v_norm / t
+
+
+def _upper_hex(z, v, budget, seed):
+    """kobayashi_upper as float.hex(), or None on ContainmentError."""
+    try:
+        return mt.kobayashi_upper(mt.BallDomain(len(z)), z, v, budget, seed=seed).hex()
+    except ContainmentError:
+        return None
+
+
+def test_search_holds_only_the_affine_disc_and_truncations(monkeypatch):
+    """With every disc rejected, a budget-200 call makes at most 1 + 17 * 8
+    checks (the affine disc, then 8 tries per truncation) and raises.  From
+    budget 1 + 17 on, neither the budget nor the seed moves a bit."""
+    original = mt.DiscMap.contained_in_unit_ball
+    checks = []
+
+    def reject(disc, samples=None):
+        checks.append(disc.degree)
+        return False
+
+    monkeypatch.setattr(mt.DiscMap, "contained_in_unit_ball", reject)
+    for arity, r in ((2, 0.4), (3, 0.85), (3, 0.0)):
+        z, v = _discs_case(arity, r)
+        checks.clear()
+        with pytest.raises(ContainmentError):
+            mt.kobayashi_upper(mt.BallDomain(arity), z, v, 200, seed=7)
+        assert 1 <= len(checks) <= 1 + len(mt._GEODESIC_DEGREES) * 8
+        assert checks.count(2) <= 8
+    monkeypatch.setattr(mt.DiscMap, "contained_in_unit_ball", original)
+
+    cases = [(z, v) for _, z, v, _, _ in _lazy_eager_cases(40)]
+    u = np.array([0.6 + 0.3j, -0.2 + 0.7j])
+    z = 0.8 * u / np.linalg.norm(u)
+    cases += [((1.0 - 10 ** -8.9) * u / np.linalg.norm(u), np.array([0.3 - 0.1j, 0.9j])),
+              (z, np.array([-z[1].conjugate(), z[0].conjugate()])),  # v orthogonal to z
+              (z, (0.7 - 0.2j) * z)]  # v parallel to z
+    for z, v in cases:
+        got = {_upper_hex(z, v, budget, seed) for budget in (18, 200, 300) for seed in (0, 7, 99)}
+        assert len(got) == 1, (z, v, got)
 
 
 def test_kobayashi_upper_near_the_sphere_raises_containment_error():
@@ -802,11 +772,15 @@ def test_kobayashi_upper_rejects_a_direction_whose_norm_overflows():
 
 @pytest.mark.parametrize("arity", [1, 2, 3, 5, 8, 9, 17])
 def test_ring_norm_rounds_as_numpy_norm(arity):
-    # one sample per row, so the max is each row's own norm
+    # one nonzero sample per call, at every position of a 256-sample ring,
+    # so the max is that sample's own norm
     rng = np.random.default_rng(arity)
-    x = rng.standard_normal((4000, arity)) + 1j * rng.standard_normal((4000, arity))
-    got = mt._ring_norm_max(np.ascontiguousarray(x)[:, :, None])
-    assert got.tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+    x = rng.standard_normal((256, arity)) + 1j * rng.standard_normal((256, arity))
+    want = np.linalg.norm(x, axis=-1)
+    for k in range(256):
+        vals = np.zeros((arity, 256), dtype=complex)
+        vals[:, k] = x[k]
+        assert mt._ring_norm_max(vals) == want[k]
 
 
 @pytest.mark.parametrize("arity,degree", [(1, 1), (1, 5), (2, 2), (3, 40), (9, 3)])

@@ -559,7 +559,7 @@ def test_ball_ratios_match_the_whole_matrix(monkeypatch, rows):
         V = sp.unit_sphere_points(n, int(rng.integers(1, 24)), seed + 1)
         V = V * rng.uniform(0.1, 3.0, (V.shape[0], 1))
         if rows is not None:
-            monkeypatch.setattr(mt, "LOCKSTEP_BYTES", rows * 16 * V.shape[0])
+            monkeypatch.setattr(nr, "RATIO_BLOCK_BYTES", rows * 16 * V.shape[0])
         Z = z_rungs[-1][rng.permutation(z_rungs[-1].shape[0])]
         with np.errstate(all="ignore"):
             want_k = _canonical(_eager_kobayashi_check(f, z_rungs, V, ladder))
