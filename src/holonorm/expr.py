@@ -108,6 +108,17 @@ class Jet:
     gradient: np.ndarray  # shape (arity,), complex128
 
 
+def _operators(node):
+    """The forward and reflected operator methods that build ``node``."""
+    def forward(self, other):
+        return HoloExpr(node(self.root, self._coerce(other).root), self.arity)
+
+    def reflected(self, other):
+        return HoloExpr(node(self._coerce(other).root, self.root), self.arity)
+
+    return forward, reflected
+
+
 @dataclass(frozen=True)
 class HoloExpr:
     """An immutable expression tree over ``arity`` complex variables."""
@@ -142,33 +153,10 @@ class HoloExpr:
             return other
         return HoloExpr(Const(complex(other)), self.arity)
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        return HoloExpr(Add(self.root, o.root), self.arity)
-
-    def __radd__(self, other):
-        return self._coerce(other).__add__(self)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return HoloExpr(Sub(self.root, o.root), self.arity)
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return HoloExpr(Mul(self.root, o.root), self.arity)
-
-    def __rmul__(self, other):
-        return self._coerce(other).__mul__(self)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return HoloExpr(Div(self.root, o.root), self.arity)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
+    __add__, __radd__ = _operators(Add)
+    __sub__, __rsub__ = _operators(Sub)
+    __mul__, __rmul__ = _operators(Mul)
+    __truediv__, __rtruediv__ = _operators(Div)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -193,151 +181,120 @@ def var_expr(index: int, arity: int) -> HoloExpr:
 # Tokenizer / parser
 # --------------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_UINT_RE = re.compile(r"\d+")
-_NAME_RE = re.compile(r"[A-Za-z]+")
-
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        """Return (kind, value, position) without consuming."""
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("end", None, self.pos)
-        ch = self.text[self.pos]
-        start = self.pos
-        if ch in "+-*/^()":
-            return ("op", ch, start)
-        if ch.isdigit() or ch == ".":
-            m = _NUMBER_RE.match(self.text, start)
-            if not m:
-                raise ParseError("malformed number", start)
-            return ("number", m.group(), start)
-        if ch.isalpha():
-            m = _NAME_RE.match(self.text, start)
-            name = m.group()
-            if name == "z" or (name.startswith("z") and name[1:].isdigit()):
-                um = _UINT_RE.match(self.text, start + 1)
-                if not um:
-                    raise ParseError("variable needs an index, e.g. z1", start)
-                return ("var", int(um.group()), start)
-            if name == "i":
-                return ("i", None, start)
-            if name in _CALLS:
-                return ("call", name, start)
-            raise ParseError(f"unknown name '{name}'", start)
-        raise ParseError(f"unexpected character {ch!r}", start)
-
-    def next(self):
-        kind, value, start = self.peek()
-        if kind == "end":
-            return kind, value, start
-        if kind == "number":
-            self.pos = start + len(value)
-        elif kind == "var":
-            self.pos = start + 1
-            m = _UINT_RE.match(self.text, self.pos)
-            self.pos = m.end()
-        elif kind == "i":
-            self.pos = start + 1
-        elif kind == "call":
-            self.pos = start + len(value)
-        else:
-            self.pos = start + 1
-        return kind, value, start
+#: One token after optional whitespace.  Letters and digits are ASCII; the
+#: ``bad`` alternative catches any other character (or a '.' without digits).
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | z(?P<var>[0-9]+)
+  | (?P<name>[A-Za-z]+)
+  | (?P<op>[-+*/^()])
+  | (?P<end>\Z)
+  | (?P<bad>.)
+)""", re.VERBOSE | re.DOTALL)
 
 
 class _Parser:
     def __init__(self, text: str, arity: int):
-        self.toks = _Tokenizer(text)
+        self.text = text
         self.arity = arity
         self.depth = 0
+        self.pos = 0  # where the next scan starts
+        self.token = None  # scanned and not yet consumed
 
-    def _group(self, pos: int) -> Node:
-        """The expression after an opening parenthesis at ``pos``, and its ')'."""
+    def peek(self):
+        """The next token as (kind, value, position), scanned once."""
+        if self.token is None:
+            m = _TOKEN_RE.match(self.text, self.pos)
+            kind = m.lastgroup
+            value, start = m[kind], m.start(kind)
+            if kind == "var":
+                value, start = int(value), start - 1
+            elif kind == "name":
+                if value == "z":
+                    raise ParseError("variable needs an index, e.g. z1", start)
+                if value != "i" and value not in _CALLS:
+                    raise ParseError(f"unknown name '{value}'", start)
+                kind = "i" if value == "i" else "call"
+            elif kind == "bad":
+                raise ParseError("malformed number" if value == "." else
+                                 f"unexpected character {value!r}", start)
+            self.token, self.pos = (kind, value, start), m.end()
+        return self.token
+
+    def next(self):
+        token = self.peek()
+        self.token = None
+        return token
+
+    def _accept(self, ops: str):
+        """Consume the next token and return its operator if it is one of
+        ``ops``; otherwise leave it and return None."""
+        kind, value, _ = self.peek()
+        if kind == "op" and value in ops:
+            self.token = None
+            return value
+        return None
+
+    def _group(self) -> Node:
+        """The expression after the opening parenthesis just read, and its ')'."""
         if self.depth == MAX_NESTING:
-            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", self.pos - 1)
         self.depth += 1
         node = self._expr()
         self.depth -= 1
-        k3, v3, p3 = self.toks.next()
-        if k3 != "op" or v3 != ")":
-            raise ParseError("expected ')'", p3)
+        if not self._accept(")"):
+            raise ParseError("expected ')'", self.peek()[2])
         return node
 
     def parse(self) -> Node:
         node = self._expr()
-        kind, _, pos = self.toks.peek()
+        kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError("trailing input", pos)
         return node
 
     def _expr(self) -> Node:
-        kind, value, _ = self.toks.peek()
-        if kind == "op" and value in "+-":
-            self.toks.next()
-            first = self._term()
-            node: Node = first if value == "+" else Sub(Const(0j), first)
-        else:
-            node = self._term()
-        while True:
-            kind, value, _ = self.toks.peek()
-            if kind == "op" and value in "+-":
-                self.toks.next()
-                rhs = self._term()
-                node = Add(node, rhs) if value == "+" else Sub(node, rhs)
-            else:
-                return node
+        sign = self._accept("+-")
+        node = self._term()
+        if sign == "-":
+            node = Sub(Const(0j), node)
+        while op := self._accept("+-"):
+            rhs = self._term()
+            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+        return node
 
     def _term(self) -> Node:
         node = self._factor()
-        while True:
-            kind, value, _ = self.toks.peek()
-            if kind == "op" and value in "*/":
-                self.toks.next()
-                rhs = self._factor()
-                node = Mul(node, rhs) if value == "*" else Div(node, rhs)
-            else:
-                return node
+        while op := self._accept("*/"):
+            rhs = self._factor()
+            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+        return node
 
     def _factor(self) -> Node:
         node = self._base()
-        kind, value, _ = self.toks.peek()
-        if kind == "op" and value == "^":
-            self.toks.next()
-            k2, v2, p2 = self.toks.next()
-            if k2 != "number" or not v2.isdigit():
-                raise ParseError("exponent must be a nonnegative integer", p2)
-            node = Pow(node, int(v2))
+        if self._accept("^"):
+            kind, value, pos = self.next()
+            if kind != "number" or not value.isdigit():
+                raise ParseError("exponent must be a nonnegative integer", pos)
+            node = Pow(node, int(value))
         return node
 
     def _base(self) -> Node:
-        kind, value, pos = self.toks.next()
+        kind, value, pos = self.next()
         if kind == "number":
             return Const(complex(float(value)))
         if kind == "i":
             return Const(1j)
         if kind == "var":
             if not 1 <= value <= self.arity:
-                raise ParseError(
-                    f"variable z{value} outside declared arity {self.arity}", pos
-                )
+                raise ParseError(f"variable z{value} outside declared arity {self.arity}", pos)
             return Var(value)
         if kind == "call":
-            k2, v2, p2 = self.toks.next()
-            if k2 != "op" or v2 != "(":
-                raise ParseError(f"expected '(' after {value}", p2)
-            return Call(value, self._group(p2))
+            if not self._accept("("):
+                raise ParseError(f"expected '(' after {value}", self.peek()[2])
+            return Call(value, self._group())
         if kind == "op" and value == "(":
-            return self._group(pos)
+            return self._group()
         if kind == "end":
             raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {value!r}", pos)
@@ -840,15 +797,16 @@ def line_map(c):
     c_k * 1 + lambda * 0, rounded as ``restrict_function(f, c)`` computes them.
     Given a workspace, the map writes the coordinates into it."""
     cv = np.asarray(c, dtype=complex).reshape(-1)
-    scales = cv[:, None]
+    scales = [cv[k:k + 1] for k in range(cv.shape[0])]
 
     def phi(lam, ws=None):
-        out = None if ws is None else ws.take("coordinates", (cv.shape[0], lam.shape[0]))
-        tangents = [scales[k] * _ONE for k in range(cv.shape[0])]
+        out = ws.take("coordinates", (len(scales), len(lam))) if ws else [None] * len(scales)
+        tangents = [s * _ONE for s in scales]
         bad = ~np.isfinite(lam)
         if bad.any():
             tangents = [np.where(bad, _NAN, t) for t in tangents]
-        return list(np.multiply(scales, lam, out=out)), tangents
+        # per coordinate, as the tree's c_k * z1: one broadcast product rounds apart at 1 point
+        return [np.multiply(s, lam, out=o) for s, o in zip(scales, out)], tangents
     return phi
 
 

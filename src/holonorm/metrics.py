@@ -303,14 +303,13 @@ class DiscMap:
             return np.zeros(self.arity, dtype=complex)
         return self.coefficients[1].copy()
 
-    def boundary_max(self, samples: int | None = None) -> float:
+    def boundary_max(self) -> float:
         """Max image norm over the verification ring |lambda| = CONTAINMENT_RING."""
-        if samples is None:
-            samples = max(CONTAINMENT_SAMPLES, 4 * (self.degree + 1))
+        samples = max(CONTAINMENT_SAMPLES, 4 * (self.degree + 1))
         return _ring_norm_max(self._horner(_ring(samples)))
 
-    def contained_in_unit_ball(self, samples: int | None = None) -> bool:
-        return self.boundary_max(samples) <= 1.0 - CONTAINMENT_MARGIN
+    def contained_in_unit_ball(self) -> bool:
+        return self.boundary_max() <= 1.0 - CONTAINMENT_MARGIN
 
 
 @lru_cache(maxsize=64)

@@ -253,16 +253,10 @@ def _as_family(family) -> list:
 
 
 def _family_sup(fam, pts, sample, what: str) -> SupEstimate:
-    best, arg, series = -math.inf, None, []
-    for idx, f in enumerate(fam, start=1):
-        vals = _finite_or_raise(sample(f, pts), what)
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best = float(vals[j])
-            arg = pts[j]
-        series.append((float(idx), best))
+    tables = [_finite_or_raise(sample(f, pts), what) for f in fam]
+    (best,), arg, running = rung_sups(tables, [pts.shape[0]], pts)
     return SupEstimate(best, arg, samples=len(fam) * pts.shape[0],
-                       growth_series=series)
+                       growth_series=[(float(k), s) for k, s in enumerate(running, 1)])
 
 
 def marty_sup(family, K) -> SupEstimate:
@@ -310,25 +304,23 @@ def rung_sups(tables, lengths, points):
     """Per-rung suprema of a family of sample tables on cumulative grids.
 
     ``tables`` hold each member's samples at ``points``; rung k covers the
-    first ``lengths[k]`` of them.  Returns (sups, argmax point, running),
-    where running[i] is the supremum over the first i+1 members at the
-    deepest rung.
+    first ``lengths[k]`` of them, and the last rung covers them all.
+    Returns (sups, argmax point, running), where running[i] is the supremum
+    over the first i+1 members at the last rung.
     """
-    sups = []
-    best = -math.inf
-    arg = None
+    sups, best, arg = [], -math.inf, None
     for m in lengths:
-        rung_best = -math.inf
+        rung_best, tops = -math.inf, []
         for q in tables:
             j = int(np.argmax(q[:m]))
-            if q[j] > rung_best:
-                rung_best = float(q[j])
+            tops.append(float(q[j]))
+            if tops[-1] > rung_best:
+                rung_best = tops[-1]
                 if rung_best > best:
                     best = rung_best
                     arg = points[j]
         sups.append(rung_best)
-    running = list(itertools.accumulate((float(np.max(q)) for q in tables), max))
-    return sups, arg, running
+    return sups, arg, list(itertools.accumulate(tops, max))
 
 
 def weighted_sharp_sups(family, ladder=sp.DEFAULT_LADDER,
@@ -608,7 +600,4 @@ def disc_family_probe(f: ex.HoloExpr, discs=None, count: int = 200,
                 raise InputError("pole signal under a probe disc")
             per_disc.append(weights * np.abs(deriv) / (1.0 + np.abs(vals) ** 2))
     sups, arg, _ = rung_sups(per_disc, grid.lengths, deep)
-    best = max(sups)
-    series = list(zip([float(e) for e in lad], sups))
-    return SupEstimate(best, arg, samples=len(per_disc) * deep.shape[0],
-                       growth_series=series)
+    return ladder_verdict(sups, arg, len(per_disc) * deep.shape[0], lad).estimate

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -25,8 +26,15 @@ DEFAULT_WINDOW = 0.5
 MultiIndex = tuple  # tuple of nonnegative ints; degree is sum(alpha)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int if it is an integer, not a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_alpha(alpha, arity: int) -> MultiIndex:
-    t = tuple(int(a) for a in alpha)
+    t = tuple(_integer(a, "exponent") for a in alpha)
     if len(t) != arity:
         raise InputError(f"multi-index {t} has length {len(t)}, expected {arity}")
     if any(a < 0 for a in t):
@@ -47,9 +55,9 @@ class PowerSeries:
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.arity < 1:
+        if _integer(self.arity, "arity") < 1:
             raise InputError("arity must be at least 1")
-        if self.max_degree < 0:
+        if _integer(self.max_degree, "max_degree") < 0:
             raise InputError("max_degree must be nonnegative")
         clean = {}
         for alpha, c in self.terms.items():
@@ -173,16 +181,19 @@ def series_from_dict(obj: Mapping) -> PowerSeries:
          "terms": [{"alpha": [a1, ..., an], "re": x, "im": y}, ...]}
     """
     try:
-        arity = int(obj["arity"])
-        max_degree = int(obj["max_degree"])
+        arity = _integer(obj["arity"], "arity")
+        max_degree = _integer(obj["max_degree"], "max_degree")
         raw_terms = list(obj["terms"])
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed series object: {e}") from e
     terms: dict = {}
     for t in raw_terms:
         try:
-            alpha = tuple(int(a) for a in t["alpha"])
-            c = complex(float(t["re"]), float(t.get("im", 0.0)))
+            alpha = tuple(_integer(a, "exponent") for a in t["alpha"])
+            re_im = t["re"], t.get("im", 0.0)
+            if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in re_im):
+                raise InputError("re and im must be numbers")
+            c = complex(*map(float, re_im))
         except (KeyError, TypeError, ValueError) as e:
             raise InputError(f"malformed series term {t!r}: {e}") from e
         if alpha in terms:

@@ -51,8 +51,9 @@ def test_mu_continues_through_pole(capsys):
     assert json.loads(out)["results"]["value"] == pytest.approx(2.0, rel=1e-12)
 
 
-def test_parse_error_exits_2(capsys):
-    code, out, err = run(capsys, "sharp", "--expr", "z1+*")
+@pytest.mark.parametrize("text", ["z1+*", "\u00e9"])
+def test_parse_error_exits_2(capsys, text):
+    code, out, err = run(capsys, "sharp", "--expr", text)
     assert code == 2
     assert out == ""
     assert "input error" in err

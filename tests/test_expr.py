@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holonorm.expr as ex
-from holonorm.errors import ParseError, PoleError
+from holonorm.errors import InputError, ParseError, PoleError
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-6
@@ -68,6 +68,10 @@ def test_parse_leading_sign():
         ("z1^-2", 1, 3),
         ("exp", 1, 3),
         ("z1 z2", 2, 3),
+        # letters and digits are ASCII only
+        ("\u00e9", 1, 0),
+        ("z1\u00b2", 1, 2),
+        ("7\u0661", 1, 1),
     ],
 )
 def test_parse_errors_carry_position(text, arity, position):
@@ -75,6 +79,15 @@ def test_parse_errors_carry_position(text, arity, position):
         ex.parse(text, arity)
     assert err.value.position == position
     assert f"offset {position}" in str(err.value)
+
+
+@given(text=st.text(), arity=st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_any_text_parses_or_raises_parse_error(text, arity):
+    try:
+        ex.parse(text, arity)
+    except (ParseError, InputError):
+        pass
 
 
 def test_jet_square_at_two():

@@ -590,13 +590,13 @@ def test_rejected_checks_follow_ascending_alpha(monkeypatch, rejected):
         B = mt.BallDomain(n)
         seen, failed, alpha_of, lazy = [], set(), {}, [True]
 
-        def reject_first(disc, samples=None):
+        def reject_first(disc):
             key = (disc.coefficients.shape, disc.coefficients.tobytes())
             if lazy[0] and len(seen) < rejected:
                 seen.append((alpha_of[id(disc)], disc.degree))
                 failed.add(key)
                 return False
-            return key not in failed and original(disc, samples)
+            return key not in failed and original(disc)
 
         def noting(tries):
             for alpha, disc in tries:
@@ -669,10 +669,10 @@ def test_truncations_bisected_once_after_full_scale_tries_fail(monkeypatch):
     original = mt.DiscMap.contained_in_unit_ball
     log = []
 
-    def reject_full_scale(disc, samples=None):
+    def reject_full_scale(disc):
         rejected = disc.coefficients.tobytes() in full
         log.append(("reject" if rejected else "check", disc.degree))
-        return not rejected and original(disc, samples)
+        return not rejected and original(disc)
 
     monkeypatch.setattr(mt.DiscMap, "contained_in_unit_ball", reject_full_scale)
     _boundary_passes(monkeypatch, log)

@@ -204,6 +204,22 @@ def test_json_non_list_terms_rejected(terms):
         se.series_from_dict({"arity": 1, "max_degree": 2, "terms": terms})
 
 
+@pytest.mark.parametrize("change", [
+    {"terms": [{"alpha": [1.5, 0], "re": 1.0}]},
+    {"terms": [{"alpha": "10", "re": 1.0}]},
+    {"terms": [{"alpha": [True, 0], "re": 1.0}]},
+    {"terms": [{"alpha": [1, 0], "re": "2.5"}]},
+    {"terms": [{"alpha": [1, 0], "re": 1.0, "im": True}]},
+    {"max_degree": 3.7},
+    {"max_degree": "3"},
+    {"arity": True, "terms": [{"alpha": [1], "re": 1.0}]},
+])
+def test_json_coercions_rejected(change):
+    payload = {"arity": 2, "max_degree": 3, "terms": [{"alpha": [1, 0], "re": 1.0}], **change}
+    with pytest.raises(InputError):
+        se.series_from_dict(payload)
+
+
 def test_geometric_series_fixture():
     G = se.geometric_series(2, 8)
     u = se.restrict_to_line(G, (1.0, 0.0))

@@ -236,6 +236,16 @@ def test_directional_mode_matches_substituted_slice(case):
     assert same(deriv, want_g[:, 0]) and same(new_g, want_g)
 
 
+def test_line_map_at_one_point_rounds_as_the_tree():
+    # a broadcast (1, 1) x (1,) product rounded this real part 1 ulp apart
+    f = ex.parse("z1", 1)
+    c = np.array([complex(float.fromhex("0x1.3d832336b3294p+0"), 1.0)])
+    lam = np.array([1.75 + 1j])
+    vals, deriv, _ = ex.eval_disc_jets(f, ex.line_map(c), lam)
+    want_v, want_g, _ = ex.eval_jet_batch(restrict_function(f, c), lam)
+    assert same(vals, want_v) and same(deriv, want_g[:, 0])
+
+
 @settings(max_examples=250, deadline=None)
 @given(disc_cases())
 def test_disc_mode_matches_gradient_mode_along_discs(case):
