@@ -193,6 +193,13 @@ _TOKEN_RE = re.compile(r"""\s*(?:
 )""", re.VERBOSE | re.DOTALL)
 
 
+def _uint(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # beyond Python's limit on integer string digits
+        raise ParseError("integer has too many digits", pos) from None
+
+
 class _Parser:
     def __init__(self, text: str, arity: int):
         self.text = text
@@ -208,7 +215,7 @@ class _Parser:
             kind = m.lastgroup
             value, start = m[kind], m.start(kind)
             if kind == "var":
-                value, start = int(value), start - 1
+                value, start = _uint(value, start - 1), start - 1
             elif kind == "name":
                 if value == "z":
                     raise ParseError("variable needs an index, e.g. z1", start)
@@ -276,7 +283,7 @@ class _Parser:
             kind, value, pos = self.next()
             if kind != "number" or not value.isdigit():
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            node = Pow(node, int(value))
+            node = Pow(node, _uint(value, pos))
         return node
 
     def _base(self) -> Node:
@@ -317,9 +324,9 @@ def parse(text: str, arity: int) -> HoloExpr:
 # and a slot is released after its last use.  Values are arrays over the
 # batch of points (constants are 1-element arrays that broadcast).  Beside
 # each value the tape carries a tuple of tangent columns: n of them, one per
-# variable, for gradients (eval_jet_batch), one for a directional derivative
-# (eval_disc_jets), none for plain values (eval_values).  A tangent column is
-# None where it is identically zero, and its products are then skipped.
+# variable, for gradients (eval_jet_batch), or one for a directional
+# derivative along a map (_map_jets).  A tangent column is None where it is
+# identically zero, and its products are then skipped.
 #
 # Every operation uses the arithmetic, operand order and pole rule of the
 # forward-mode jet rules it implements, so results are bit-identical to
@@ -462,37 +469,34 @@ def _div(va, ta, vb, tb, arg, ws, vo, to):
         np.copyto(spare, 1.0, where=bad)
         vb = spare
     t = []
-    if ta:
-        den = np.multiply(vb, vb, out=_into(vo, vb))  # vo takes the value last
-        bad_a = _nonfinite(va, ws, 0) if _skips(tb) else None
-        bad_b = _nonfinite(vb, ws, 1) if _skips(ta) else None
-        for x, y, o in zip(ta, tb, to):
-            if x is None and y is None:
-                p = np.multiply(_ZERO, vb, out=_into(o, vb))
-                q = np.multiply(va, _ZERO, out=_into(ws.tmp, va))
-                p = np.subtract(p, q, out=_into(o, p, q))
-                p = np.divide(p, den, out=_into(o, p, den))
-                t.append(p if p.any() else None)
-            elif x is None:
-                p = np.multiply(va, y, out=_into(o, va, y))
-                p = np.divide(np.negative(p, out=p), den, out=_into(o, p, den))
-                t.append(_poison(p, bad_b, o))
-            elif y is None:
-                p = np.multiply(x, vb, out=_into(o, x, vb))
-                t.append(_poison(np.divide(p, den, out=_into(o, p, den)), bad_a, o))
-            else:
-                p = np.multiply(x, vb, out=_into(o, x, vb))
-                q = np.multiply(va, y, out=_into(ws.tmp, va, y))
-                p = np.subtract(p, q, out=_into(o, p, q))
-                t.append(np.divide(p, den, out=_into(o, p, den)))
+    den = np.multiply(vb, vb, out=_into(vo, vb))  # vo takes the value last
+    bad_a = _nonfinite(va, ws, 0) if _skips(tb) else None
+    bad_b = _nonfinite(vb, ws, 1) if _skips(ta) else None
+    for x, y, o in zip(ta, tb, to):
+        if x is None and y is None:
+            p = np.multiply(_ZERO, vb, out=_into(o, vb))
+            q = np.multiply(va, _ZERO, out=_into(ws.tmp, va))
+            p = np.subtract(p, q, out=_into(o, p, q))
+            p = np.divide(p, den, out=_into(o, p, den))
+            t.append(p if p.any() else None)
+        elif x is None:
+            p = np.multiply(va, y, out=_into(o, va, y))
+            p = np.divide(np.negative(p, out=p), den, out=_into(o, p, den))
+            t.append(_poison(p, bad_b, o))
+        elif y is None:
+            p = np.multiply(x, vb, out=_into(o, x, vb))
+            t.append(_poison(np.divide(p, den, out=_into(o, p, den)), bad_a, o))
+        else:
+            p = np.multiply(x, vb, out=_into(o, x, vb))
+            q = np.multiply(va, y, out=_into(ws.tmp, va, y))
+            p = np.subtract(p, q, out=_into(o, p, q))
+            t.append(np.divide(p, den, out=_into(o, p, den)))
     return np.divide(va, vb, out=vo), tuple(t)
 
 
 def _pow(va, ta, vb, tb, k, ws, vo, to):
     if k == 0:
         return _ONE, (None,) * len(ta)
-    if not ta:
-        return _power(va, k, vo), ()
     dv = _power(va, k - 1, None if vo is None else ws.tmp)
     dv = np.multiply(k, dv, out=dv)
     bad = _nonfinite(dv, ws, 0) if _skips(ta) else None
@@ -508,12 +512,11 @@ def _call(va, ta, vb, tb, func, ws, vo, to):
             v = dv = np.exp(va, out=vo)
         elif func == "sin":
             v = np.sin(va, out=vo)
-            dv = np.cos(va, out=tmp) if ta else None
+            dv = np.cos(va, out=tmp)
         else:
             v = np.cos(va, out=vo)
-            if ta:
-                dv = np.sin(va, out=tmp)
-                dv = np.negative(dv, out=dv)
+            dv = np.sin(va, out=tmp)
+            dv = np.negative(dv, out=dv)
         bad = _nonfinite(dv, ws, 0) if _skips(ta) else None
         return v, tuple(
             _poison(None, bad, o) if x is None else np.multiply(dv, x, out=_into(o, dv, x))
@@ -783,11 +786,8 @@ def eval_jet_batch(f: HoloExpr, Z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def eval_values(f: HoloExpr, Z) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised values only: ``(values, pole_mask)``."""
-    pts = as_points(Z, f.arity)
-    m, n = pts.shape
-    vals, _, pole = _evaluate(f.tape, m, 0, lambda s, e: (_columns(pts[s:e]), [()] * n),
-                              _workspace())
+    """Vectorised values: ``(values, pole_mask)`` of :func:`eval_jet_batch`."""
+    vals, _, pole = eval_jet_batch(f, Z)
     return vals, pole
 
 
@@ -795,12 +795,12 @@ def line_map(c):
     """The complex line lambda -> lambda * c as a map for
     :func:`eval_disc_jets`.  Coordinate k is c_k * lambda, with tangent
     c_k * 1 + lambda * 0, rounded as ``restrict_function(f, c)`` computes them.
-    Given a workspace, the map writes the coordinates into it."""
+    The map writes the coordinates into the current workspace."""
     cv = np.asarray(c, dtype=complex).reshape(-1)
     scales = [cv[k:k + 1] for k in range(cv.shape[0])]
 
-    def phi(lam, ws=None):
-        out = ws.take("coordinates", (len(scales), len(lam))) if ws else [None] * len(scales)
+    def phi(lam):
+        out = _workspace().take("coordinates", (len(scales), len(lam)))
         tangents = [s * _ONE for s in scales]
         bad = ~np.isfinite(lam)
         if bad.any():
@@ -810,14 +810,21 @@ def line_map(c):
     return phi
 
 
-def _disc_inputs(f: HoloExpr, phi, lam, *args):
-    """``block_inputs`` of :func:`_evaluate` for f along phi at ``lam``."""
+def _map_jets(f: HoloExpr, phi, lam: np.ndarray):
+    """Jets of f along a map: g(lambda) = f(phi(lambda)) at the points of
+    the 1-D array ``lam``, as :func:`eval_disc_jets` gives them, but in the
+    current workspace: they hold only until it evaluates again.  A scan of
+    many lines or discs thus maps no array per map."""
+    ws, m = _workspace(), lam.shape[0]
+    out = ws.take("values", (m,)), ws.take("tangents", (m, 1)), ws.take("pole", (m,), bool)
+
     def block_inputs(s, e):
-        coords, tangents = phi(lam[s:e], *args)
+        coords, tangents = phi(lam[s:e])
         if len(coords) != f.arity:
             raise InputError(f"map must have {f.arity} coordinates")
         return coords, [(t,) for t in tangents]
-    return block_inputs
+    vals, deriv, pole = _evaluate(f.tape, m, 1, block_inputs, ws, out)
+    return vals, deriv[:, 0], pole
 
 
 def eval_disc_jets(f: HoloExpr, phi, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -830,19 +837,7 @@ def eval_disc_jets(f: HoloExpr, phi, lam) -> tuple[np.ndarray, np.ndarray, np.nd
     the tape of ``f`` with a single tangent, block by block.
     """
     lam = np.ascontiguousarray(as_points(lam, 1)[:, 0])
-    vals, deriv, pole = _evaluate(f.tape, lam.shape[0], 1, _disc_inputs(f, phi, lam),
-                                  _workspace())
-    return vals, deriv[:, 0], pole
-
-
-def _line_jets(f: HoloExpr, c, lam):
-    """``eval_disc_jets(f, line_map(c), lam)`` with the line's coordinates
-    and the results in the current workspace: they hold only until it
-    evaluates again.  A scan of many lines thus maps no array per line."""
-    ws, m = _workspace(), lam.shape[0]
-    out = ws.take("values", (m,)), ws.take("tangents", (m, 1)), ws.take("pole", (m,), bool)
-    vals, deriv, pole = _evaluate(f.tape, m, 1, _disc_inputs(f, line_map(c), lam, ws), ws, out)
-    return vals, deriv[:, 0], pole
+    return tuple(a.copy() for a in _map_jets(f, phi, lam))
 
 
 def eval_jet(f: HoloExpr, z) -> Jet:

@@ -250,39 +250,26 @@ def hartogs_test(F: se.PowerSeries, D: DirectionSet | None = None,
     D = _check_directions(D, F.arity)
     half_len = F.max_degree // 2 + 1
     reports = []
-    worst = math.inf
-    worst_dir = None
-    shrinking_below = False
-    stable_everywhere = True
     for c in D.directions:
         u = se.restrict_to_line(F, canonical_direction(c))
-        r_full = se.radius_estimate(u, window)
-        r_half = se.radius_estimate(se.UniSeries(u.coefficients[:half_len]), window)
-        reports.append(LineReport(direction=c, radius=r_full, radius_half=r_half))
-        if r_full < worst:
-            worst = r_full
-            worst_dir = c
-        if math.isfinite(r_half):
-            shrank = r_full < r_half * (1.0 - _SHRINK_TOL)
-        else:
-            shrank = math.isfinite(r_full)
-        if shrank:
-            stable_everywhere = False
-            if r_full < R_min:
-                shrinking_below = True
-        if min(r_full, r_half) < R_min:
-            stable_everywhere = False
-    if shrinking_below:
+        reports.append(LineReport(
+            direction=c, radius=se.radius_estimate(u, window),
+            radius_half=se.radius_estimate(se.UniSeries(u.coefficients[:half_len]), window)))
+    full = np.array([r.radius for r in reports])
+    half = np.array([r.radius_half for r in reports])
+    # a radius that turns finite as the degree grows shrank too
+    shrank = np.where(np.isfinite(half), full < half * (1.0 - _SHRINK_TOL), np.isfinite(full))
+    k = int(np.argmin(full))
+    worst = float(full[k])
+    if (shrank & (full < R_min)).any():
         label = DIVERGENT
-    elif worst >= R_min and stable_everywhere:
+    elif min(worst, half.min()) >= R_min and not shrank.any():
         label = CONVERGENT
     else:
         label = nr.INCONCLUSIVE
-    trend = 1.0
-    est = nr.SupEstimate(worst if math.isfinite(worst) else math.inf,
-                         worst_dir, samples=len(D.directions),
-                         growth_series=[])
-    verdict = nr.Verdict(label, est, threshold=R_min, trend_ratio=trend)
+    est = nr.SupEstimate(worst, D.directions[k] if math.isfinite(worst) else None,
+                         samples=len(D.directions), growth_series=[])
+    verdict = nr.Verdict(label, est, threshold=R_min, trend_ratio=1.0)
     partial_report = None
     if probe_partial_sums:
         ball_r = 0.5 * worst if math.isfinite(worst) else 1.0

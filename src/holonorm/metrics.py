@@ -500,21 +500,9 @@ def _verified_min(candidates):
     greater than the candidate's next alpha; it is passed over unchecked,
     which leaves that order as it is.
     """
-    heap = []
-
-    def push(k, tries):
-        nxt = next(tries, None)
-        if nxt is not None:
-            heapq.heappush(heap, (nxt[0], k, nxt[1], tries))
-
-    for k, cand in enumerate(candidates):
-        push(k, iter(cand))
-    while heap:
-        alpha, k, disc, tries = heapq.heappop(heap)
-        if disc is not None and disc.contained_in_unit_ball():
-            return alpha
-        push(k, tries)
-    return None
+    tries = heapq.merge(*candidates, key=lambda t: t[0])
+    return next((alpha for alpha, disc in tries
+                 if disc is not None and disc.contained_in_unit_ball()), None)
 
 
 def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:

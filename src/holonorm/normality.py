@@ -148,21 +148,27 @@ def _mu_values(vals: np.ndarray, deriv: np.ndarray) -> np.ndarray:
     return np.divide(out, den, out=out)
 
 
-def _mu_with_fallback(jets, f: ex.HoloExpr, lam: np.ndarray) -> np.ndarray:
-    """mu of f o phi at the points ``lam``, from ``jets(g, points)``, the
-    values, derivatives and pole mask of g o phi; the reciprocal 1/f is taken
-    on points that are poles or evaluate non-finite (mu(f) = mu(1/f)).
-    Entries that fail both routes come back NaN."""
-    vals, deriv, pole = jets(f, lam)
+def _mu_along(f: ex.HoloExpr, phi, lam) -> np.ndarray:
+    """mu of f o phi at the points ``lam``, from the jets of f along the
+    map phi (``ex._map_jets``); the reciprocal 1/f is taken on points that
+    are poles or evaluate non-finite (mu(f) = mu(1/f)).  Entries that fail
+    both routes come back NaN."""
+    lam = np.ascontiguousarray(ex.as_points(lam, 1)[:, 0])
+    vals, deriv, pole = ex._map_jets(f, phi, lam)
     out = _mu_values(vals, deriv)
     bad = ~np.isfinite(out)
     bad |= pole
     if bad.any():
-        rvals, rderiv, rpole = jets(f.inverse, lam[bad])
+        rvals, rderiv, rpole = ex._map_jets(f.inverse, phi, lam[bad])
         rout = _mu_values(rvals, rderiv)
         rout[rpole] = np.nan
         out[bad] = rout
     return out
+
+
+def _identity(lam):
+    """The identity map of C^1 as a map for ``ex._map_jets``: tangent 1."""
+    return [lam], [ex._ONE]
 
 
 def mu_batch(f: ex.HoloExpr, Z) -> np.ndarray:
@@ -172,11 +178,7 @@ def mu_batch(f: ex.HoloExpr, Z) -> np.ndarray:
     """
     if f.arity != 1:
         raise InputError("mu is defined for one-variable expressions")
-    one = np.ones(1, dtype=complex)
-
-    def jets(g, lam):  # along the identity map of C^1
-        return ex.eval_disc_jets(g, lambda z: ([z], [one]), lam)
-    return _mu_with_fallback(jets, f, ex.as_points(Z, 1)[:, 0])
+    return _mu_along(f, _identity, Z)
 
 
 def line_sharp(f: ex.HoloExpr, c, lam) -> np.ndarray:
@@ -185,11 +187,10 @@ def line_sharp(f: ex.HoloExpr, c, lam) -> np.ndarray:
     The values of ``sharp_batch(restrict_function(f, c), lam)``, from the
     jets of ``f`` along ``ex.line_map(c)`` (no substituted tree), with the
     same reciprocal fallback at poles.  A default ladder line is one block
-    of ``ex.BLOCK`` points, so f's tape runs once per line, and its jets stay
-    in the workspace.
+    of ``ex.BLOCK`` points, so f's tape runs once per line, and the line's
+    coordinates and jets stay in the workspace.
     """
-    lam = np.ascontiguousarray(ex.as_points(lam, 1)[:, 0])
-    return 0.5 * _mu_with_fallback(lambda g, z: ex._line_jets(g, c, z), f, lam)
+    return 0.5 * _mu_along(f, ex.line_map(c), lam)
 
 
 def levi_form(f: ex.HoloExpr, z, v) -> float:
@@ -579,7 +580,7 @@ def disc_family_probe(f: ex.HoloExpr, discs=None, count: int = 200,
 
     Discs are either supplied (and re-verified) or sampled with the given
     count/degree/seed.  The derivative (f o phi)'(l) = grad f(phi(l)) . phi'(l)
-    is exact: one tangent of f's tape along the disc (``ex.eval_disc_jets``).
+    is exact: one tangent of f's tape along the disc (``ex._map_jets``).
     """
     lad = sp.check_ladder(ladder)
     if discs is None:
@@ -595,7 +596,7 @@ def disc_family_probe(f: ex.HoloExpr, discs=None, count: int = 200,
         for phi in discs:
             if phi.arity != f.arity:
                 raise InputError("disc arity mismatch")
-            vals, deriv, pole = ex.eval_disc_jets(f, phi.jets, deep)
+            vals, deriv, pole = ex._map_jets(f, phi.jets, deep)
             if pole.any():
                 raise InputError("pole signal under a probe disc")
             per_disc.append(weights * np.abs(deriv) / (1.0 + np.abs(vals) ** 2))

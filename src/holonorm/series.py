@@ -9,6 +9,7 @@ convergence of that restriction is estimated by a windowed root test.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import numbers
@@ -67,6 +68,8 @@ class PowerSeries:
                     f"term {t} exceeds max_degree {self.max_degree}"
                 )
             c = complex(c)
+            if not cmath.isfinite(c):
+                raise InputError(f"coefficient of {t} is not finite: {c!r}")
             if c != 0:
                 if t in clean:
                     raise InputError(f"duplicate multi-index {t}")

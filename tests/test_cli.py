@@ -51,7 +51,12 @@ def test_mu_continues_through_pole(capsys):
     assert json.loads(out)["results"]["value"] == pytest.approx(2.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("text", ["z1+*", "\u00e9"])
+@pytest.mark.parametrize("text", [
+    "z1+*", "\u00e9",
+    # longer than Python's 4,300-digit limit of int()
+    pytest.param("z" + "1" * 5000, id="z-5000-digit-index"),
+    pytest.param("z1^" + "1" * 5000, id="z1^-5000-digit-exponent"),
+])
 def test_parse_error_exits_2(capsys, text):
     code, out, err = run(capsys, "sharp", "--expr", text)
     assert code == 2
@@ -92,6 +97,20 @@ def test_hartogs_rejects_arity_flag(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "--arity" in err
+
+
+def test_non_finite_series_coefficient_exits_2(capsys, tmp_path):
+    terms = [{"alpha": [k, 0], "re": 1.0} for k in range(20)]
+    terms[3]["re"], terms[7]["im"] = math.inf, math.nan
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({"arity": 2, "max_degree": 20, "terms": terms}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "hartogs", "--series", str(path))
+    assert code == 2
+    assert out == ""
+    assert "not finite" in err and "Warning" not in err
+    assert caught == []
 
 
 def test_non_utf8_series_file_exits_2(capsys, tmp_path):

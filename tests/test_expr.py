@@ -72,6 +72,9 @@ def test_parse_leading_sign():
         ("\u00e9", 1, 0),
         ("z1\u00b2", 1, 2),
         ("7\u0661", 1, 1),
+        # longer than Python's 4,300-digit limit of int()
+        pytest.param("z" + "1" * 5000, 1, 0, id="z-5000-digit-index"),
+        pytest.param("z1^" + "1" * 5000, 1, 3, id="z1^-5000-digit-exponent"),
     ],
 )
 def test_parse_errors_carry_position(text, arity, position):

@@ -220,6 +220,15 @@ def test_json_coercions_rejected(change):
         se.series_from_dict(payload)
 
 
+@pytest.mark.parametrize("text", ["1e400", "Infinity", "NaN"])
+def test_non_finite_coefficients_rejected(text):
+    payload = json.loads('{"arity": 1, "max_degree": 2, "terms": [{"alpha": [1], "re": %s}]}' % text)
+    with pytest.raises(InputError, match="not finite"):
+        se.series_from_dict(payload)
+    with pytest.raises(InputError, match="not finite"):
+        se.PowerSeries(1, 2, {(1,): complex(0.0, float(text))})
+
+
 def test_geometric_series_fixture():
     G = se.geometric_series(2, 8)
     u = se.restrict_to_line(G, (1.0, 0.0))

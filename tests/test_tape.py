@@ -17,7 +17,7 @@ import holonorm.expr as ex
 import holonorm.metrics as mt
 import holonorm.normality as nr
 import holonorm.sampling as sp
-from holonorm.errors import ParseError
+from holonorm.errors import InputError, ParseError
 from holonorm.linescan import alexander_function_test, direction_set, restrict_function
 
 
@@ -355,19 +355,35 @@ def _default_ladder_line():
     return lam, np.array([0.6, 0.8j])
 
 
-def test_line_sharp_runs_each_tape_once_per_default_line(monkeypatch):
-    lam, c = _default_ladder_line()
+_PROBE_DISC = mt.DiscMap(np.array([[0, 0], [0.5, 0.5j]]))
+
+
+@pytest.mark.parametrize("arity, along, refuses_poles", [
+    (2, lambda f, lam: nr.line_sharp(f, np.array([0.6, 0.8j]), lam), False),
+    (1, nr.mu_batch, False),  # the identity map of C^1
+    # the probe's grid at 48 radii and 64 angles is the default ladder line
+    (2, lambda f, lam: nr.disc_family_probe(f, [_PROBE_DISC], radii=48, angles=64), True),
+], ids=["line", "identity", "disc"])
+def test_line_sharp_runs_each_tape_once_per_default_line(monkeypatch, arity, along, refuses_poles):
+    lam, _ = _default_ladder_line()
     runs = []
     run = ex._run
-    monkeypatch.setattr(ex, "_run", lambda tape, *args: runs.append(tape) or run(tape, *args))
-    f = ex.parse("exp(z1*z2) + z1^2", 2)
-    nr.line_sharp(f, c, lam)
-    assert runs == [f.tape]
-    # a pole at lambda = 0: the reciprocal evaluates once, on the failed points
+    monkeypatch.setattr(ex, "_run", lambda tape, columns, seeds, ws, vals, *rest: (
+        runs.append((tape, vals.shape[0])) or run(tape, columns, seeds, ws, vals, *rest)))
+    f = ex.parse({1: "exp(z1) + z1^2", 2: "exp(z1*z2) + z1^2"}[arity], arity)
+    along(f, lam)
+    assert runs == [(f.tape, ex.BLOCK)]
+    # a pole at lambda = 0 along each map: the reciprocal evaluates once, on
+    # the failed points only; the probe refuses a pole instead
     runs.clear()
-    h = ex.parse("1/(z1 + 0.5*z2)", 2)
-    nr.line_sharp(h, c, lam)
-    assert runs == [h.tape, h.inverse.tape]
+    h = ex.parse({1: "1/z1", 2: "1/(z1 + 0.5*z2)"}[arity], arity)
+    if refuses_poles:
+        with pytest.raises(InputError, match="pole signal"):
+            along(h, lam)
+        assert runs == [(h.tape, ex.BLOCK)]
+    else:
+        along(h, lam)
+        assert runs == [(h.tape, ex.BLOCK), (h.inverse.tape, np.count_nonzero(lam == 0))]
 
 
 def test_shared_workspace_keeps_results_apart():
