@@ -234,9 +234,10 @@ def hartogs_test(F: se.PowerSeries, D: DirectionSet | None = None,
     CONVERGENT when the worst direction still clears R_min under both
     truncations without material shrink, DIVERGENT when some direction
     falls below R_min and keeps shrinking as the degree grows, otherwise
-    INCONCLUSIVE.  Optionally the partial sums f_0 .. f_M are run through
-    marty_sup on a grid (32 seeded directions, 8 radii) of the ball of half
-    the worst radius, the family whose normality the slice argument feeds on.
+    INCONCLUSIVE.  Optionally the partial sums f_0 .. f_M, the family whose
+    normality the slice argument feeds on, are reduced as in marty_sup on a
+    grid (32 seeded directions, 8 radii) of the ball of half the worst
+    radius, from their jets (``se.partial_sum_jets``), not from trees.
 
     Returns (verdict, line reports, partial-sum SupEstimate or None).
     """
@@ -245,18 +246,13 @@ def hartogs_test(F: se.PowerSeries, D: DirectionSet | None = None,
             f"series truncated below degree {MIN_HARTOGS_DEGREE}; "
             "radius trends would be meaningless"
         )
-    if R_min <= 0:
-        raise InputError("R_min must be positive")
+    if not 0 < R_min < math.inf:
+        raise InputError("R_min must be positive and finite")
     D = _check_directions(D, F.arity)
-    half_len = F.max_degree // 2 + 1
-    reports = []
-    for c in D.directions:
-        u = se.restrict_to_line(F, canonical_direction(c))
-        reports.append(LineReport(
-            direction=c, radius=se.radius_estimate(u, window),
-            radius_half=se.radius_estimate(se.UniSeries(u.coefficients[:half_len]), window)))
-    full = np.array([r.radius for r in reports])
-    half = np.array([r.radius_half for r in reports])
+    B = se.restrict_to_lines(F, [canonical_direction(c) for c in D.directions])
+    full, half = (np.array([se.radius_estimate(se.UniSeries(b[:m]), window) for b in B])
+                  for m in (None, F.max_degree // 2 + 1))
+    reports = [LineReport(c, radius=r, radius_half=h) for c, r, h in zip(D.directions, full, half)]
     # a radius that turns finite as the degree grows shrank too
     shrank = np.where(np.isfinite(half), full < half * (1.0 - _SHRINK_TOL), np.isfinite(full))
     k = int(np.argmin(full))
@@ -272,10 +268,10 @@ def hartogs_test(F: se.PowerSeries, D: DirectionSet | None = None,
     verdict = nr.Verdict(label, est, threshold=R_min, trend_ratio=1.0)
     partial_report = None
     if probe_partial_sums:
-        ball_r = 0.5 * worst if math.isfinite(worst) else 1.0
-        ball_r = min(ball_r, 4.0)
+        ball_r = min(0.5 * worst if math.isfinite(worst) else 1.0, 4.0)
         if ball_r > 0:
-            fam = [se.partial_sum(F, m) for m in range(F.max_degree + 1)]
-            grid = sp.ball_grid(F.arity, ball_r, 32, 8, seed)
-            partial_report = nr.marty_sup(fam, grid)
+            grid = ex.as_points(sp.ball_grid(F.arity, ball_r, 32, 8, seed), F.arity)
+            vals, grads = se.partial_sum_jets(F, grid)
+            sharp = np.linalg.norm(grads, axis=2) / (1.0 + np.abs(vals) ** 2)
+            partial_report = nr._family_sup(sharp, grid, "marty_sup")
     return verdict, reports, partial_report

@@ -253,10 +253,10 @@ def _as_family(family) -> list:
     return fam
 
 
-def _family_sup(fam, pts, sample, what: str) -> SupEstimate:
-    tables = [_finite_or_raise(sample(f, pts), what) for f in fam]
+def _family_sup(tables, pts, what: str) -> SupEstimate:
+    tables = [_finite_or_raise(q, what) for q in tables]
     (best,), arg, running = rung_sups(tables, [pts.shape[0]], pts)
-    return SupEstimate(best, arg, samples=len(fam) * pts.shape[0],
+    return SupEstimate(best, arg, samples=len(tables) * pts.shape[0],
                        growth_series=[(float(k), s) for k, s in enumerate(running, 1)])
 
 
@@ -268,7 +268,8 @@ def marty_sup(family, K) -> SupEstimate:
     which is nondecreasing by construction.
     """
     fam = _as_family(family)
-    return _family_sup(fam, ex.as_points(K, fam[0].arity), sharp_batch, "marty_sup")
+    pts = ex.as_points(K, fam[0].arity)
+    return _family_sup((sharp_batch(f, pts) for f in fam), pts, "marty_sup")
 
 
 def mu_local_boundedness(family, K) -> SupEstimate:
@@ -276,7 +277,8 @@ def mu_local_boundedness(family, K) -> SupEstimate:
     fam = _as_family(family)
     if fam[0].arity != 1:
         raise InputError("mu_local_boundedness applies to one-variable families")
-    return _family_sup(fam, ex.as_points(K, 1), mu_batch, "mu_local_boundedness")
+    pts = ex.as_points(K, 1)
+    return _family_sup((mu_batch(f, pts) for f in fam), pts, "mu_local_boundedness")
 
 
 # --------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 A :class:`PowerSeries` stores finitely many coefficients c_alpha indexed by
 multi-indices alpha (tuples of nonnegative integers).  Restriction to a
 complex line z = lambda*c produces a one-variable series whose coefficients
-are b_m = sum over |alpha| = m of c_alpha * c**alpha; the radius of
-convergence of that restriction is estimated by a windowed root test.
+are b_m = P_m(c), the homogeneous part of degree m at c; array passes over
+the terms evaluate every P_m at many points at once (``_part_sums``).  The
+radius of convergence of a restriction is estimated by a windowed root test.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -23,6 +24,10 @@ from . import expr as ex
 
 DEFAULT_MAX_DEGREE = 64
 DEFAULT_WINDOW = 0.5
+
+#: (point, term) products ``_part_sums`` holds at once (2 MB complex), and the
+#: terms of one group of whole degrees (a degree with more is a group alone)
+BLOCK, GROUP_TERMS = 1 << 17, 4096
 
 MultiIndex = tuple  # tuple of nonnegative ints; degree is sum(alpha)
 
@@ -48,12 +53,18 @@ class PowerSeries:
     """Finitely supported coefficient map for a series in ``arity`` variables.
 
     ``terms`` maps multi-indices to nonzero complex coefficients; zeros are
-    never stored, so lacunary series cost what their support costs.
+    never stored, so lacunary series cost what their support costs.  Sorted
+    by (degree, multi-index), the terms are derived once as arrays:
+    ``exponents`` (T, arity), ``values`` (T,) and ``offsets``, where the
+    terms of degree m are rows offsets[m]:offsets[m + 1].
     """
 
     arity: int
     max_degree: int
     terms: dict = field(default_factory=dict)
+    exponents: np.ndarray = field(init=False, repr=False, compare=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if _integer(self.arity, "arity") < 1:
@@ -75,6 +86,11 @@ class PowerSeries:
                     raise InputError(f"duplicate multi-index {t}")
                 clean[t] = c
         object.__setattr__(self, "terms", clean)
+        order = sorted(clean, key=lambda t: (sum(t), t))
+        E = np.array(order, dtype=np.intp).reshape(len(order), self.arity)
+        object.__setattr__(self, "exponents", E)
+        object.__setattr__(self, "values", np.array([clean[t] for t in order], dtype=complex))
+        object.__setattr__(self, "offsets", np.searchsorted(E.sum(1), range(self.max_degree + 2)))
 
     def coefficient(self, alpha) -> complex:
         return self.terms.get(tuple(alpha), 0j)
@@ -101,49 +117,74 @@ def partial_sum(F: PowerSeries, m: int) -> ex.HoloExpr:
     """The polynomial sum of all terms of degree at most ``m``, as an expression."""
     if not 0 <= m <= F.max_degree:
         raise InputError(f"partial-sum degree {m} outside 0..{F.max_degree}")
-    picked = sorted(
-        (alpha, c) for alpha, c in F.terms.items() if sum(alpha) <= m
-    )
     node = None
-    for alpha, c in picked:
+    for alpha, c in sorted((alpha, c) for alpha, c in F.terms.items() if sum(alpha) <= m):
         term: ex.Node = ex.Const(c)
         for k, a in enumerate(alpha, start=1):
-            if a == 1:
-                term = ex.Mul(term, ex.Var(k))
-            elif a > 1:
-                term = ex.Mul(term, ex.Pow(ex.Var(k), a))
+            if a:
+                term = ex.Mul(term, ex.Var(k) if a == 1 else ex.Pow(ex.Var(k), a))
         node = term if node is None else ex.Add(node, term)
-    if node is None:
-        node = ex.Const(0j)
-    return ex.HoloExpr(node, F.arity)
+    return ex.HoloExpr(ex.Const(0j) if node is None else node, F.arity)
+
+
+def _part_sums(F: PowerSeries, Z: np.ndarray, polys) -> list:
+    """For each (exponent matrix, coefficient vector) in ``polys``, laid out
+    like ``F.exponents`` and ``F.values``, the (len(Z), max_degree + 1) array
+    whose column m sums coeff * z**alpha over the terms of degree m at the
+    rows z of Z.  Points go in row blocks, and terms in groups of the whole
+    degrees that start within one GROUP_TERMS-wide run of rows, so about
+    BLOCK products are held at once.  No sum uses BLAS.
+    """
+    starts, M = F.offsets, F.max_degree
+    degs = np.flatnonzero(np.diff(starts))  # the degrees that hold terms
+    cuts = np.flatnonzero(np.diff(starts[degs] // GROUP_TERMS)) + 1
+    groups = [(starts[g[0]], starts[g[-1] + 1], g) for g in np.split(degs, cuts) if g.size]
+    rows = max(1, BLOCK // max((e - s for s, e, _ in groups), default=1))
+    outs = [np.zeros((len(Z), M + 1), dtype=np.result_type(Z, a)) for _, a in polys]
+    for r in range(0, len(Z), rows):
+        steps = np.repeat(Z[r:r + rows].T[:, :, None], M + 1, axis=2)
+        steps[:, :, 0] = 1
+        powers = np.cumprod(steps, axis=2)  # powers[k, i, j] = Z[r + i, k] ** j
+        for s, e, full in groups:
+            for (E, a), out in zip(polys, outs):
+                # distinct C-contiguous operands of one shape: numpy's other
+                # complex multiply loops (broadcast, strided) round apart
+                t = np.repeat(a[None, s:e], powers.shape[1], axis=0)
+                for k in range(F.arity):
+                    t = t * np.take(powers[k], E[s:e, k], axis=1)
+                out[r:r + rows, full] = np.add.reduceat(t, starts[full] - s, axis=1)
+    return outs
+
+
+def restrict_to_lines(F: PowerSeries, C) -> np.ndarray:
+    """The (directions, max_degree + 1) matrix of b_m = P_m(c), the
+    coefficients of lambda -> F(lambda * c), for the rows c of ``C``.  A b_m
+    within 8 (count_m + 1) eps sum |terms| is rounding noise: exact zero."""
+    C = np.asarray(C, dtype=complex)
+    if C.ndim != 2 or C.shape[1] != F.arity:
+        raise InputError(f"direction must have {F.arity} coordinates")
+    b, = _part_sums(F, C, [(F.exponents, F.values)])
+    scale, = _part_sums(F, np.abs(C), [(F.exponents, np.abs(F.values))])
+    b[np.abs(b) <= 8.0 * (np.diff(F.offsets) + 1.0) * np.finfo(float).eps * scale] = 0.0
+    return b
 
 
 def restrict_to_line(F: PowerSeries, c) -> UniSeries:
-    """Coefficients of lambda -> F(lambda * c), degree by degree.
+    """Coefficients of lambda -> F(lambda * c): ``restrict_to_lines``'s row."""
+    return UniSeries(restrict_to_lines(F, np.asarray(c, dtype=complex)[None])[0])
 
-    Each coefficient is a sum over the multi-indices of its degree; a sum
-    whose result sits below the rounding noise of its own terms carries no
-    information and is returned as exact zero.
+
+def partial_sum_jets(F: PowerSeries, Z) -> tuple[np.ndarray, np.ndarray]:
+    """Values (M+1, N) and gradients (M+1, N, n) of the partial sums f_0 ..
+    f_M at the N rows of ``Z``: cumulative sums over k of the homogeneous
+    parts P_k and their gradients, each evaluated once (no expression tree).
     """
-    cv = np.asarray(c, dtype=complex)
-    if cv.shape != (F.arity,):
-        raise InputError(f"direction must have {F.arity} coordinates")
-    b = np.zeros(F.max_degree + 1, dtype=complex)
-    scale = np.zeros(F.max_degree + 1)
-    counts = np.zeros(F.max_degree + 1)
-    for alpha, coeff in F.terms.items():
-        prod = coeff
-        for ck, a in zip(cv, alpha):
-            if a:
-                prod *= ck ** a
-        m = sum(alpha)
-        b[m] += prod
-        scale[m] += abs(prod)
-        counts[m] += 1
-    eps = np.finfo(float).eps
-    noise = 8.0 * (counts + 1.0) * eps * scale
-    b[np.abs(b) <= noise] = 0.0
-    return UniSeries(b)
+    E, a = F.exponents, F.values
+    polys = [(E, a)] + [(np.maximum(E - np.eye(F.arity, dtype=E.dtype)[j], 0), E[:, j] * a)
+                        for j in range(F.arity)]
+    parts = _part_sums(F, np.asarray(Z, dtype=complex), polys)
+    grads = np.cumsum(np.stack(parts[1:], axis=2), axis=1).transpose(1, 0, 2)
+    return np.cumsum(parts[0], axis=1).T, grads
 
 
 def radius_estimate(u: UniSeries, window: float = DEFAULT_WINDOW) -> float:

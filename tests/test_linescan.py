@@ -1,5 +1,6 @@
 """Line-slice tests on the ball and the Hartogs series sweep."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import holonorm as hn
 from holonorm import linescan as ls
 from holonorm import normality as nr
+from holonorm import sampling as sp
 from holonorm import series as se
 
 
@@ -298,6 +300,77 @@ def test_hartogs_validation():
         ls.hartogs_test(geometric_series(), R_min=0.0)
     with pytest.raises(hn.InputError):
         ls.hartogs_test(geometric_series(), ls.direction_set(3, 4, 0))
+
+
+def test_hartogs_rejects_non_finite_rmin():
+    for bad in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(hn.InputError, match="R_min"):
+            ls.hartogs_test(geometric_series(), ls.direction_set(2, 4, 0), R_min=bad,
+                            probe_partial_sums=False)
+
+
+def exp_series(a, degree: int) -> se.PowerSeries:
+    """Total-degree truncation of exp(a . z): coefficients a^alpha / alpha!."""
+    terms = {}
+    for alpha in itertools.product(range(degree + 1), repeat=len(a)):
+        if sum(alpha) <= degree:
+            terms[alpha] = complex(np.prod([ak ** e / math.factorial(e)
+                                            for ak, e in zip(a, alpha)]))
+    return se.PowerSeries(len(a), degree, terms)
+
+
+def seeded_vector(seed: int, arity: int, norm: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return norm * unit(rng.standard_normal(arity) + 1j * rng.standard_normal(arity))
+
+
+def scaled_factorial_series(degree: int = 32, s: float = 0.1) -> se.PowerSeries:
+    # k! (s z1)^k + k! (s z1 z2)^(k/2): radius about e / (s k) along e1
+    terms = {(k, 0): math.factorial(k) * s ** k for k in range(degree + 1)}
+    terms.update({(k, k): math.factorial(k) * s ** k for k in range(1, degree // 2 + 1)})
+    return se.PowerSeries(2, degree, terms)
+
+
+@pytest.mark.parametrize("F, count, seed", [
+    pytest.param(geometric_series(2, 24), 16, 0, id="geometric"),
+    pytest.param(exp_series(seeded_vector(1, 2, 0.6), 24), 16, 3, id="exp2"),
+    pytest.param(exp_series(seeded_vector(2, 3, 1.3), 20), 8, 5, id="exp3"),
+    pytest.param(scaled_factorial_series(), 8, 7, id="scaled-factorial"),
+])
+def test_hartogs_probe_matches_marty_sup_of_partial_sum_trees(F, count, seed):
+    """The probe reads the partial sums' jets from the homogeneous parts;
+    marty_sup of the partial_sum trees on the same grid is the reference."""
+    v, _, probe = ls.hartogs_test(F, ls.direction_set(F.arity, count, seed), seed=seed)
+    worst = v.estimate.sup_value
+    ball_r = min(0.5 * worst if math.isfinite(worst) else 1.0, 4.0)
+    grid = sp.ball_grid(F.arity, ball_r, 32, 8, seed)
+    ref = nr.marty_sup([se.partial_sum(F, m) for m in range(F.max_degree + 1)], grid)
+    assert abs(probe.sup_value - ref.sup_value) <= 1e-13 * ref.sup_value
+    assert np.array_equal(probe.argmax_point, ref.argmax_point)
+    assert probe.samples == ref.samples
+    growth = [s for _, s in probe.growth_series]
+    assert [k for k, _ in probe.growth_series] == [float(k) for k in range(1, F.max_degree + 2)]
+    assert all(b >= a for a, b in zip(growth, growth[1:]))
+    assert np.allclose(growth, [s for _, s in ref.growth_series], rtol=1e-13, atol=0)
+
+
+def test_hartogs_dense_arity3_degree48_with_probe():
+    """The 20,825-term truncation of exp(a . z) in three variables.
+
+    On a unit line the coefficients are s^m / m! with s <= |a|, and
+    m! >= (m / e)^m, so every windowed root-test radius is at least
+    lo / (e |a|), lo the window's first degree.  On the ball of radius at
+    most 4 the partial sums' sharp is at most |grad f_m| <= |a| e^(4 |a|).
+    """
+    a = seeded_vector(7, 3, 0.6)
+    F = exp_series(a, 48)
+    assert len(F) == 20825
+    v, reports, probe = ls.hartogs_test(F)
+    assert v.classification == ls.CONVERGENT
+    lo = F.max_degree - math.ceil(se.DEFAULT_WINDOW * F.max_degree) + 1
+    norm = float(np.linalg.norm(a))
+    assert min(r.radius for r in reports) >= lo / (math.e * norm)
+    assert 0.0 < probe.sup_value <= norm * math.exp(4.0 * norm)
 
 
 def test_line_report_serialization():

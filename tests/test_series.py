@@ -3,11 +3,13 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holonorm import expr as ex
 import holonorm.series as se
 from holonorm.errors import InputError
 
@@ -42,6 +44,106 @@ def test_partial_sum_range_check():
         se.partial_sum(F, 3)
     with pytest.raises(InputError):
         se.partial_sum(F, -1)
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def lacunary_series(draw):
+    """Sparse series of arity 1-4 and degree 16-64 whose terms sit on a
+    strided, gappy set of degrees, with directions whose coordinates are 0 or
+    of modulus at least 1e-3 before normalising: with coefficients of modulus
+    1e-3..1e3 no power or product underflows, so rounding stays relative."""
+    arity, degree = draw(st.integers(1, 4)), draw(st.integers(16, 64))
+    stride = draw(st.integers(1, 9))
+    terms = {}
+    for _ in range(draw(st.integers(1, 30))):
+        m = stride * draw(st.integers(0, degree // stride))
+        cuts = sorted(draw(st.lists(st.integers(0, m), min_size=arity - 1, max_size=arity - 1)))
+        alpha = tuple(int(x) for x in np.diff([0, *cuts, m]))
+        mod = 10.0 ** draw(st.floats(-3.0, 3.0))
+        terms[alpha] = mod * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    part = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+    rows = [np.eye(arity)[0]]
+    for _ in range(draw(st.integers(1, 3))):
+        c = np.array([complex(draw(part), draw(part)) for _ in range(arity)])
+        if np.any(c):
+            rows.append(c / np.linalg.norm(c))
+    return se.PowerSeries(arity, degree, terms), np.array(rows, dtype=complex)
+
+
+@given(case=lacunary_series())
+@settings(max_examples=80, deadline=None)
+def test_restriction_matches_mpmath_reference(case):
+    """Each b_m of the batched restriction against a 40-digit sum.
+
+    A term a c^alpha takes at most m + arity complex products, each within
+    1.2 eps relative, and the sum of count_m terms adds at most count_m eps
+    sum |terms|; an entry within 8 (count_m + 1) eps sum |terms| is zeroed.
+    So a returned b_m != 0 lies within (count_m + 2 (m + arity)) eps sum
+    |terms| of the exact value, and a zeroed one is exact zero within that
+    plus the zeroing band.  ``restrict_to_line`` is the batched row, bit for
+    bit.
+    """
+    F, C = case
+    B = se.restrict_to_lines(F, C)
+    assert B.shape == (len(C), F.max_degree + 1)
+    counts = np.diff(F.offsets)
+    with mpmath.workdps(40):
+        for c, row in zip(C, B):
+            assert se.restrict_to_line(F, c).coefficients.tobytes() == row.tobytes()
+            ref = [mpmath.mpc(0)] * (F.max_degree + 1)
+            scale = [mpmath.mpf(0)] * (F.max_degree + 1)
+            for alpha, coeff in F.terms.items():
+                t = mpmath.mpc(coeff.real, coeff.imag)
+                for ck, a in zip(c, alpha):
+                    t *= mpmath.mpc(ck.real, ck.imag) ** a
+                ref[sum(alpha)] += t
+                scale[sum(alpha)] += abs(t)
+            for m, b in enumerate(row):
+                err = float(abs(mpmath.mpc(b.real, b.imag) - ref[m]))
+                bound = (counts[m] + 2 * (m + F.arity)) * EPS * float(scale[m])
+                if b == 0:
+                    bound += 8 * (counts[m] + 1) * EPS * float(scale[m])
+                assert err <= bound, (m, b, complex(ref[m]), float(scale[m]))
+
+
+@pytest.mark.parametrize("count", [1, 2, 40])
+def test_restrict_to_line_is_the_batched_row(count):
+    # a series of one term is where numpy's broadcast and one-element
+    # in-place complex multiply loops would round apart from its
+    # contiguous loop, so a row alone would differ from the batch
+    rng = np.random.default_rng(count)
+    terms = {(int(a), int(b)): complex(*rng.standard_normal(2))
+             for a, b in rng.integers(0, 9, (count, 2))}
+    F = se.PowerSeries(2, 16, terms)
+    C = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    B = se.restrict_to_lines(F, C)
+    for c, row in zip(C, B):
+        assert se.restrict_to_line(F, c).coefficients.tobytes() == row.tobytes()
+
+
+def test_restrict_zeroes_rounding_noise_only():
+    # along (0.6, 0.8) the degree-2 part 16 z1^2 - 9 z2^2 vanishes, and the
+    # rounding of its two terms is zeroed; scaled by 1 - 1e-9, 5.76e-9 is
+    # left, far above the noise band of 8 * 3 * eps * 11.52 = 6.1e-14
+    c = (0.6, 0.8)
+    exact = se.PowerSeries(2, 2, {(2, 0): 16.0, (0, 2): -9.0})
+    near = se.PowerSeries(2, 2, {(2, 0): 16.0, (0, 2): -9.0 * (1 - 1e-9)})
+    assert se.restrict_to_line(exact, c).coefficients[2] == 0
+    assert se.restrict_to_line(near, c).coefficients[2] == pytest.approx(5.76e-9, rel=1e-6)
+
+
+def test_partial_sum_jets_match_the_trees():
+    F = se.PowerSeries(2, 5, {(0, 0): 1 - 1j, (2, 1): 0.5j, (0, 4): 2 + 0j, (1, 4): -1 + 0j})
+    Z = np.array([[0.3 - 0.2j, 0.5j], [0.0, 0.0], [-0.7 + 0.1j, 0.2 + 0.6j]])
+    vals, grads = se.partial_sum_jets(F, Z)
+    assert vals.shape == (6, 3) and grads.shape == (6, 3, 2)
+    for m in range(6):
+        tree_vals, tree_grads, _ = ex.eval_jet_batch(se.partial_sum(F, m), Z)
+        assert np.allclose(vals[m], tree_vals, rtol=1e-14, atol=1e-15)
+        assert np.allclose(grads[m], tree_grads, rtol=1e-14, atol=1e-15)
 
 
 def test_restrict_product_diagonal():
