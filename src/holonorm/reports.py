@@ -23,18 +23,12 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+#: JSON string escapes: the quote, the backslash and the controls U+0000-U+001F
+_ESCAPES = {0x22: '\\"', 0x5C: "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}}
+
+
 def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_ESCAPES)
 
 
 def canonical_json(obj: Any, indent: int = 0) -> str:

@@ -141,6 +141,8 @@ def ball_ladder_grids(arity: int, ladder=DEFAULT_LADDER, directions: int = 64,
     Coordinate axes lead the direction list, then seeded sphere points.
     """
     lad = check_ladder(ladder)
+    if radii < 1:
+        raise InputError("need at least 1 radius")
     dirs = np.concatenate([axis_directions(arity),
                            unit_sphere_points(arity, directions, seed)])
     grids = []

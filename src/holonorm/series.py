@@ -29,23 +29,25 @@ DEFAULT_WINDOW = 0.5
 #: terms of one group of whole degrees (a degree with more is a group alone)
 BLOCK, GROUP_TERMS = 1 << 17, 4096
 
-MultiIndex = tuple  # tuple of nonnegative ints; degree is sum(alpha)
+_INTP_MAX = int(np.iinfo(np.intp).max)
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int if it is an integer, not a bool, float or string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+def _integer(value, what: str, lo: int = 0, hi: int = _INTP_MAX) -> int:
+    """``value`` as an int if it is an integer in lo..hi (an ``np.intp``),
+    not a bool, float or string.  The exact type goes first: ABC checks are slow."""
+    if type(value) is not int and (type(value) is bool or not isinstance(value, numbers.Integral)):
         raise InputError(f"{what} must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        raise InputError(f"{what} must lie in {lo}..{hi}")
     return int(value)
 
 
-def _check_alpha(alpha, arity: int) -> MultiIndex:
-    t = tuple(_integer(a, "exponent") for a in alpha)
-    if len(t) != arity:
-        raise InputError(f"multi-index {t} has length {len(t)}, expected {arity}")
-    if any(a < 0 for a in t):
-        raise InputError(f"multi-index {t} has a negative exponent")
-    return t
+def _complex(*parts) -> complex:
+    """complex(*parts), with a part beyond the float range read as inf."""
+    try:
+        return complex(*parts)
+    except OverflowError:
+        return complex(math.inf)
 
 
 @dataclass(frozen=True)
@@ -67,23 +69,22 @@ class PowerSeries:
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if _integer(self.arity, "arity") < 1:
-            raise InputError("arity must be at least 1")
-        if _integer(self.max_degree, "max_degree") < 0:
-            raise InputError("max_degree must be nonnegative")
+        _integer(self.arity, "arity", lo=1)
+        _integer(self.max_degree, "max_degree", hi=_INTP_MAX - 2)  # len(offsets) is max_degree + 2
         clean = {}
         for alpha, c in self.terms.items():
-            t = _check_alpha(alpha, self.arity)
+            try:
+                t = tuple([_integer(a, "exponent") for a in alpha])
+            except (InputError, TypeError) as e:
+                raise InputError(f"multi-index {alpha!r}: {e}") from None
+            if len(t) != self.arity:
+                raise InputError(f"multi-index {t} has length {len(t)}, expected {self.arity}")
             if sum(t) > self.max_degree:
-                raise InputError(
-                    f"term {t} exceeds max_degree {self.max_degree}"
-                )
-            c = complex(c)
+                raise InputError(f"term {t} exceeds max_degree {self.max_degree}")
+            c = _complex(c)
             if not cmath.isfinite(c):
                 raise InputError(f"coefficient of {t} is not finite: {c!r}")
             if c != 0:
-                if t in clean:
-                    raise InputError(f"duplicate multi-index {t}")
                 clean[t] = c
         object.__setattr__(self, "terms", clean)
         order = sorted(clean, key=lambda t: (sum(t), t))
@@ -223,26 +224,28 @@ def series_from_dict(obj: Mapping) -> PowerSeries:
 
         {"arity": n, "max_degree": M,
          "terms": [{"alpha": [a1, ..., an], "re": x, "im": y}, ...]}
+
+    This checks the keys, that ``re``/``im`` are numbers and that no
+    ``alpha`` repeats; ``PowerSeries`` validates the rest.
     """
     try:
-        arity = _integer(obj["arity"], "arity")
-        max_degree = _integer(obj["max_degree"], "max_degree")
-        raw_terms = list(obj["terms"])
+        arity, max_degree, raw_terms = obj["arity"], obj["max_degree"], list(obj["terms"])
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed series object: {e}") from e
     terms: dict = {}
     for t in raw_terms:
         try:
-            alpha = tuple(_integer(a, "exponent") for a in t["alpha"])
-            re_im = t["re"], t.get("im", 0.0)
-            if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in re_im):
-                raise InputError("re and im must be numbers")
-            c = complex(*map(float, re_im))
+            alpha, re, im = t["alpha"], t["re"], t.get("im", 0.0)
+            for x in re, im:
+                if type(x) is not float and (type(x) is bool or not isinstance(x, numbers.Real)):
+                    raise InputError("re and im must be numbers")
+            # a JSON array keys as a tuple; PowerSeries names any other alpha as given
+            key = tuple(alpha) if type(alpha) is list else alpha
+            if key in terms:
+                raise InputError("duplicate multi-index")
+            terms[key] = _complex(re, im)
         except (KeyError, TypeError, ValueError) as e:
             raise InputError(f"malformed series term {t!r}: {e}") from e
-        if alpha in terms:
-            raise InputError(f"duplicate multi-index {list(alpha)} in series terms")
-        terms[alpha] = c
     return PowerSeries(arity=arity, max_degree=max_degree, terms=terms)
 
 
@@ -261,7 +264,7 @@ def load_series(path: str) -> PowerSeries:
             obj = json.load(fh)
         except UnicodeDecodeError as e:
             raise InputError(f"series file is not UTF-8 text: {e}") from e
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError, or an integer over int()'s digit limit
             raise InputError(f"invalid series JSON: {e}") from e
     return series_from_dict(obj)
 

@@ -113,6 +113,45 @@ def test_non_finite_series_coefficient_exits_2(capsys, tmp_path):
     assert caught == []
 
 
+@pytest.mark.parametrize("body", [
+    '{"arity": %d, "max_degree": 3, "terms": []}' % 10 ** 20,
+    '{"arity": 1, "max_degree": %d, "terms": []}' % 10 ** 20,
+    '{"arity": 1, "max_degree": 9223372036854775807, "terms": []}',
+    '{"arity": 2, "max_degree": %d, "terms": [{"alpha": [%d, 0], "re": 1.0}]}'
+    % (10 ** 19, 10 ** 19),
+    '{"arity": 1, "max_degree": 3, "terms": [{"alpha": [1], "re": %d}]}' % 10 ** 400,
+    '{"arity": 1, "max_degree": 3, "terms": [{"alpha": [1], "re": 1%s}]}' % ("0" * 5000),
+], ids=["arity", "max_degree", "max_degree-intp-max", "exponent-and-max_degree",
+        "re-401-digits", "re-5001-digits"])
+def test_oversized_series_fields_exit_2(capsys, tmp_path, body):
+    path = tmp_path / "series.json"
+    path.write_text(body)
+    code, out, err = run(capsys, "hartogs", "--series", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("holonorm: input error:") and err.count("\n") == 1
+
+
+def test_malformed_exponent_error_names_its_term(capsys, tmp_path):
+    terms = [{"alpha": [k, 0], "re": 1.0} for k in range(5)]
+    terms[3]["alpha"] = [1.5, 0]
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({"arity": 2, "max_degree": 5, "terms": terms}))
+    code, out, err = run(capsys, "hartogs", "--series", str(path))
+    assert code == 2
+    assert out == ""
+    assert "multi-index (1.5, 0): exponent must be an integer" in err
+
+
+def test_kobayashi_without_boundary_radii_exits_2(capsys):
+    # one radius per rung is the least ladder whose rungs differ
+    code, out, err = run(capsys, "kobayashi", "--expr", "sin(1/(1-z1))", "--arity", "2",
+                         "--radii", "0")
+    assert code == 2
+    assert out == ""
+    assert "radius" in err
+
+
 def test_non_utf8_series_file_exits_2(capsys, tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"arity": 1, "name": "\xe9"}')

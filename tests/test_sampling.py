@@ -53,6 +53,13 @@ def test_ball_ladder_grids_prefix_nested_and_axis_led():
     assert np.count_nonzero(on_e1 & (norms > 0.5)) > 0
 
 
+@pytest.mark.parametrize("radii", [0, -3])
+def test_ball_ladder_grids_need_a_radius_per_rung(radii):
+    # with no radii every annulus is empty and all rungs are one grid
+    with pytest.raises(InputError):
+        sp.ball_ladder_grids(2, (0.2, 0.1), directions=5, radii=radii, seed=0)
+
+
 def test_unit_sphere_points_seeded():
     a = sp.unit_sphere_points(3, 10, seed=4)
     b = sp.unit_sphere_points(3, 10, seed=4)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -320,6 +321,81 @@ def test_json_coercions_rejected(change):
     payload = {"arity": 2, "max_degree": 3, "terms": [{"alpha": [1, 0], "re": 1.0}], **change}
     with pytest.raises(InputError):
         se.series_from_dict(payload)
+
+
+@pytest.mark.parametrize("alpha", [[1.5, 0], "10", [True, 0]])
+def test_malformed_exponent_error_names_the_multi_index(alpha):
+    payload = {"arity": 2, "max_degree": 3,
+               "terms": [{"alpha": [0, 1], "re": 1.0}, {"alpha": alpha, "re": 1.0}]}
+    given = repr(tuple(alpha) if isinstance(alpha, list) else alpha)
+    with pytest.raises(InputError, match=re.escape(f"multi-index {given}: exponent")):
+        se.series_from_dict(payload)
+
+
+INTP_MAX = int(np.iinfo(np.intp).max)
+
+
+@pytest.mark.parametrize("arity, max_degree, terms", [
+    (10 ** 20, 3, {}),
+    (1, 10 ** 20, {}),
+    (1, INTP_MAX, {}),  # offsets would need INTP_MAX + 2 entries
+    (2, 3, {(10 ** 19, 0): 1.0}),
+], ids=["arity", "max_degree", "max_degree-intp-max", "exponent"])
+def test_series_fields_outside_intp_rejected(arity, max_degree, terms):
+    with pytest.raises(InputError, match="must lie in"):
+        se.PowerSeries(arity, max_degree, terms)
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400], ids=["1e400", "-1e400"])
+def test_coefficients_beyond_float_range_are_not_finite(value):
+    with pytest.raises(InputError, match="not finite"):
+        se.PowerSeries(1, 3, {(1,): value})
+    for part in ("re", "im"):
+        payload = {"arity": 1, "max_degree": 3, "terms": [{"alpha": [1], "re": 1.0, part: value}]}
+        with pytest.raises(InputError, match="not finite"):
+            se.series_from_dict(payload)
+
+
+def dense_arity3_series(degree: int = 48) -> se.PowerSeries:
+    """Every multi-index of degree at most ``degree`` in three variables
+    (20,825 at degree 48), with seeded coefficients of moduli 1e-300..1e300."""
+    alphas = [(a, b, m - a - b) for m in range(degree + 1)
+              for a in range(m + 1) for b in range(m - a + 1)]
+    rng = np.random.default_rng(7)
+    scale = 10.0 ** rng.integers(-300, 300, (len(alphas), 1))
+    parts = rng.standard_normal((len(alphas), 2)) * scale
+    return se.PowerSeries(3, degree, {alpha: complex(x, y) for alpha, (x, y) in zip(alphas, parts)})
+
+
+def test_loading_checks_each_integer_once(monkeypatch):
+    F = dense_arity3_series(6)
+    payload = se.series_to_dict(F)
+    calls = []
+    check = se._integer
+
+    def counted(value, what, **bounds):
+        calls.append(what)
+        return check(value, what, **bounds)
+
+    monkeypatch.setattr(se, "_integer", counted)
+    G = se.series_from_dict(payload)
+    assert G.terms == F.terms
+    assert len(calls) == len(F) * F.arity + 2
+    assert calls.count("exponent") == len(F) * F.arity
+
+
+def test_dense_series_round_trips_bit_for_bit(tmp_path):
+    F = dense_arity3_series()
+    assert len(F) == 20825
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(se.series_to_dict(F)))
+    G = se.load_series(str(path))
+    assert (G.arity, G.max_degree) == (F.arity, F.max_degree)
+    assert G.terms == F.terms
+    for name in ("exponents", "values", "offsets"):
+        got, want = getattr(G, name), getattr(F, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("text", ["1e400", "Infinity", "NaN"])
