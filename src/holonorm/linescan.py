@@ -209,9 +209,7 @@ def alexander_family_test(family, D: DirectionSet | None = None,
     and along slices reports both sides of the slice-versus-ball comparison.
     A singleton family reproduces alexander_function_test report for report.
     """
-    fam = [f for f in family]
-    if not fam:
-        raise InputError("family must be nonempty")
+    fam = nr._as_family(family)
     arity = fam[0].arity
     verdict, reports = _slice_verdicts(fam, _check_directions(D, arity),
                                        ladder, radii, angles)
@@ -272,6 +270,6 @@ def hartogs_test(F: se.PowerSeries, D: DirectionSet | None = None,
         if ball_r > 0:
             grid = ex.as_points(sp.ball_grid(F.arity, ball_r, 32, 8, seed), F.arity)
             vals, grads = se.partial_sum_jets(F, grid)
-            sharp = np.linalg.norm(grads, axis=2) / (1.0 + np.abs(vals) ** 2)
+            sharp = nr._spherical(np.linalg.norm(grads, axis=2), vals)
             partial_report = nr._family_sup(sharp, grid, "marty_sup")
     return verdict, reports, partial_report

@@ -64,7 +64,7 @@ def poincare_tensor(z) -> float:
     """Metric coefficient 2/(1-|z|^2)^2 at a point of the open disc."""
     zz = complex(z)
     s = abs(zz) ** 2
-    if s >= 1.0:
+    if not s < 1.0:
         raise InputError(f"point with |z| = {math.sqrt(s):.6g} is not in the open disc")
     return 2.0 / (1.0 - s) ** 2
 
@@ -72,7 +72,7 @@ def poincare_tensor(z) -> float:
 def poincare_distance(z1, z2) -> float:
     """Geodesic distance for the 2/(1-|z|^2)^2 tensor."""
     a, b = complex(z1), complex(z2)
-    if abs(a) >= 1.0 or abs(b) >= 1.0:
+    if not (abs(a) < 1.0 and abs(b) < 1.0):
         raise InputError("poincare distance needs points of the open disc")
     delta = abs((a - b) / (1.0 - b.conjugate() * a))
     return math.sqrt(2.0) * math.atanh(delta)
@@ -102,12 +102,19 @@ def _point(z, arity: int) -> np.ndarray:
     return a
 
 
+def _in_ball(z, arity: int, message: str):
+    """(z, |z|^2) for a point z of C^arity; InputError(message) unless
+    |z|^2 < 1, a test that NaN fails."""
+    zz = _point(z, arity)
+    s = float(np.vdot(zz, zz).real)
+    if not s < 1.0:
+        raise InputError(message)
+    return zz, s
+
+
 def bergman_kernel_ball(B: BallDomain, z) -> float:
     """On-diagonal Bergman kernel of the unit ball, n!/pi^n (1-|z|^2)^-(n+1)."""
-    zz = _point(z, B.arity)
-    s = float(np.vdot(zz, zz).real)
-    if s >= 1.0:
-        raise InputError("kernel evaluation point must lie in the open ball")
+    _, s = _in_ball(z, B.arity, "kernel evaluation point must lie in the open ball")
     n = B.arity
     return math.factorial(n) / math.pi ** n * (1.0 - s) ** (-(n + 1))
 
@@ -119,10 +126,7 @@ def bergman_tensor_ball(B: BallDomain, z) -> np.ndarray:
 
     g_{mu nu} = (n+1) [ delta_{mu nu}/(1-|z|^2) + conj(z_mu) z_nu/(1-|z|^2)^2 ].
     """
-    zz = _point(z, B.arity)
-    s = float(np.vdot(zz, zz).real)
-    if s >= 1.0:
-        raise InputError("metric evaluation point must lie in the open ball")
+    zz, s = _in_ball(z, B.arity, "metric evaluation point must lie in the open ball")
     n = B.arity
     d = 1.0 - s
     g = np.eye(n, dtype=complex) / d + np.outer(zz.conjugate(), zz) / (d * d)
@@ -132,6 +136,8 @@ def bergman_tensor_ball(B: BallDomain, z) -> np.ndarray:
 def _length_sq(zz: np.ndarray, vv: np.ndarray, d: float) -> float:
     """|v|^2/d + |<v, z>|^2/d^2: the squared Kobayashi length of v at z in
     the unit ball for d = 1 - |z|^2, and 1/(n+1) of the Bergman one."""
+    if not np.isfinite(vv).all():
+        raise InputError("tangent vector must be finite")
     v2 = float(np.vdot(vv, vv).real)
     pair = complex(np.sum(vv * zz.conjugate()))  # <v, z>
     return v2 / d + abs(pair) ** 2 / (d * d)
@@ -139,12 +145,8 @@ def _length_sq(zz: np.ndarray, vv: np.ndarray, d: float) -> float:
 
 def bergman_norm_sq(B: BallDomain, z, v) -> float:
     """Closed-form squared Bergman length of tangent vector v at z."""
-    zz = _point(z, B.arity)
-    vv = _point(v, B.arity)
-    s = float(np.vdot(zz, zz).real)
-    if s >= 1.0:
-        raise InputError("metric evaluation point must lie in the open ball")
-    return (B.arity + 1) * _length_sq(zz, vv, 1.0 - s)
+    zz, s = _in_ball(z, B.arity, "metric evaluation point must lie in the open ball")
+    return (B.arity + 1) * _length_sq(zz, _point(v, B.arity), 1.0 - s)
 
 
 # --------------------------------------------------------------------------
@@ -154,7 +156,7 @@ def bergman_norm_sq(B: BallDomain, z, v) -> float:
 def disc_automorphism(a: complex, theta: float) -> ex.HoloExpr:
     """The disc automorphism z -> e^{i theta} (a - z)/(1 - conj(a) z)."""
     aa = complex(a)
-    if abs(aa) >= 1.0:
+    if not abs(aa) < 1.0:
         raise InputError("automorphism parameter must satisfy |a| < 1")
     z = ex.var_expr(1, 1)
     phase = ex.const_expr(complex(math.cos(theta), math.sin(theta)), 1)
@@ -193,13 +195,8 @@ class BallAutomorphism:
 
 def ball_automorphism(a) -> BallAutomorphism:
     """Construct phi_a for a point a of the open unit ball."""
-    aa = np.asarray(a, dtype=complex)
-    if aa.ndim == 0:
-        aa = aa.reshape(1)
-    n = aa.shape[0]
-    norm2 = float(np.vdot(aa, aa).real)
-    if norm2 >= 1.0:
-        raise InputError("automorphism center must lie in the open ball")
+    aa, norm2 = _in_ball(a, np.size(a), "automorphism center must lie in the open ball")
+    n = len(aa)
     comps = []
     if norm2 == 0.0:
         for mu in range(n):
@@ -235,9 +232,7 @@ def kobayashi_closed_form_ball(z, v) -> float:
     vv = np.asarray(v, dtype=complex).reshape(-1)
     if zz.shape != vv.shape:
         raise InputError("point and vector must have matching arity")
-    s = float(np.vdot(zz, zz).real)
-    if s >= 1.0:
-        raise InputError("Kobayashi evaluation point must lie in the open ball")
+    zz, s = _in_ball(zz, zz.size, "Kobayashi evaluation point must lie in the open ball")
     return math.sqrt(_length_sq(zz, vv, 1.0 - s))
 
 
@@ -541,14 +536,12 @@ def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
         v_norm = big * float(np.linalg.norm(vv / big)) if big > 0.0 else 0.0
     if not 0.0 < v_norm < math.inf:
         raise InputError("direction vector must be nonzero, with a finite norm")
-    nz = float(np.linalg.norm(zz))
-    if nz >= 1.0:
-        raise InputError("base point must lie in the open ball")
+    _, s = _in_ball(zz, B.arity, "base point must lie in the open ball")
     v_hat = vv / v_norm
 
     affine = _affine_candidate(zz, v_hat, v_norm)
     candidates = [] if affine is None else [[affine]]
-    if nz > 1e-12 and budget > 1:
+    if s > 1e-24 and budget > 1:
         t, q = _extremal_parameters(zz, v_hat)
         if abs(q) > 1e-14:
             degrees = _GEODESIC_DEGREES[:budget - 1]

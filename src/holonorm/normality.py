@@ -138,14 +138,18 @@ def mu(f: ex.HoloExpr, z) -> float:
     return 2.0 * d / (1.0 + abs(jet.value) ** 2)
 
 
-def _mu_values(vals: np.ndarray, deriv: np.ndarray) -> np.ndarray:
-    """2|deriv|/(1+|vals|^2), rounded as written, in a new and a scratch array."""
-    out = np.abs(deriv)
-    np.multiply(2.0, out, out=out)
+def _sphere_den(vals: np.ndarray) -> np.ndarray:
+    """1 + |vals|^2, rounded as written, in one new array."""
     den = np.abs(vals)
     np.square(den, out=den)
-    np.add(1.0, den, out=den)
-    return np.divide(out, den, out=out)
+    return np.add(1.0, den, out=den)
+
+
+def _spherical(num: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The f# kernel: num / (1 + |vals|^2), written into ``num``, a float
+    array the caller forms (2|f'| for mu, |grad f| for sharp, the boundary
+    weight times |f'| for the disc probe)."""
+    return np.divide(num, _sphere_den(vals), out=num)
 
 
 def _mu_along(f: ex.HoloExpr, phi, lam) -> np.ndarray:
@@ -155,12 +159,14 @@ def _mu_along(f: ex.HoloExpr, phi, lam) -> np.ndarray:
     both routes come back NaN."""
     lam = np.ascontiguousarray(ex.as_points(lam, 1)[:, 0])
     vals, deriv, pole = ex._map_jets(f, phi, lam)
-    out = _mu_values(vals, deriv)
+    num = np.abs(deriv)
+    out = _spherical(np.multiply(2.0, num, out=num), vals)
     bad = ~np.isfinite(out)
     bad |= pole
     if bad.any():
         rvals, rderiv, rpole = ex._map_jets(f.inverse, phi, lam[bad])
-        rout = _mu_values(rvals, rderiv)
+        num = np.abs(rderiv)
+        rout = _spherical(np.multiply(2.0, num, out=num), rvals)
         rout[rpole] = np.nan
         out[bad] = rout
     return out
@@ -222,7 +228,7 @@ def sharp_batch(f: ex.HoloExpr, Z) -> np.ndarray:
     if f.arity == 1:
         return 0.5 * mu_batch(f, Z)
     vals, grads, pole = ex.eval_jet_batch(f, Z)
-    out = np.linalg.norm(grads, axis=1) / (1.0 + np.abs(vals) ** 2)
+    out = _spherical(np.linalg.norm(grads, axis=1), vals)
     out[pole] = np.nan
     return out
 
@@ -307,22 +313,20 @@ def rung_sups(tables, lengths, points):
     """Per-rung suprema of a family of sample tables on cumulative grids.
 
     ``tables`` hold each member's samples at ``points``; rung k covers the
-    first ``lengths[k]`` of them, and the last rung covers them all.
-    Returns (sups, argmax point, running), where running[i] is the supremum
-    over the first i+1 members at the last rung.
+    first ``lengths[k]`` of them, and the last rung covers them all.  Each
+    rung reads the top of its first member at the maximum, or NaN when a
+    member's top is NaN.  The argmax point comes from the first rung at the
+    largest finite sup.  Returns (sups, argmax point, running), where
+    running[i] is the supremum over the first i+1 members at the last rung.
     """
     sups, best, arg = [], -math.inf, None
     for m in lengths:
-        rung_best, tops = -math.inf, []
-        for q in tables:
-            j = int(np.argmax(q[:m]))
-            tops.append(float(q[j]))
-            if tops[-1] > rung_best:
-                rung_best = tops[-1]
-                if rung_best > best:
-                    best = rung_best
-                    arg = points[j]
-        sups.append(rung_best)
+        js = [int(np.argmax(q[:m])) for q in tables]
+        tops = [float(q[j]) for q, j in zip(tables, js)]
+        top = math.nan if any(map(math.isnan, tops)) else max(tops)
+        sups.append(top)
+        if top > best:
+            best, arg = top, points[js[tops.index(top)]]
     return sups, arg, list(itertools.accumulate(tops, max))
 
 
@@ -487,7 +491,7 @@ def _levi_ratio_tables(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale):
     vals, grads, pole = ex.eval_jet_batch(f, Z)
     if pole.any():
         raise InputError("pole signal inside the ball; certifier input must be holomorphic")
-    den = (1.0 + np.abs(vals) ** 2) ** 2
+    den = np.square(_sphere_den(vals))
     d = 1.0 - np.einsum("ij,ij->i", Z, Z.conjugate()).real
     d2, Zc, VT = d ** 2, Z.conjugate(), V.T
     # no one-row block unless m == 1: numpy computes a one-row product by
@@ -561,12 +565,7 @@ def kobayashi_normality_check(f: ex.HoloExpr, z_rungs=None, v_samples=None,
         raise InputError("every z rung must be a nonempty prefix of the deepest rung")
     V = ex.as_points(v_samples, n)
     top = _levi_ratio_tables(f, deep, V, 1)
-    sups, best, arg = [], -math.inf, None
-    for m in map(len, rungs):
-        i = int(np.argmax(top[:m]))
-        if top[i] > best:
-            best, arg = float(top[i]), deep[i]
-        sups.append(float(top[i]))
+    sups, arg, _ = rung_sups([top], [len(r) for r in rungs], deep)
     return ladder_verdict(sups, arg, top.size * V.shape[0], lad)
 
 
@@ -601,6 +600,7 @@ def disc_family_probe(f: ex.HoloExpr, discs=None, count: int = 200,
             vals, deriv, pole = ex._map_jets(f, phi.jets, deep)
             if pole.any():
                 raise InputError("pole signal under a probe disc")
-            per_disc.append(weights * np.abs(deriv) / (1.0 + np.abs(vals) ** 2))
+            per_disc.append(_finite_or_raise(_spherical(weights * np.abs(deriv), vals),
+                                             "disc probe"))
     sups, arg, _ = rung_sups(per_disc, grid.lengths, deep)
     return ladder_verdict(sups, arg, len(per_disc) * deep.shape[0], lad).estimate

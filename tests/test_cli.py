@@ -362,3 +362,15 @@ def test_console_entry_point_matches_module():
     assert proc.stdout == inproc.stdout
     assert json.loads(proc.stdout)["results"]["value"] == pytest.approx(
         1.6, rel=1e-12)
+
+
+def test_disc_probe_with_many_failed_samples_exits_3(capsys):
+    # |exp(3000 z1)|^2 overflows on about 30% of the probe's samples, which
+    # used to drop whole discs from the rungs and exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run(capsys, "disc-probe", "--expr", "exp(3000*z1)", "--arity", "2",
+                             "--count", "20", "--seed", "0")
+    assert code == 3
+    assert out == ""
+    assert "numeric failure: disc probe" in err

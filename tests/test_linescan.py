@@ -385,3 +385,9 @@ def test_line_report_serialization():
     hd = hreports[0].to_dict()
     assert set(hd) == {"direction", "radius", "radius_half"}
     assert hd["radius"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_family_test_rejects_mixed_arities_up_front():
+    fam = [hn.parse("z1", 2), hn.parse("z1*z3", 3)]
+    with pytest.raises(hn.InputError, match="family members must share one arity"):
+        ls.alexander_family_test(fam, ls.direction_set(3, 4, 0))

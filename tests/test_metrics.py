@@ -796,3 +796,31 @@ def test_disc_map_matches_reference_horner(arity, degree):
         assert phi(lam).tobytes() == want.tobytes()
     ring = mt.CONTAINMENT_RING * np.exp(1j * (2.0 * np.pi * np.arange(256) / 256))
     assert phi.boundary_max() == np.max(np.linalg.norm(phi(ring), axis=-1))
+
+
+NAN = complex(math.nan, 0.0)
+B2 = mt.BallDomain(2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mt.bergman_kernel_ball(B2, [NAN, 0.0]),
+    lambda: mt.bergman_tensor_ball(B2, [0.1, NAN]),
+    lambda: mt.bergman_norm_sq(B2, [NAN, 0.0], [1.0, 0.0]),
+    lambda: mt.bergman_norm_sq(B2, [0.1, 0.0], [NAN, 1.0]),
+    lambda: mt.kobayashi_closed_form_ball([NAN, 0.0], [1.0, 0.0]),
+    lambda: mt.kobayashi_closed_form_ball([0.1, 0.0], [1.0, NAN]),
+    lambda: mt.poincare_tensor(NAN),
+    lambda: mt.poincare_distance(0.1, NAN),
+    lambda: mt.poincare_distance(NAN, 0.1),
+    lambda: mt.disc_automorphism(NAN, 0.0),
+    lambda: mt.ball_automorphism([0.1, NAN]),
+], ids=["kernel", "tensor", "norm-z", "norm-v", "kobayashi-z", "kobayashi-v",
+        "poincare-tensor", "poincare-distance-b", "poincare-distance-a",
+        "disc-automorphism", "ball-automorphism"])
+def test_nan_fails_every_membership_test(call):
+    # NaN >= 1.0 is false, so a NaN point used to pass for a point of the
+    # open ball or disc and come back as a NaN value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            call()

@@ -677,3 +677,82 @@ def test_disc_probe_rejects_escaping_disc():
     with pytest.raises(Exception) as err:
         nr.disc_family_probe(f, discs=[bad])
     assert isinstance(err.value, ArithmeticError)
+
+
+def _e1_disc(r):
+    return mt.DiscMap(np.array([[0, 0], [r, 0]], dtype=complex))
+
+
+def test_disc_probe_keeps_a_disc_with_a_few_failed_samples():
+    # |exp(760 * 0.99 l)|^2 overflows to NaN f# on 4.0% of the first disc's
+    # samples, all near l = 1; its sup 760 * 0.99 / 2 is taken at l = 0
+    f = ex.parse("exp(760*z1)", 2)
+    with np.errstate(all="ignore"):
+        est = nr.disc_family_probe(f, discs=[_e1_disc(0.99), _e1_disc(0.5)])
+    assert [s for _, s in est.growth_series] == [760 * 0.99 / 2] * 5
+    assert est.argmax_point == 0
+
+
+@pytest.mark.parametrize("text,kwargs", [
+    ("exp(800*z1)", {"discs": [_e1_disc(0.99), _e1_disc(0.5)]}),  # 7.9% of the first disc
+    ("exp(1300*z1)", {"count": 20, "degree": 2, "seed": 0}),
+])
+def test_disc_probe_raises_when_a_disc_fails_over_5_percent(text, kwargs):
+    with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="disc probe"):
+        nr.disc_family_probe(ex.parse(text, 2), **kwargs)
+
+
+# ------------------------------------------------ shared f# kernel and reducer
+
+def test_rung_sups_ties_go_to_the_first_member():
+    pts = np.array([0.1, 0.2, 0.3, 0.4], dtype=complex)
+    tables = [np.array([1.0, 2.0, 0.0, 0.0]), np.array([2.0, 0.0, 5.0, 5.0])]
+    sups, arg, running = nr.rung_sups(tables, [2, 4], pts)
+    assert sups == [2.0, 5.0]
+    assert arg == pts[2]  # first sample at the member's max
+    assert running == [2.0, 5.0]
+    sups, arg, _ = nr.rung_sups(tables, [2], pts)
+    assert arg == pts[1]  # member 0 wins the tie at 2.0
+
+
+def test_rung_sups_nan_top_makes_its_rung_nan():
+    pts = np.array([0.1, 0.2, 0.3, 0.4], dtype=complex)
+    tables = [np.array([1.0, 3.0, math.nan, 9.0]), np.array([2.0, 0.5, 4.0, 0.0])]
+    sups, arg, _ = nr.rung_sups(tables, [2, 3, 4], pts)
+    assert sups[0] == 3.0
+    assert math.isnan(sups[1]) and math.isnan(sups[2])
+    # the argmax point never comes from a NaN: it stays at the finite rung
+    assert arg == pts[1]
+    sups, arg, _ = nr.rung_sups([np.array([math.nan, 1.0])], [1, 2], pts[:2])
+    assert math.isnan(sups[0]) and math.isnan(sups[1]) and arg is None
+
+
+def test_spherical_kernel_matches_the_inline_formulas():
+    # the formulas the kernel replaced, as each caller wrote them
+    oracles = {
+        "mu": lambda vals, d, g, w: 2.0 * np.abs(d) / (1.0 + np.abs(vals) ** 2),
+        "sharp": lambda vals, d, g, w: np.linalg.norm(g, axis=1) / (1.0 + np.abs(vals) ** 2),
+        "disc": lambda vals, d, g, w: w * np.abs(d) / (1.0 + np.abs(vals) ** 2),
+    }
+    kernels = {
+        "mu": lambda vals, d, g, w: nr._spherical(np.multiply(2.0, np.abs(d)), vals),
+        "sharp": lambda vals, d, g, w: nr._spherical(np.linalg.norm(g, axis=1), vals),
+        "disc": lambda vals, d, g, w: nr._spherical(w * np.abs(d), vals),
+    }
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        m = 500
+        # magnitudes from 1e-200 to 1e200, so |f|^2 overflows past 1e154
+        mag = 10.0 ** rng.uniform(-200, 200, (3, m))
+        phase = np.exp(2j * np.pi * rng.uniform(size=(3, m)))
+        vals, d = mag[0] * phase[0], mag[1] * phase[1]
+        g = (mag[2] * phase[2])[:, None] * rng.standard_normal((m, 3))
+        w = rng.uniform(size=m)
+        assert (np.abs(vals) > 1e154).any()
+        with np.errstate(all="ignore"):
+            for name, oracle in oracles.items():
+                got = kernels[name](vals, d, g, w)
+                assert got.tobytes() == oracle(vals, d, g, w).tobytes(), name
+            # the Levi form's denominator is the kernel's, squared
+            want = (1.0 + np.abs(vals) ** 2) ** 2
+            assert np.square(nr._sphere_den(vals)).tobytes() == want.tobytes()
