@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextvars
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -497,8 +498,9 @@ def _div(va, ta, vb, tb, arg, ws, vo, to):
 def _pow(va, ta, vb, tb, k, ws, vo, to):
     if k == 0:
         return _ONE, (None,) * len(ta)
-    dv = _power(va, k - 1, None if vo is None else ws.tmp)
-    dv = np.multiply(k, dv, out=dv)
+    # k * x ** 1 is k * x bit for bit, but for the sign of a zero
+    tmp = None if vo is None else ws.tmp
+    dv = np.multiply(k, va if k == 2 else _power(va, k - 1, tmp), out=tmp)
     bad = _nonfinite(dv, ws, 0) if _skips(ta) else None
     return _power(va, k, vo), tuple(
         _poison(None, bad, o) if x is None else np.multiply(dv, x, out=_into(o, dv, x))
@@ -551,7 +553,7 @@ class Workspace:
     def take(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
         """Buffer ``name`` as an array of ``shape``, grown on demand; it
         holds what the last call for ``name`` wrote."""
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         buf = self._bufs.get(name)
         if buf is None or buf.shape[0] < size:
             buf = self._bufs[name] = np.empty(size, dtype)
@@ -802,8 +804,8 @@ def line_map(c):
     def phi(lam):
         out = _workspace().take("coordinates", (len(scales), len(lam)))
         tangents = [s * _ONE for s in scales]
-        bad = ~np.isfinite(lam)
-        if bad.any():
+        if not np.isfinite(lam.view(np.float64)).all():
+            bad = ~np.isfinite(lam)
             tangents = [np.where(bad, _NAN, t) for t in tangents]
         # per coordinate, as the tree's c_k * z1: one broadcast product rounds apart at 1 point
         return [np.multiply(s, lam, out=o) for s, o in zip(scales, out)], tangents

@@ -141,7 +141,8 @@ def _slice_verdicts(fam, D: DirectionSet, ladder, radii: int, angles: int):
 
     The ladder grid and the evaluation workspace are built once; per line,
     each member's weighted sharp table comes from its directional jets
-    along the line.
+    along the line, weighted in place: ``line_sharp`` and
+    ``_finite_or_raise`` hand over arrays of their own.
     """
     grid = nr.disc_ladder(ladder, radii, angles)
     reports = []
@@ -150,9 +151,10 @@ def _slice_verdicts(fam, D: DirectionSet, ladder, radii: int, angles: int):
     with ex.Workspace():
         for c in D.directions:
             cc = canonical_direction(c)
-            tables = [grid.weights * nr._finite_or_raise(
-                          nr.line_sharp(f, cc, grid.points), "weighted ladder")
+            tables = [nr._finite_or_raise(nr.line_sharp(f, cc, grid.points), "weighted ladder")
                       for f in fam]
+            for t in tables:
+                np.multiply(grid.weights, t, out=t)
             v = _family_line_verdict(tables, grid, ladder)
             verdicts.append(v)
             reports.append(LineReport(direction=c, verdict=v))

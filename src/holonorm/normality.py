@@ -154,21 +154,22 @@ def _spherical(num: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def _mu_along(f: ex.HoloExpr, phi, lam) -> np.ndarray:
     """mu of f o phi at the points ``lam``, from the jets of f along the
-    map phi (``ex._map_jets``); the reciprocal 1/f is taken on points that
-    are poles or evaluate non-finite (mu(f) = mu(1/f)).  Entries that fail
-    both routes come back NaN."""
+    map phi (``ex._map_jets``), in a new array; the reciprocal 1/f is taken
+    on points that are poles or evaluate non-finite (mu(f) = mu(1/f)).
+    Entries that fail both routes come back NaN."""
     lam = np.ascontiguousarray(ex.as_points(lam, 1)[:, 0])
     vals, deriv, pole = ex._map_jets(f, phi, lam)
     num = np.abs(deriv)
     out = _spherical(np.multiply(2.0, num, out=num), vals)
+    if not pole.any() and np.isfinite(out).all():
+        return out
     bad = ~np.isfinite(out)
     bad |= pole
-    if bad.any():
-        rvals, rderiv, rpole = ex._map_jets(f.inverse, phi, lam[bad])
-        num = np.abs(rderiv)
-        rout = _spherical(np.multiply(2.0, num, out=num), rvals)
-        rout[rpole] = np.nan
-        out[bad] = rout
+    rvals, rderiv, rpole = ex._map_jets(f.inverse, phi, lam[bad])
+    num = np.abs(rderiv)
+    rout = _spherical(np.multiply(2.0, num, out=num), rvals)
+    rout[rpole] = np.nan
+    out[bad] = rout
     return out
 
 
@@ -192,11 +193,12 @@ def line_sharp(f: ex.HoloExpr, c, lam) -> np.ndarray:
 
     The values of ``sharp_batch(restrict_function(f, c), lam)``, from the
     jets of ``f`` along ``ex.line_map(c)`` (no substituted tree), with the
-    same reciprocal fallback at poles.  A default ladder line is one block
-    of ``ex.BLOCK`` points, so f's tape runs once per line, and the line's
-    coordinates and jets stay in the workspace.
+    same reciprocal fallback at poles, in a new array.  A default ladder
+    line is one block of ``ex.BLOCK`` points, so f's tape runs once per
+    line, and the line's coordinates and jets stay in the workspace.
     """
-    return 0.5 * _mu_along(f, ex.line_map(c), lam)
+    out = _mu_along(f, ex.line_map(c), lam)
+    return np.multiply(out, 0.5, out=out)
 
 
 def levi_form(f: ex.HoloExpr, z, v) -> float:
@@ -234,14 +236,14 @@ def sharp_batch(f: ex.HoloExpr, Z) -> np.ndarray:
 
 
 def _finite_or_raise(arr: np.ndarray, what: str):
-    """arr with non-finite entries at -inf; raises when over 5% are."""
+    """arr itself when every entry is finite; else a copy with the
+    non-finite entries at -inf, or ArithmeticError when over 5% are."""
+    if np.isfinite(arr).all():
+        return arr
     bad = ~np.isfinite(arr)
-    if bad.any():
-        frac = float(bad.mean())
-        if frac > 0.05:
-            raise ArithmeticError(
-                f"{what}: {frac:.1%} of samples failed to evaluate"
-            )
+    frac = float(bad.mean())
+    if frac > 0.05:
+        raise ArithmeticError(f"{what}: {frac:.1%} of samples failed to evaluate")
     return np.where(bad, -np.inf, arr)
 
 
@@ -313,16 +315,26 @@ def rung_sups(tables, lengths, points):
     """Per-rung suprema of a family of sample tables on cumulative grids.
 
     ``tables`` hold each member's samples at ``points``; rung k covers the
-    first ``lengths[k]`` of them, and the last rung covers them all.  Each
-    rung reads the top of its first member at the maximum, or NaN when a
+    first ``lengths[k]`` of them, the lengths are nondecreasing, and the
+    last rung covers them all.  Each member's top is its np.argmax over the
+    rung: the first index at the maximum, or at the first NaN.  It is kept
+    from rung to rung and read only on each rung's new annulus, which
+    replaces it with a strictly larger value or a first NaN.  Each rung
+    reads the top of its first member at the maximum, or NaN when a
     member's top is NaN.  The argmax point comes from the first rung at the
     largest finite sup.  Returns (sups, argmax point, running), where
     running[i] is the supremum over the first i+1 members at the last rung.
     """
     sups, best, arg = [], -math.inf, None
-    for m in lengths:
-        js = [int(np.argmax(q[:m])) for q in tables]
-        tops = [float(q[j]) for q, j in zip(tables, js)]
+    js, tops, start = [0] * len(tables), [-math.inf] * len(tables), 0
+    for k, m in enumerate(lengths):
+        for i, q in enumerate(tables):
+            if m > start or k == 0:
+                j = start + int(np.argmax(q[start:m]))
+                v = float(q[j])
+                if v > tops[i] or (math.isnan(v) and not math.isnan(tops[i])):
+                    js[i], tops[i] = j, v
+        start = m
         top = math.nan if any(map(math.isnan, tops)) else max(tops)
         sups.append(top)
         if top > best:
@@ -544,11 +556,11 @@ def kobayashi_normality_check(f: ex.HoloExpr, z_rungs=None, v_samples=None,
     """Trend of sup levi_form / F_K^2 along an exhaustion of the unit ball.
 
     Equals (n+1) times the Bergman-normalised ratio at every sample.  There
-    is one rung per ladder entry, and each must be a prefix of the deepest,
-    as the cumulative rung grids are, so the ladder of suprema is
-    nondecreasing and one bounded-memory pass of ``_levi_ratio_tables``
-    serves them all; stabilization reads BOUNDED, sustained geometric growth
-    reads UNBOUNDED_TREND.
+    is one rung per ladder entry, and each must be a prefix of the deepest
+    no shorter than the rung before it, as the cumulative rung grids are,
+    so the ladder of suprema is nondecreasing and one bounded-memory pass of
+    ``_levi_ratio_tables`` serves them all; stabilization reads BOUNDED,
+    sustained geometric growth reads UNBOUNDED_TREND.
     """
     lad = sp.check_ladder(ladder)
     n = f.arity
@@ -560,12 +572,14 @@ def kobayashi_normality_check(f: ex.HoloExpr, z_rungs=None, v_samples=None,
     rungs = [ex.as_points(rung, n) for rung in z_rungs]
     if len(rungs) != len(lad):
         raise InputError(f"{len(rungs)} z rungs for a ladder of {len(lad)} entries")
-    deep = rungs[-1]
-    if not all(len(r) and np.array_equal(r, deep[:len(r)], equal_nan=True) for r in rungs):
-        raise InputError("every z rung must be a nonempty prefix of the deepest rung")
+    deep, lengths = rungs[-1], [len(r) for r in rungs]
+    if lengths != sorted(lengths) or not all(
+            len(r) and np.array_equal(r, deep[:len(r)], equal_nan=True) for r in rungs):
+        raise InputError("every z rung must be a nonempty prefix of the deepest rung, "
+                         "no shorter than the rung before it")
     V = ex.as_points(v_samples, n)
     top = _levi_ratio_tables(f, deep, V, 1)
-    sups, arg, _ = rung_sups([top], [len(r) for r in rungs], deep)
+    sups, arg, _ = rung_sups([top], lengths, deep)
     return ladder_verdict(sups, arg, top.size * V.shape[0], lad)
 
 

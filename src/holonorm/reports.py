@@ -32,39 +32,55 @@ def _escape(s: str) -> str:
 
 
 def canonical_json(obj: Any, indent: int = 0) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
-    pad = "  " * indent
+    """Deterministic JSON with 17-significant-digit floats.
+
+    Lists of at most 8 items, each under 24 characters on one line, print
+    inline; other lists and dicts print one item per line, indented by two
+    spaces a level.  The encoder is looked up by exact type; any other
+    type, such as np.float64 or np.int64, takes the first entry of
+    ``_ENCODERS`` that it is an instance of.
+    """
+    encode = _BY_TYPE.get(type(obj))
+    if encode is None:
+        encode = next((e for types, e in _ENCODERS if isinstance(obj, types)), None)
+        if encode is None:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return encode(obj, indent)
+
+
+def _list(obj, indent: int) -> str:
+    if not obj:
+        return "[]"
+    items = [canonical_json(v, indent + 1) for v in obj]
+    if len(items) <= 8 and all("\n" not in it and len(it) < 24 for it in items):
+        return "[" + ", ".join(items) + "]"
     pad2 = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, complex):
-        return canonical_json({"re": obj.real, "im": obj.imag}, indent)
-    if isinstance(obj, str):
-        return f'"{_escape(obj)}"'
-    if isinstance(obj, np.ndarray):
-        return canonical_json(obj.tolist(), indent)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [canonical_json(v, indent + 1) for v in obj]
-        if all("\n" not in it and len(it) < 24 for it in items) and len(items) <= 8:
-            return "[" + ", ".join(items) + "]"
-        body = ",\n".join(pad2 + it for it in items)
-        return "[\n" + body + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = []
-        for k, v in obj.items():
-            parts.append(f'{pad2}"{_escape(str(k))}": {canonical_json(v, indent + 1)}')
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return "[\n" + ",\n".join(pad2 + it for it in items) + "\n" + "  " * indent + "]"
+
+
+def _dict(obj, indent: int) -> str:
+    if not obj:
+        return "{}"
+    pad2 = "  " * (indent + 1)
+    parts = [f'{pad2}"{_escape(str(k))}": {canonical_json(v, indent + 1)}'
+             for k, v in obj.items()]
+    return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
+
+
+#: (types, encoder) in the order an isinstance test tries them: bool before
+#: int, since bool is an int
+_ENCODERS = (
+    ((type(None),), lambda obj, indent: "null"),
+    ((bool,), lambda obj, indent: "true" if obj else "false"),
+    ((int, np.integer), lambda obj, indent: str(int(obj))),
+    ((float, np.floating), lambda obj, indent: format_float(float(obj))),
+    ((complex,), lambda obj, indent: _dict({"re": obj.real, "im": obj.imag}, indent)),
+    ((str,), lambda obj, indent: f'"{_escape(obj)}"'),
+    ((np.ndarray,), lambda obj, indent: canonical_json(obj.tolist(), indent)),
+    ((list, tuple), _list),
+    ((dict,), _dict),
+)
+_BY_TYPE = {t: e for types, e in _ENCODERS for t in types}
 
 
 def _flatten(prefix: str, obj: Any, rows: list):

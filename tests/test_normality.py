@@ -1,5 +1,6 @@
 """Spherical derivative, Levi form, and the normality certifiers."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -594,6 +595,8 @@ def test_kobayashi_check_memory_is_bounded():
     [[[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]], [[0.1, 0.0], [0.2, 0.0]]],  # longer
     [np.empty((0, 2)), [[0.1, 0.0]]],  # empty rung
     [[[0.1, 0.0], [math.nan, 0.0]]],
+    # prefixes of the deepest, but shorter than the rung before: not cumulative
+    [[[0.1, 0.0], [0.2, 0.0]], [[0.1, 0.0]], [[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]],
 ])
 def test_kobayashi_check_rejects_bad_rungs(rungs):
     z_rungs = [np.asarray(r, dtype=complex).reshape(-1, 2) for r in rungs]
@@ -756,3 +759,50 @@ def test_spherical_kernel_matches_the_inline_formulas():
             # the Levi form's denominator is the kernel's, squared
             want = (1.0 + np.abs(vals) ** 2) ** 2
             assert np.square(nr._sphere_den(vals)).tobytes() == want.tobytes()
+
+
+def rung_sups_prefix(tables, lengths, points):
+    """The reducer ``rung_sups`` replaced, which took np.argmax over each
+    rung's whole prefix; kept as its oracle."""
+    sups, best, arg = [], -math.inf, None
+    for m in lengths:
+        js = [int(np.argmax(q[:m])) for q in tables]
+        tops = [float(q[j]) for q, j in zip(tables, js)]
+        top = math.nan if any(map(math.isnan, tops)) else max(tops)
+        sups.append(top)
+        if top > best:
+            best, arg = top, points[js[tops.index(top)]]
+    return sups, arg, list(itertools.accumulate(tops, max))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rung_sups_reads_each_annulus_as_the_prefix_argmax(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 60))
+    pts = np.arange(m) + 0.5j
+    # nondecreasing lengths, some repeated, the last covering every sample
+    lengths = sorted(rng.integers(1, m + 1, size=int(rng.integers(0, 6))).tolist()) + [m]
+    # few distinct values, so ties are common, with NaN and -inf mixed in
+    values = np.array([0.0, 1.0, 2.0, 2.0, -math.inf, math.nan])
+    p = [0.25, 0.25, 0.2, 0.2, 0.08, 0.02 * (seed % 2)]
+    tables = [rng.choice(values, size=m, p=np.divide(p, sum(p)))
+              for _ in range(int(rng.integers(1, 5)))]
+    got, want = nr.rung_sups(tables, lengths, pts), rung_sups_prefix(tables, lengths, pts)
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+    assert got[1] == want[1] or (got[1] is None and want[1] is None)
+    assert np.array_equal(got[2], want[2], equal_nan=True)
+
+
+def test_finite_or_raise_hands_back_a_clean_table_itself():
+    clean = np.array([0.0, -1.0, 1e308, 5e-324])
+    assert nr._finite_or_raise(clean, "t") is clean
+    dirty = np.arange(40.0)
+    dirty[[3, 7]] = [math.nan, math.inf]  # 5% of the samples: dropped
+    got = nr._finite_or_raise(dirty, "t")
+    assert got is not dirty and math.isnan(dirty[3])
+    want = np.arange(40.0)
+    want[[3, 7]] = -math.inf
+    assert got.tobytes() == want.tobytes()
+    dirty[11] = -math.inf  # 7.5%
+    with pytest.raises(ArithmeticError, match="t: 7.5% of samples failed to evaluate"):
+        nr._finite_or_raise(dirty, "t")

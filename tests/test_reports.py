@@ -1,7 +1,12 @@
-"""Canonical serialization: the JSON string escape."""
+"""Canonical serialization: the JSON string escape and the encoder."""
 
+import json
+import re
 from pathlib import Path
+from typing import Any
 
+import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -36,3 +41,87 @@ def test_escape_matches_the_loop_on_every_golden():
     for path in paths:
         text = path.read_text(encoding="utf-8")
         assert reports._escape(text) == escape_loop(text)
+
+
+def canonical_json_isinstance(obj: Any, indent: int = 0) -> str:
+    """The recursive isinstance chain ``reports.canonical_json`` replaced,
+    kept as its oracle."""
+    pad = "  " * indent
+    pad2 = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return reports.format_float(float(obj))
+    if isinstance(obj, complex):
+        return canonical_json_isinstance({"re": obj.real, "im": obj.imag}, indent)
+    if isinstance(obj, str):
+        return f'"{escape_loop(obj)}"'
+    if isinstance(obj, np.ndarray):
+        return canonical_json_isinstance(obj.tolist(), indent)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [canonical_json_isinstance(v, indent + 1) for v in obj]
+        if all("\n" not in it and len(it) < 24 for it in items) and len(items) <= 8:
+            return "[" + ", ".join(items) + "]"
+        body = ",\n".join(pad2 + it for it in items)
+        return "[\n" + body + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = []
+        for k, v in obj.items():
+            parts.append(f'{pad2}"{escape_loop(str(k))}": {canonical_json_isinstance(v, indent + 1)}')
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def test_canonical_json_matches_the_isinstance_chain_on_every_golden():
+    paths = sorted(GOLDEN.glob("*.json"))
+    assert paths
+    for path in paths:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        assert reports.canonical_json(obj) == canonical_json_isinstance(obj), path.name
+
+
+# text of 19-23 characters prints as 21-25 or more, around the 24-character
+# limit of an inline list item
+_text = st.one_of(st.text(st.sampled_from('"\\\x00\x1f az\u00e9'), max_size=6),
+                  st.text(min_size=19, max_size=23))
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(), st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.complex_numbers(), _text)
+
+
+def _containers(children):
+    items = st.lists(children, max_size=10)
+    return st.one_of(items, items.map(tuple), st.dictionaries(_text, children, max_size=5),
+                     st.lists(st.floats(), max_size=10).map(np.array))
+
+
+_reports = st.recursive(_scalars, _containers, max_leaves=40)
+
+
+@given(_reports, st.integers(0, 3))
+def test_canonical_json_matches_the_isinstance_chain(obj, indent):
+    assert reports.canonical_json(obj, indent) == canonical_json_isinstance(obj, indent)
+
+
+@given(st.integers(7, 10).flatmap(lambda n: st.lists(
+    st.one_of(st.floats(), st.integers(-10**22, 10**22), st.text(min_size=19, max_size=23)),
+    min_size=n, max_size=n)))
+def test_canonical_json_breaks_lists_as_the_isinstance_chain(items):
+    assert reports.canonical_json(items) == canonical_json_isinstance(items)
+
+
+@pytest.mark.parametrize("obj", [object(), {1, 2}, b"x", [1, {"a": object()}]])
+def test_canonical_json_rejects_what_the_chain_rejects(obj):
+    with pytest.raises(TypeError) as want:
+        canonical_json_isinstance(obj)
+    with pytest.raises(TypeError, match=re.escape(str(want.value))):
+        reports.canonical_json(obj)

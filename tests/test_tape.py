@@ -8,9 +8,10 @@ Along polynomial discs, directional mode is checked against gradient mode
 contracted with the disc's derivative.
 """
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import holonorm.expr as ex
@@ -156,31 +157,49 @@ def affine_trees(draw, arity: int):
     return node
 
 
+#: Absolute rounding of one complex tangent op (a product, quotient or sum
+#: of a few real roundings) where its result or a partial result is
+#: subnormal, and relative rounding no longer holds.
+SUBNORMAL_STEP = 8 * 2.0 ** -1074
+
+
 def _tangent_majorant(node, Z, dphi):
-    """(values, M): the chain rule along phi with every term taken in
-    absolute value, the scale of the rounding in either order of summation."""
+    """(values, M, E).  M is the chain rule along phi with every term taken
+    in absolute value, the scale of the rounding in either order of
+    summation.  E bounds the absolute rounding at subnormal intermediates:
+    every tangent op adds SUBNORMAL_STEP, and later ops carry it as they
+    carry the terms of M.  E does not depend on phi, so it also bounds each
+    gradient component."""
     m = Z.shape[0]
     if isinstance(node, ex.Const):
-        return np.full(m, node.value, dtype=complex), np.zeros(m)
+        return np.full(m, node.value, dtype=complex), np.zeros(m), np.zeros(m)
     if isinstance(node, ex.Var):
-        return Z[:, node.index - 1], np.abs(dphi[:, node.index - 1])
+        return Z[:, node.index - 1], np.abs(dphi[:, node.index - 1]), np.zeros(m)
+    step = SUBNORMAL_STEP
     if isinstance(node, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
-        va, ma = _tangent_majorant(node.left, Z, dphi)
-        vb, mb = _tangent_majorant(node.right, Z, dphi)
+        va, ma, ea = _tangent_majorant(node.left, Z, dphi)
+        vb, mb, eb = _tangent_majorant(node.right, Z, dphi)
         if isinstance(node, (ex.Add, ex.Sub)):
-            return (va + vb if isinstance(node, ex.Add) else va - vb), ma + mb
+            return (va + vb if isinstance(node, ex.Add) else va - vb), ma + mb, ea + eb + step
         if isinstance(node, ex.Mul):
-            return va * vb, np.abs(va) * mb + np.abs(vb) * ma
+            return (va * vb, np.abs(va) * mb + np.abs(vb) * ma,
+                    np.abs(va) * eb + np.abs(vb) * ea + step)
         vb = np.where(np.abs(vb) < ex.POLE_THRESHOLD, 1.0, vb)
-        return va / vb, (ma * np.abs(vb) + np.abs(va) * mb) / np.abs(vb) ** 2
+        den = np.abs(vb) ** 2
+        return (va / vb, (ma * np.abs(vb) + np.abs(va) * mb) / den,
+                (ea * np.abs(vb) + np.abs(va) * eb + step) / den + step)
     if isinstance(node, ex.Pow):
-        vb, mb = _tangent_majorant(node.base, Z, dphi)
+        vb, mb, eb = _tangent_majorant(node.base, Z, dphi)
         k = node.exponent
-        return vb ** k, (k * np.abs(vb) ** (k - 1) * mb if k else np.zeros(m))
-    va, ma = _tangent_majorant(node.arg, Z, dphi)
+        if not k:
+            return vb ** k, np.zeros(m), np.zeros(m)
+        dv = k * np.abs(vb) ** (k - 1)
+        return vb ** k, dv * mb, dv * eb + step
+    va, ma, ea = _tangent_majorant(node.arg, Z, dphi)
     func, deriv = {"exp": (np.exp, np.exp), "sin": (np.sin, np.cos),
                    "cos": (np.cos, np.sin)}[node.func]  # |cos'| = |sin|
-    return func(va), np.abs(deriv(va)) * ma
+    dv = np.abs(deriv(va))
+    return func(va), dv * ma, dv * ea + step
 
 
 @st.composite
@@ -201,6 +220,18 @@ def disc_cases(draw):
         m = ex.BLOCK + draw(st.integers(1, 40))
         lam = np.sqrt(rng.uniform(size=m)) * np.exp(2j * np.pi * rng.uniform(size=m))
     return ex.HoloExpr(root, arity), affine, disc, lam
+
+
+def subnormal_quotient_case():
+    """A ``disc_cases`` draw: (1/1e300)/z1^60 on a seeded degree-1 disc at
+    BLOCK + 1 points.  Its constants are normal floats, but 1e-300 times the
+    tangent of z1^60 is subnormal at most points, in both modes."""
+    root = ex.Div(ex.Div(ex.Const(1 + 0j), ex.Const(1e300 + 0j)), ex.Pow(ex.Var(1), 60))
+    rng = np.random.default_rng(0)
+    disc = mt.DiscMap((rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))) / 2)
+    m = ex.BLOCK + 1
+    lam = np.sqrt(rng.uniform(size=m)) * np.exp(2j * np.pi * rng.uniform(size=m))
+    return ex.HoloExpr(root, 1), False, disc, lam
 
 
 # ---------------------------------------------------------------- tests
@@ -236,6 +267,19 @@ def test_directional_mode_matches_substituted_slice(case):
     assert same(deriv, want_g[:, 0]) and same(new_g, want_g)
 
 
+def test_square_rule_derivative_is_twice_the_base():
+    # the k = 2 rule takes 2 * x where the rule for k >= 3 takes
+    # k * x ** (k - 1): np.power(x, 1) is x but for the sign of a zero
+    parts = [0.0, -0.0, 1.0, -2.5, 5e-324, -2.2e-308, 1e-310, 1.7e308, INF, -INF, np.nan]
+    x = np.array([complex(a, b) for a in parts for b in parts])
+    f = ex.parse("z1^2", 1)
+    with np.errstate(all="ignore"):
+        want = np.multiply(2 * np.power(x, 1), ex._ONE)  # times the seed tangent
+        wide = ex.eval_jet_batch(f, x)[1][:, 0]
+        narrow = np.concatenate([ex.eval_jet_batch(f, [z])[1][:, 0] for z in x])
+    assert same(wide, want) and same(narrow, want)
+
+
 def test_line_map_at_one_point_rounds_as_the_tree():
     # a broadcast (1, 1) x (1,) product rounded this real part 1 ulp apart
     f = ex.parse("z1", 1)
@@ -248,14 +292,18 @@ def test_line_map_at_one_point_rounds_as_the_tree():
 
 @settings(max_examples=250, deadline=None)
 @given(disc_cases())
+@example(subnormal_quotient_case())
 def test_disc_mode_matches_gradient_mode_along_discs(case):
     f, affine, disc, lam = case
     with np.errstate(all="ignore"):
         pts, dphi = disc(lam), disc.derivative(lam)
         want_v, grads, want_pole = ex.eval_jet_batch(f, pts)
         want = np.einsum("ij,ij->i", grads, dphi)
-        scale = _tangent_majorant(f.root, pts, dphi)[1]
+        _, scale, floor = _tangent_majorant(f.root, pts, dphi)
         vals, deriv, pole = ex.eval_disc_jets(f, disc.jets, lam)
+        # each mode rounds at subnormal intermediates by up to ``floor``;
+        # gradient mode's components are then weighted by |phi'_k|
+        floor *= 1.0 + np.abs(dphi).sum(axis=1)
     assert np.array_equal(pole, want_pole)
     assert same(vals, want_v)
     if affine:
@@ -265,7 +313,33 @@ def test_disc_mode_matches_gradient_mode_along_discs(case):
     assert np.isfinite(deriv[ok]).all()
     # subnormal results round absolutely, to below the smallest normal float
     tiny = np.finfo(float).tiny
-    assert (np.abs(deriv[ok] - want[ok]) <= 1e-12 * scale[ok] + tiny).all()
+    assert (np.abs(deriv[ok] - want[ok]) <= 1e-12 * scale[ok] + floor[ok] + tiny).all()
+
+
+def test_both_modes_round_subnormal_quotients_within_the_floor():
+    # neither mode is the better one: against the exact chain rule at the
+    # same points, each stays within its own bound, and each is off by far
+    # more than relative rounding where the quotient rule's a * db is subnormal
+    f, _, disc, lam = subnormal_quotient_case()
+    with np.errstate(all="ignore"):
+        pts, dphi = disc(lam), disc.derivative(lam)
+        grads = ex.eval_jet_batch(f, pts)[1][:, 0]
+        deriv = ex.eval_disc_jets(f, disc.jets, lam)[1]
+        _, scale, floor = _tangent_majorant(f.root, pts, dphi)
+    tiny = np.finfo(float).tiny
+    rel = 1e-12 * scale + tiny
+    far = {}
+    with mpmath.workprec(200):
+        for i in range(0, lam.shape[0], 61):
+            z, d = mpmath.mpc(pts[i, 0]), mpmath.mpc(dphi[i, 0])
+            exact = -60 * mpmath.mpf(1e-300) / z ** 61
+            for mode, got, bound in (("disc", deriv[i], rel[i] + floor[i]),
+                                     ("gradient", grads[i] * dphi[i, 0],
+                                      rel[i] + floor[i] * abs(dphi[i, 0]))):
+                err = float(abs(mpmath.mpc(got) - exact * d))
+                assert err <= bound, (mode, i)
+                far[mode] = far.get(mode, 0) + (err > rel[i])
+    assert far["disc"] > 10 and far["gradient"] > 10
 
 
 def test_tape_shares_folds_and_frees():
