@@ -262,6 +262,8 @@ def _as_family(family) -> list:
 
 
 def _family_sup(tables, pts, what: str) -> SupEstimate:
+    if pts.shape[0] == 0:
+        raise InputError(f"{what}: the point set must be nonempty")
     tables = [_finite_or_raise(q, what) for q in tables]
     (best,), arg, running = rung_sups(tables, [pts.shape[0]], pts)
     return SupEstimate(best, arg, samples=len(tables) * pts.shape[0],
@@ -487,6 +489,21 @@ def random_ball_params(arity: int, count: int, seed: int):
 RATIO_BLOCK_BYTES = 2 << 20
 
 
+def _ratio_inputs(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray):
+    """The checks of the ratio tables, in their order (points in the open
+    ball, usable direction vectors, no pole), then (squared norms of V,
+    values of f on Z, gradients of f on Z)."""
+    if Z.shape[0] == 0 or not np.all(np.linalg.norm(Z, axis=1) < 1.0):
+        raise InputError("z samples must be nonempty and lie in the open unit ball")
+    v2 = np.einsum("ij,ij->i", V, V.conjugate()).real
+    if V.shape[0] == 0 or not np.all(np.isfinite(v2) & (v2 > 0.0)):
+        raise InputError("direction vectors must be nonzero with a finite squared norm")
+    vals, grads, pole = ex.eval_jet_batch(f, Z)
+    if pole.any():
+        raise InputError("pole signal inside the ball; certifier input must be holomorphic")
+    return v2, vals, grads
+
+
 def _levi_ratio_tables(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale):
     """np.max of each row of the (points x vectors) table levi_form(f, z, v)
     / (scale * F_K(z, v)^2), F_K the Kobayashi metric of the unit ball.  NaN
@@ -494,15 +511,8 @@ def _levi_ratio_tables(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale):
     Jets and per-row terms are computed once, the table in reused blocks of
     RATIO_BLOCK_BYTES // (16 * vectors) rows, each entry rounded as in the
     whole table, so memory is bounded at any number of points."""
+    v2, vals, grads = _ratio_inputs(f, Z, V)
     m, k = Z.shape[0], V.shape[0]
-    if m == 0 or not np.all(np.linalg.norm(Z, axis=1) < 1.0):
-        raise InputError("z samples must be nonempty and lie in the open unit ball")
-    v2 = np.einsum("ij,ij->i", V, V.conjugate()).real
-    if k == 0 or not np.all(np.isfinite(v2) & (v2 > 0.0)):
-        raise InputError("direction vectors must be nonzero with a finite squared norm")
-    vals, grads, pole = ex.eval_jet_batch(f, Z)
-    if pole.any():
-        raise InputError("pole signal inside the ball; certifier input must be holomorphic")
     den = np.square(_sphere_den(vals))
     d = 1.0 - np.einsum("ij,ij->i", Z, Z.conjugate()).real
     d2, Zc, VT = d ** 2, Z.conjugate(), V.T
@@ -529,24 +539,96 @@ def _levi_ratio_tables(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale):
     return top
 
 
+def _ratio_row_bounds(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale):
+    """Upper bounds B_i on row i of the ratio table as the kernel
+    ``_levi_ratio_tables`` rounds it, or +inf where none is proved.
+
+    With g = grad f(z), d = 1 - |z|^2 and F_K^2 = v*(I/d + zz*/d^2)v,
+    Sherman-Morrison (d + |z|^2 = 1) gives the inverse d(I - zz*), so
+    sup_v levi / (scale F_K^2) = S = d(|g|^2 - |g.z|^2) / ((1+|f|^2)^2 scale),
+    g.z = sum_k g_k z_k, attained at v ~ d(I - zz*) conj(g): the invariant
+    gradient of Cima and Krantz.  d and (1+|f|^2)^2 are the kernel's floats.
+    With u = 2^-53 and gamma = (n+3)u for a sum over the n coordinates, the
+    kernel's sums err by gamma|v| and gamma|g||v|, and v*(...)v >= |v|^2/d,
+    so an entry is r^ <= S (1 + gamma/sqrt(d))^2 (1 - gamma/sqrt(d))^-2
+    (1 + 11u).  The cancellation |g|^2 - |g.z|^2 >= |g|^2 (1 - |z|^2) and
+    d's rounding (|d + |z|^2 - 1| <= gamma) give S^ >= S (1 - 5 gamma/d).
+    For d >= (n+1) 2^-40, t = (n+1) 2^-40 / d exceeds both terms together,
+    so r^ <= S^ (1 + t).  Underflow adds at most 2^-1072 / min|v|^2 to an
+    entry and a few 2^-1074 to S^: the floor, while min|v|^2 is normal.
+    B = +inf where d is smaller, where |g|^2 max|v|^2 >= 2^1023 (|g.v|^2 may
+    overflow in the kernel) or where the bound is not finite, as it is for
+    a NaN or infinite jet; a NaN entry has no other cause."""
+    v2, vals, grads = _ratio_inputs(f, Z, V)
+    slack, vmin = (Z.shape[1] + 1) * 2.0 ** -40, v2.min()
+    with np.errstate(all="ignore"):
+        d = 1.0 - np.einsum("ij,ij->i", Z, Z.conjugate()).real
+        gz = np.abs(np.einsum("ij,ij->i", grads, Z))
+        b = np.einsum("ij,ij->i", grads, grads.conjugate()).real
+        ok = (b * v2.max() < 2.0 ** 1023) & (d >= slack)
+        b -= np.square(gz, out=gz)
+        b *= d
+        b /= np.square(_sphere_den(vals))
+        b /= scale
+        b *= 1.0 + slack / d
+        b += (2.0 ** -1000 + 2.0 ** -1072 / vmin) if vmin >= 2.0 ** -1022 else np.inf
+    b[~(ok & np.isfinite(b))] = np.inf
+    return b
+
+
+def _ratio_prefix_maxima(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale, ends):
+    """Row maxima of ``_levi_ratio_tables`` on the rows that the running
+    maxima at the row counts ``ends`` (nondecreasing, the last m) depend
+    on, -inf on the others.  Each segment between ends takes its rows into
+    the kernel in decreasing order of the bound B (stable), in gathered
+    blocks of 2, 4, 8, ... up to RATIO_BLOCK_BYTES // (16 * vectors) rows,
+    until the next B is below the largest maximum evaluated up to the
+    segment's end.  A skipped row is then strictly below an evaluated row
+    of its prefix, so it is no running maximum nor the first index at one,
+    and a NaN row (B = +inf) is always evaluated.  A one-row block gets a
+    second row unless m == 1: a one-row product rounds apart (the kernel)."""
+    b = _ratio_row_bounds(f, Z, V, scale)
+    m = Z.shape[0]
+    rows = max(2, RATIO_BLOCK_BYTES // (16 * V.shape[0]))
+    top = np.full(m, -np.inf)
+    best, start = -math.inf, 0
+    for end in ends:
+        todo = start + np.flatnonzero(b[start:end] >= best)
+        todo = todo[np.argsort(-b[todo], kind="stable")]
+        size = 2
+        while todo.size:
+            take = todo[:size]
+            if take.size == 1 and m > 1:
+                take = np.append(take, 1 if take[0] == 0 else 0)
+            top[take] = _levi_ratio_tables(f, Z[take], V, scale)
+            best = max(best, float(np.fmax.reduce(top[start:end])))
+            todo = todo[size:]
+            todo = todo[b[todo] >= best]
+            size = min(2 * size, rows)
+        start = end
+    return top
+
+
 def ball_normal_ratio(f: ex.HoloExpr, z_samples, v_samples) -> SupEstimate:
     """sup of levi_form / bergman_norm_sq over sample pairs: the norm constant.
 
     A finite stable value certifies the Levi form is dominated by the Bergman
     metric on the sampled region, the defining estimate for ball normality.
-    ``_levi_ratio_tables`` reduces the pairs in bounded memory (the Bergman
-    length is (n+1) F_K^2); the growth series keeps every (m // 16)-th row.
+    The Bergman length is (n+1) F_K^2, and the growth series keeps the
+    running supremum after every (m // 16)-th row; ``_ratio_prefix_maxima``
+    evaluates the rows those and the sup can depend on, in bounded memory.
     """
     Z = ex.as_points(z_samples, f.arity)
     V = ex.as_points(v_samples, f.arity)
-    top = _levi_ratio_tables(f, Z, V, f.arity + 1)
+    m = Z.shape[0]
+    step = max(1, m // 16)
+    counts = range(step, m + 1, step)
+    top = _ratio_prefix_maxima(f, Z, V, f.arity + 1, [*counts, m])
     i = int(np.argmax(top))
-    # (0, -inf) first, as the running max starts there and skips NaN rows
-    series = list(enumerate(itertools.accumulate(top.tolist(), max, initial=-math.inf)))[1:]
-    step = max(1, len(series) // 16)
-    series = series[step - 1::step] if len(series) > 16 else series
+    # the running max starts at -inf and skips NaN rows
+    running = list(itertools.accumulate(top.tolist(), max, initial=-math.inf))
     return SupEstimate(float(top[i]), Z[i], samples=top.size * V.shape[0],
-                       growth_series=series)
+                       growth_series=[(c, running[c]) for c in counts])
 
 
 def kobayashi_normality_check(f: ex.HoloExpr, z_rungs=None, v_samples=None,
@@ -559,7 +641,7 @@ def kobayashi_normality_check(f: ex.HoloExpr, z_rungs=None, v_samples=None,
     is one rung per ladder entry, and each must be a prefix of the deepest
     no shorter than the rung before it, as the cumulative rung grids are,
     so the ladder of suprema is nondecreasing and one bounded-memory pass of
-    ``_levi_ratio_tables`` serves them all; stabilization reads BOUNDED,
+    ``_ratio_prefix_maxima`` serves them all; stabilization reads BOUNDED,
     sustained geometric growth reads UNBOUNDED_TREND.
     """
     lad = sp.check_ladder(ladder)
@@ -573,12 +655,14 @@ def kobayashi_normality_check(f: ex.HoloExpr, z_rungs=None, v_samples=None,
     if len(rungs) != len(lad):
         raise InputError(f"{len(rungs)} z rungs for a ladder of {len(lad)} entries")
     deep, lengths = rungs[-1], [len(r) for r in rungs]
+    # NaN points fail the open-ball test later; only they need equal_nan
+    equal_nan = not np.isfinite(deep).all()
     if lengths != sorted(lengths) or not all(
-            len(r) and np.array_equal(r, deep[:len(r)], equal_nan=True) for r in rungs):
+            len(r) and np.array_equal(r, deep[:len(r)], equal_nan=equal_nan) for r in rungs):
         raise InputError("every z rung must be a nonempty prefix of the deepest rung, "
                          "no shorter than the rung before it")
     V = ex.as_points(v_samples, n)
-    top = _levi_ratio_tables(f, deep, V, 1)
+    top = _ratio_prefix_maxima(f, deep, V, 1, lengths)
     sups, arg, _ = rung_sups([top], lengths, deep)
     return ladder_verdict(sups, arg, top.size * V.shape[0], lad)
 

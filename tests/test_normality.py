@@ -220,6 +220,16 @@ def test_marty_empty_family_error():
         nr.marty_sup([], sp.disc_grid(0.5))
 
 
+@pytest.mark.parametrize("check,arity,points", [
+    ("marty_sup", 1, np.array([], dtype=complex)),
+    ("marty_sup", 2, np.empty((0, 2), dtype=complex)),
+    ("mu_local_boundedness", 1, np.array([], dtype=complex)),
+])
+def test_family_sups_reject_an_empty_point_set(check, arity, points):
+    with pytest.raises(InputError, match="point set must be nonempty"):
+        getattr(nr, check)([ex.parse("z1", arity)], points)
+
+
 def test_mu_local_boundedness_families():
     K = sp.disc_grid(0.5, radii=25, angles=48)
     est = nr.mu_local_boundedness([ex.parse(t, 1) for t in ("z1", "z1^2", "z1^3")], K)
@@ -641,6 +651,129 @@ def test_ball_ratios_reject_degenerate_vectors(V, check):
                 nr.ball_normal_ratio(f, sp.uniform_ball_points(2, 20, 0.9, 3), V)
             else:
                 nr.kobayashi_normality_check(f, v_samples=V, directions=4, radii=2)
+
+
+@pytest.mark.parametrize("rungs,message", [
+    ([[[0.1, 0.0], [math.nan, 0.0]]], "open unit ball"),
+    ([[[0.1, 0.0]], [[0.1, 0.0], [math.nan, 0.0]]], "open unit ball"),
+    # NaN in the same place of a rung and the deepest still reads as a prefix
+    ([[[math.nan, 0.0]], [[math.nan, 0.0], [0.1, 0.0]]], "open unit ball"),
+    ([[[0.2, 0.0]], [[math.nan, 0.0], [0.1, 0.0]]], "nonempty prefix"),
+    ([[[math.nan, 0.0]], [[0.1, 0.0], [0.2, 0.0]]], "nonempty prefix"),
+])
+def test_kobayashi_check_names_the_fault_of_a_nan_rung(rungs, message):
+    z_rungs = [np.asarray(r, dtype=complex).reshape(-1, 2) for r in rungs]
+    with pytest.raises(InputError, match=message):
+        nr.kobayashi_normality_check(ex.parse("z1", 2), z_rungs=z_rungs,
+                                     v_samples=np.eye(2),
+                                     ladder=sp.DEFAULT_LADDER[:len(z_rungs)])
+
+
+# ------------------------------------------- bound-pruned ratio reducer
+
+def _bound_points(n, seed):
+    """The origin, a point at |z| = 1 - 1e-9 and seeded points of the ball."""
+    edge = sp.unit_sphere_points(n, 1, seed)[0] * (1.0 - 1e-9)
+    return np.concatenate([np.zeros((1, n)), edge[None, :],
+                           sp.uniform_ball_points(n, 40, 0.99, seed + 1)])
+
+
+@pytest.mark.parametrize("scale", [1, "n+1"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ratio_row_bounds_dominate_the_table_and_are_attained(n, scale):
+    scale, checked = n + 1 if scale == "n+1" else 1, 0
+    for case, text in enumerate(REDUCER_EXPRS[n]):
+        f = ex.parse(text, n)
+        Z = _bound_points(n, 40 * n + case)
+        V = sp.unit_sphere_points(n, 24, 50 + case) * np.geomspace(0.01, 100, 24)[:, None]
+        with np.errstate(all="ignore"):
+            bound = nr._ratio_row_bounds(f, Z, V, scale)
+            table = _eager_ratio(f, Z, V, scale)
+            top = nr._levi_ratio_tables(f, Z, V, scale)
+        nan = np.isnan(table).any(axis=1)
+        assert np.all(bound[nan] == np.inf), text
+        assert np.all(table[~nan] <= bound[~nan, None]), text
+        assert np.all(top[~nan] <= bound[~nan]), text
+        # the closed form S, attained at v = d (conj(g) - z conj(g.z))
+        vals, grads, _ = ex.eval_jet_batch(f, Z)
+        for z, val, g, b in zip(Z, vals, grads, bound):
+            d, gz = 1.0 - np.vdot(z, z).real, np.sum(g * z)
+            with np.errstate(all="ignore"):
+                S = d * (np.vdot(g, g).real - abs(gz) ** 2) / ((1 + abs(val) ** 2) ** 2 * scale)
+            if not (np.isfinite(b) and S > 0.0):
+                continue
+            checked += 1
+            v = d * (g.conjugate() - z * gz.conjugate())
+            attained = nr.levi_form(f, z, v) / (scale * mt.kobayashi_closed_form_ball(z, v) ** 2)
+            assert abs(attained - S) <= 2.0 ** -44 / d * S, (text, z)
+            assert S <= b <= S * (1 + 2 * (n + 1) * 2.0 ** -40 / d) + 2.0 ** -999, (text, z)
+    assert checked >= 40  # the origin, the edge point and most of the others
+
+
+def _rungs(deep, lengths):
+    return [deep[:k] for k in lengths]
+
+
+def _reducer_cases():
+    """(f, cumulative z rungs, V, ladder) for the reports of the pruned
+    reducer: NaN rows, a constant, exact ties, extreme scales of f and V,
+    one and two points, and repeated rung lengths."""
+    ladder = (0.2, 0.1, 0.02, 0.01)
+    grids = {n: sp.ball_ladder_grids(n, ladder, 6, 3, 60 + n) for n in (2, 3)}
+    lengths = {n: [len(r) for r in grids[n]] for n in (2, 3)}
+    dirs = {n: sp.unit_sphere_points(n, 9, 70 + n) for n in (2, 3)}
+    cases = [("exp(40/(1-z1))", 2, grids[2], dirs[2]),
+             ("0.7+i", 3, grids[3], dirs[3])]
+    # ties: every point twice, and f, V symmetric under z1 <-> z2
+    deep = np.repeat(grids[2][-1], 2, axis=0)
+    sym = np.concatenate([dirs[2], dirs[2][:, ::-1], np.eye(2)])
+    cases.append(("z1*z2", 2, _rungs(deep, [2 * k for k in lengths[2]]), sym))
+    for scale in ("1e-150", "1e150"):
+        cases.append((f"{scale}*(z1*z2+z3)", 3, grids[3], dirs[3]))
+    for scale in (1e-150, 1e-50, 1e50, 1e150):
+        cases.append(("exp(z1)*z2+z1", 2, grids[2], dirs[2] * scale))
+    deep = grids[3][-1]
+    for ks in ([1, 1, 1, 1], [1, 1, 2, 2], [2, 2, 2, 2], [3, 3, 40, 40],
+               [lengths[3][0]] * 2 + [lengths[3][-1]] * 2):
+        cases.append(("z1*z2*z3+z2^2", 3, _rungs(deep, ks), dirs[3]))
+    return [(ex.parse(t, n), z, V, ladder) for t, n, z, V in cases]
+
+
+def test_pruned_ratios_match_the_whole_matrix_byte_for_byte():
+    nan_seen = False
+    for f, z_rungs, V, ladder in _reducer_cases():
+        with np.errstate(all="ignore"):
+            want = _canonical(_eager_kobayashi_check(f, z_rungs, V, ladder))
+            got = _canonical(nr.kobayashi_normality_check(f, z_rungs, V, ladder))
+            assert got == want
+            nan_seen |= "NaN" in want
+            for Z in (z_rungs[-1], z_rungs[-1][::-1]):
+                want = _canonical(_eager_ball_normal_ratio(f, Z, V))
+                assert _canonical(nr.ball_normal_ratio(f, Z, V)) == want
+    assert nan_seen
+
+
+def test_kobayashi_check_evaluates_a_tenth_of_the_heavy_shape_at_most(monkeypatch):
+    # the discs workload's heavy check: arity 3, 256 directions, 32 radii, 64 vectors
+    kernel, rows = nr._levi_ratio_tables, []
+
+    def counting(f, Z, V, scale):
+        rows.append(Z.shape[0])
+        return kernel(f, Z, V, scale)
+
+    monkeypatch.setattr(nr, "_levi_ratio_tables", counting)
+    for text in ("exp(z1)*z2 + z3^2",
+                 "(0.3+0.2*i)*z1*z2 - 0.5*z3^2 + 0.4*z1*z3 + (0.2-0.6*i)*z2 + 0.7*z1*z2*z3"):
+        f = ex.parse(text, 3)
+        rows.clear()
+        got = nr.kobayashi_normality_check(f, directions=256, radii=32, v_count=64)
+        points = got.estimate.samples // (3 + 64)
+        assert points == 41182 and sum(rows) <= points // 10, (text, sum(rows))
+        # bounds that prune nothing give the same report
+        with monkeypatch.context() as m:
+            m.setattr(nr, "_ratio_row_bounds", lambda f, Z, V, scale: np.full(Z.shape[0], np.inf))
+            want = nr.kobayashi_normality_check(f, directions=256, radii=32, v_count=64)
+        assert _canonical(got) == _canonical(want)
 
 
 # ------------------------------------------------------------- disc probe
