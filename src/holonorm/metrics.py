@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -244,15 +244,16 @@ def kobayashi_closed_form_ball(z, v) -> float:
 class DiscMap:
     """Polynomial analytic disc lambda -> sum_j a_j lambda^j into C^n.
 
-    ``coefficients`` has shape (degree + 1, n) with a_0 first.
+    ``coefficients`` has shape (degree + 1, n), n >= 1, with a_0 first.
     """
 
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
-        if c.ndim != 2 or c.shape[0] < 1:
-            raise InputError("disc coefficients must form a (degree+1, n) array")
+        c = np.array(self.coefficients, dtype=complex)
+        if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
+            raise InputError("disc coefficients must form a (degree+1, n) array, n >= 1")
+        c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 
     @property
@@ -268,11 +269,13 @@ class DiscMap:
         phi or, given ``derivative``, of phi' (coefficients j * a_j)."""
         coefficients = self.coefficients
         if derivative:
-            coefficients = np.arange(1, self.degree + 1)[:, None] * coefficients[1:]
+            coefficients = (np.arange(1, self.degree + 1)[:, None] * coefficients[1:]
+                            if self.degree else np.zeros_like(coefficients))
         L = np.asarray(lam, dtype=complex)
-        out = np.zeros((self.arity,) + L.shape, dtype=complex)
         tail = (slice(None),) + (None,) * L.ndim
-        for a in coefficients[::-1]:
+        out = np.empty((self.arity,) + L.shape, dtype=complex)
+        out[...] = coefficients[-1][tail]
+        for a in coefficients[-2::-1]:
             # numpy multiplies a one-element array in place, or by a
             # one-element array of fewer dimensions, through a scalar loop
             # that rounds differently from its vector loop
@@ -298,10 +301,16 @@ class DiscMap:
             return np.zeros(self.arity, dtype=complex)
         return self.coefficients[1].copy()
 
+    @cached_property
+    def _ring_max(self) -> float:
+        samples = max(CONTAINMENT_SAMPLES, 4 * (self.degree + 1))
+        # a non-finite coefficient fails containment without a warning
+        with np.errstate(all="ignore"):
+            return _ring_norm_max(self._horner(_ring(samples)))
+
     def boundary_max(self) -> float:
         """Max image norm over the verification ring |lambda| = CONTAINMENT_RING."""
-        samples = max(CONTAINMENT_SAMPLES, 4 * (self.degree + 1))
-        return _ring_norm_max(self._horner(_ring(samples)))
+        return self._ring_max
 
     def contained_in_unit_ball(self) -> bool:
         return self.boundary_max() <= 1.0 - CONTAINMENT_MARGIN

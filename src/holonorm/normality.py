@@ -642,11 +642,13 @@ def kobayashi_normality_check(f: ex.HoloExpr, z_rungs=None, v_samples=None,
     no shorter than the rung before it, as the cumulative rung grids are,
     so the ladder of suprema is nondecreasing and one bounded-memory pass of
     ``_ratio_prefix_maxima`` serves them all; stabilization reads BOUNDED,
-    sustained geometric growth reads UNBOUNDED_TREND.
+    sustained geometric growth reads UNBOUNDED_TREND.  Only rungs a caller
+    passes are tested as prefixes: the default ones are built as such.
     """
     lad = sp.check_ladder(ladder)
     n = f.arity
-    if z_rungs is None:
+    passed = z_rungs is not None
+    if not passed:
         z_rungs = sp.ball_ladder_grids(n, lad, directions, radii, seed)
     if v_samples is None:
         v_samples = np.concatenate([sp.axis_directions(n),
@@ -655,12 +657,13 @@ def kobayashi_normality_check(f: ex.HoloExpr, z_rungs=None, v_samples=None,
     if len(rungs) != len(lad):
         raise InputError(f"{len(rungs)} z rungs for a ladder of {len(lad)} entries")
     deep, lengths = rungs[-1], [len(r) for r in rungs]
-    # NaN points fail the open-ball test later; only they need equal_nan
-    equal_nan = not np.isfinite(deep).all()
-    if lengths != sorted(lengths) or not all(
-            len(r) and np.array_equal(r, deep[:len(r)], equal_nan=equal_nan) for r in rungs):
-        raise InputError("every z rung must be a nonempty prefix of the deepest rung, "
-                         "no shorter than the rung before it")
+    if passed:
+        # NaN points fail the open-ball test later; only they need equal_nan
+        equal_nan = not np.isfinite(deep).all()
+        if lengths != sorted(lengths) or not all(
+                len(r) and np.array_equal(r, deep[:len(r)], equal_nan=equal_nan) for r in rungs):
+            raise InputError("every z rung must be a nonempty prefix of the deepest rung, "
+                             "no shorter than the rung before it")
     V = ex.as_points(v_samples, n)
     top = _ratio_prefix_maxima(f, deep, V, 1, lengths)
     sups, arg, _ = rung_sups([top], lengths, deep)

@@ -4,7 +4,7 @@ Every sampler takes an explicit seed and is reproducible bit for bit; grid
 builders are purely deterministic.  Ladder grids are cumulative: the grid for
 a later rung contains every earlier rung's points plus a freshly resolved
 boundary annulus, so suprema along a ladder are nondecreasing by
-construction.
+construction.  The rungs of a ladder are prefix views of one array.
 """
 
 from __future__ import annotations
@@ -50,6 +50,13 @@ def _rung_radii(lad: tuple, radii: int):
         yield annulus_radii(outer, inner, radii)
 
 
+def _prefix_rungs(blocks: list) -> list[np.ndarray]:
+    """The rungs of a cumulative ladder, blocks[0], blocks[0] + blocks[1], ...,
+    as prefix views of the blocks joined once."""
+    deep = np.concatenate(blocks)
+    return [deep[:m] for m in np.cumsum([len(b) for b in blocks])]
+
+
 def disc_ladder_grids(ladder=DEFAULT_LADDER, radii: int = DEFAULT_RADII,
                       angles: int = DEFAULT_ANGLES) -> list[np.ndarray]:
     """Cumulative radial-angular grids on |z| <= 1 - eps for each rung.
@@ -62,12 +69,8 @@ def disc_ladder_grids(ladder=DEFAULT_LADDER, radii: int = DEFAULT_RADII,
         raise InputError("need at least 2 radii and 1 angle")
     theta = 2.0 * np.pi * np.arange(angles) / angles
     ring = np.exp(1j * theta)
-    grids = []
-    blocks = []
-    for rs in _rung_radii(lad, radii):
-        blocks.append((rs[:, None] * ring[None, :]).ravel())
-        grids.append(np.concatenate(blocks))
-    return grids
+    return _prefix_rungs([(rs[:, None] * ring[None, :]).ravel()
+                          for rs in _rung_radii(lad, radii)])
 
 
 def disc_grid(radius: float, radii: int = 24, angles: int = 48) -> np.ndarray:
@@ -145,10 +148,7 @@ def ball_ladder_grids(arity: int, ladder=DEFAULT_LADDER, directions: int = 64,
         raise InputError("need at least 1 radius")
     dirs = np.concatenate([axis_directions(arity),
                            unit_sphere_points(arity, directions, seed)])
-    grids = []
-    blocks = [np.zeros((1, arity), dtype=complex)]
-    for rs in _rung_radii(lad, radii):
-        rs = rs[rs > 0]
-        blocks.append((rs[:, None, None] * dirs[None, :, :]).reshape(-1, arity))
-        grids.append(np.concatenate(blocks))
-    return grids
+    blocks = [(rs[rs > 0][:, None, None] * dirs[None, :, :]).reshape(-1, arity)
+              for rs in _rung_radii(lad, radii)]
+    # the origin leads the first rung
+    return _prefix_rungs([np.zeros((1, arity), dtype=complex)] + blocks)[1:]

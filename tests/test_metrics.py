@@ -798,6 +798,127 @@ def test_disc_map_matches_reference_horner(arity, degree):
     assert phi.boundary_max() == np.max(np.linalg.norm(phi(ring), axis=-1))
 
 
+def _horner_reference(disc, lam, derivative=False):
+    # DiscMap._horner as it was: a zero array times lambda plus a_d first,
+    # then one broadcast add of each coefficient
+    coefficients = disc.coefficients
+    if derivative:
+        coefficients = np.arange(1, disc.degree + 1)[:, None] * coefficients[1:]
+    L = np.asarray(lam, dtype=complex)
+    out = np.zeros((disc.arity,) + L.shape, dtype=complex)
+    tail = (slice(None),) + (None,) * L.ndim
+    for a in coefficients[::-1]:
+        out = out * L.reshape(out.shape) if out.size == 1 else np.multiply(out, L, out=out)
+        out += a[tail]
+    return out
+
+
+HORNER_POINTS = {
+    "probe-grid": sp.disc_ladder_grids(sp.DEFAULT_LADDER, 24, 32)[-1],
+    "ring": mt._ring(mt.CONTAINMENT_SAMPLES),
+    "scalar": 0.3 - 0.7j,
+    "one-element": np.array([-0.2 + 0.5j]),
+    "2d": 0.6 * np.exp(1j * np.arange(12.0)).reshape(3, 4),
+}
+
+
+def _bits(a):
+    return a.shape, a.view(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4, 5])
+def test_horner_from_the_leading_coefficient_keeps_every_bit(arity):
+    rng = np.random.default_rng(arity)
+    for degree in range(9):
+        for zeros in range(4):
+            shape = (degree + 1, arity)
+            c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (2 * degree + 2)
+            # +0.0 parts, whole zero coefficients and a zero leading one
+            c.real[rng.random(shape) < 0.3 * zeros] = 0.0
+            c.imag[rng.random(shape) < 0.3 * zeros] = 0.0
+            if zeros == 3:
+                c[rng.integers(degree + 1)] = 0.0
+                c[-1] = 0.0
+            disc = mt.DiscMap(c)
+            for name, lam in HORNER_POINTS.items():
+                for derivative in (False, True):
+                    want = _horner_reference(disc, lam, derivative)
+                    assert _bits(disc._horner(lam, derivative)) == _bits(want), (degree, name)
+            ring = _horner_reference(disc, mt._ring(mt.CONTAINMENT_SAMPLES))
+            assert disc.boundary_max() == mt._ring_norm_max(ring)
+
+
+def test_a_negative_zero_leading_part_moves_only_the_sign_of_zeros():
+    # phi starts from a copy of a_d, so a -0.0 part of it stays -0.0, where
+    # 0 * lambda + a_d read +0.0 at some lambda
+    disc = mt.DiscMap([[complex(-0.0, -0.0), 0.5]])
+    for lam in HORNER_POINTS.values():
+        got = disc._horner(lam)
+        assert np.signbit(got[0].real).all() and np.signbit(got[0].imag).all()
+        # phi' of a degree-0 disc is +0.0
+        assert not disc._horner(lam, True).view(np.float64).any()
+        assert not np.signbit(disc._horner(lam, True).view(np.float64)).any()
+    assert not np.signbit(_horner_reference(disc, 0.3 - 0.7j)[:1].view(np.float64)).any()
+    rng = np.random.default_rng(5)
+    for degree in range(1, 6):
+        c = rng.standard_normal((degree + 1, 3)) + 1j * rng.standard_normal((degree + 1, 3))
+        c.real[rng.random(c.shape) < 0.3] = -0.0
+        c.imag[rng.random(c.shape) < 0.3] = -0.0
+        c[-1] = complex(-0.0, -0.0)
+        disc = mt.DiscMap(c / (2 * degree + 2))
+        for lam in HORNER_POINTS.values():
+            for derivative in (False, True):
+                got = disc._horner(lam, derivative).view(np.float64)
+                want = _horner_reference(disc, lam, derivative).view(np.float64)
+                moved = got.view(np.uint64) != want.view(np.uint64)
+                assert np.array_equal(got, want) and not got[moved].any()
+
+
+def test_disc_keeps_a_read_only_copy_of_its_coefficients():
+    c = np.array([[0.1, 0.2j], [0.3, -0.1], [0.05j, 0.1]])
+    first, second = mt.DiscMap(c), mt.DiscMap(c)
+    lam = HORNER_POINTS["probe-grid"]
+    values, tangents = first(lam), first.derivative(lam)
+    ring_max = first.boundary_max()
+    c[...] = 0.9
+    for disc in (first, second):
+        assert disc(lam).tobytes() == values.tobytes()
+        assert disc.derivative(lam).tobytes() == tangents.tobytes()
+        assert disc.boundary_max() == ring_max
+    with pytest.raises(ValueError):
+        second.coefficients[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        second.coefficients[...] *= 2
+    with pytest.raises(ContainmentError,
+                       match=r"^disc of degree 1 leaves the unit ball \(boundary max 1\.4\)$"):
+        mt.require_contained(mt.DiscMap(np.array([[0.9, 0.0], [0.5, 0.0]])))
+
+
+@pytest.mark.parametrize("make", [lambda: mt.DiscMap(np.zeros((2, 0))),
+                                  lambda: mt.DiscMap(np.zeros((1, 0), dtype=complex)),
+                                  lambda: mt.random_disc_maps(0, 2, 2, 0)])
+def test_a_disc_needs_a_coordinate(make):
+    with pytest.raises(InputError, match="n >= 1"):
+        make()
+
+
+@pytest.mark.parametrize("coefficients,shown", [
+    ([[0.1, math.inf]], "inf"),
+    ([[0.1, 0.0], [math.inf, 0.0]], "nan"),
+    ([[0.1, math.nan]], "nan"),
+    ([[1e300, 0.0], [1e300, 0.0]], "inf"),
+])
+def test_a_non_finite_disc_fails_containment_without_a_warning(coefficients, shown):
+    disc = mt.DiscMap(np.array(coefficients, dtype=complex))
+    good = mt.DiscMap([[0.1, 0.0], [0.5, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContainmentError, match=rf"\(boundary max {shown}\)$"):
+            mt.require_contained(disc)
+        # the Kobayashi search passes over such a try
+        assert mt._verified_min([[(1.0, disc)], [(2.0, good)]]) == 2.0
+
+
 NAN = complex(math.nan, 0.0)
 B2 = mt.BallDomain(2)
 

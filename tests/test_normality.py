@@ -14,6 +14,7 @@ import holonorm.metrics as mt
 import holonorm.normality as nr
 import holonorm.sampling as sp
 from holonorm.errors import InputError, PoleError
+from holonorm.reports import canonical_json
 
 LEVI_FD_STEP = 1e-4
 LEVI_FD_RTOL = 1e-6
@@ -627,6 +628,24 @@ def test_kobayashi_check_needs_one_rung_per_ladder_entry(ladder, used):
                                      v_samples=np.eye(2))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kobayashi_check_default_rungs_match_passed_ones(n):
+    # the default rungs are prefix views of one array and skip the prefix
+    # test; passed as views or as copies they must give the same report
+    rng = np.random.default_rng(40 + n)
+    for case, ladder in enumerate([(0.2,), (0.3, 0.05), sp.DEFAULT_LADDER,
+                                   (0.5, 0.2, 0.1, 0.01, 1e-3, 1e-4)]):
+        f = ex.parse(REDUCER_EXPRS[n][case % len(REDUCER_EXPRS[n])], n)
+        kw = dict(ladder=ladder, directions=int(rng.integers(1, 40)),
+                  radii=int(rng.integers(1, 12)), v_count=int(rng.integers(1, 20)),
+                  seed=int(rng.integers(1000)))
+        grids = sp.ball_ladder_grids(n, ladder, kw["directions"], kw["radii"], kw["seed"])
+        with np.errstate(all="ignore"):
+            reports = {canonical_json(nr.kobayashi_normality_check(f, z_rungs=z, **kw).to_dict())
+                       for z in (None, grids, [g.copy() for g in grids])}
+        assert len(reports) == 1, (n, ladder)
+
+
 @pytest.mark.parametrize("Z", [[[1.0, 0.0]], [[0.1, 0.0], [math.nan, 0.0]], np.empty((0, 2))])
 def test_ball_normal_ratio_rejects_points_off_the_open_ball(Z):
     with pytest.raises(InputError):
@@ -813,6 +832,24 @@ def test_disc_probe_rejects_escaping_disc():
     with pytest.raises(Exception) as err:
         nr.disc_family_probe(f, discs=[bad])
     assert isinstance(err.value, ArithmeticError)
+
+
+def test_each_disc_evaluates_its_ring_once(monkeypatch):
+    calls = []
+    ring_norm_max = mt._ring_norm_max
+    monkeypatch.setattr(mt, "_ring_norm_max", lambda vals: calls.append(1) or ring_norm_max(vals))
+    disc = mt.DiscMap(np.array([[0.1, 0.0], [0.5, 0.2]]))
+    for _ in range(3):
+        assert mt.require_contained(disc).contained_in_unit_ball()
+    assert disc.boundary_max() < 1.0 and len(calls) == 1
+    calls.clear()
+    discs = mt.random_disc_maps(3, 20, 2, 5)
+    # one ring per disc, and one more for a disc rescaled to fit
+    made = len(calls)
+    assert len(discs) <= made <= 2 * len(discs)
+    # the probe's re-check of the discs it is given reads their cached maxima
+    nr.disc_family_probe(ex.parse("z1 + z2*z3", 3), discs=discs, radii=6, angles=8)
+    assert len(calls) == made
 
 
 def _e1_disc(r):

@@ -60,6 +60,57 @@ def test_ball_ladder_grids_need_a_radius_per_rung(radii):
         sp.ball_ladder_grids(2, (0.2, 0.1), directions=5, radii=radii, seed=0)
 
 
+def _cumulative_disc_grids(ladder, radii, angles):
+    # the loop that built every rung as its own array, kept as the reference
+    lad = sp.check_ladder(ladder)
+    theta = 2.0 * np.pi * np.arange(angles) / angles
+    ring = np.exp(1j * theta)
+    grids, blocks = [], []
+    for rs in sp._rung_radii(lad, radii):
+        blocks.append((rs[:, None] * ring[None, :]).ravel())
+        grids.append(np.concatenate(blocks))
+    return grids
+
+
+def _cumulative_ball_grids(arity, ladder, directions, radii, seed):
+    lad = sp.check_ladder(ladder)
+    dirs = np.concatenate([sp.axis_directions(arity),
+                           sp.unit_sphere_points(arity, directions, seed)])
+    grids, blocks = [], [np.zeros((1, arity), dtype=complex)]
+    for rs in sp._rung_radii(lad, radii):
+        rs = rs[rs > 0]
+        blocks.append((rs[:, None, None] * dirs[None, :, :]).reshape(-1, arity))
+        grids.append(np.concatenate(blocks))
+    return grids
+
+
+def _same_rungs(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    # one array: every rung is a prefix view of the deepest
+    assert all(np.shares_memory(g, got[-1]) for g in got)
+
+
+LADDERS = [(0.2,), (0.5, 0.3), sp.DEFAULT_LADDER, (0.9, 0.5, 0.1, 0.01, 1e-3, 1e-6)]
+
+
+@pytest.mark.parametrize("ladder", LADDERS)
+@pytest.mark.parametrize("radii,angles", [(2, 1), (3, 7), (24, 32), (64, 128)])
+def test_disc_ladder_grids_match_the_cumulative_loop(ladder, radii, angles):
+    _same_rungs(sp.disc_ladder_grids(ladder, radii, angles),
+                _cumulative_disc_grids(ladder, radii, angles))
+
+
+@pytest.mark.parametrize("ladder", LADDERS)
+@pytest.mark.parametrize("arity", [1, 2, 3, 4, 5])
+def test_ball_ladder_grids_match_the_cumulative_loop(ladder, arity):
+    for directions, radii, seed in ((1, 1, 0), (5, 2, 3), (64, 16, 11), (256, 32, 7)):
+        _same_rungs(sp.ball_ladder_grids(arity, ladder, directions, radii, seed),
+                    _cumulative_ball_grids(arity, ladder, directions, radii, seed))
+
+
 def test_unit_sphere_points_seeded():
     a = sp.unit_sphere_points(3, 10, seed=4)
     b = sp.unit_sphere_points(3, 10, seed=4)
