@@ -5,7 +5,7 @@ are JSON by default (canonical: the same configuration and seed reproduce
 the same bytes; timing goes to stderr only) or a flattened CSV.  Exit codes:
 0 success, 2 for input errors (syntax, bad file, bad flag, a non-finite
 ``--at`` coordinate or float flag), 3 for numeric failures (pole storms, no admissible
-disc, running out of memory).
+disc, running out of memory).  RuntimeWarnings are counted, not printed raw.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -234,6 +235,21 @@ def _run(args) -> dict:
             "config": config, "results": runner(inp, config)}
 
 
+def _run_counting_warnings(args) -> dict:
+    """``_run``, with its RuntimeWarnings counted on one stderr line (before
+    any error message) in place of numpy's raw ones."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            return _run(args)
+    finally:
+        for w in caught:
+            if not issubclass(w.category, RuntimeWarning):  # shown as usual
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        if count := sum(issubclass(w.category, RuntimeWarning) for w in caught):
+            print(f"holonorm {args.command}: {count} numpy RuntimeWarning(s) "
+                  "(overflow or invalid values) recorded", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -243,7 +259,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     t0 = time.perf_counter()
     try:
-        report = _run(args)
+        report = _run_counting_warnings(args)
     except (ParseError, InputError, OSError) as e:
         print(f"holonorm: input error: {e}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -386,15 +386,16 @@ def random_disc_maps(arity: int, count: int, degree: int, seed: int) -> list[Dis
 # --------------------------------------------------------------------------
 
 def _affine_candidate(z, v_hat, v_norm):
-    """(alpha, disc) for the largest safe affine disc in direction v_hat;
-    None when no positive stretch fits, i.e. when |z| >= 1 - margin."""
+    """(alpha, build) for the largest safe affine disc in direction v_hat,
+    build() making the disc; None when no positive stretch fits, i.e. when
+    |z| >= 1 - margin."""
     R = 1.0 - CONTAINMENT_MARGIN
     pair = abs(complex(np.sum(z * v_hat.conjugate())))  # |<z, v_hat>|
     s2 = R * R - float(np.vdot(z, z).real) + pair * pair
     stretch = -pair + math.sqrt(max(s2, 0.0))
     if stretch <= 0.0:
         return None
-    return v_norm / stretch, affine_disc(z, v_hat, stretch)
+    return v_norm / stretch, partial(affine_disc, z, v_hat, stretch)
 
 
 def _extremal_parameters(z, v_hat):
@@ -433,7 +434,7 @@ def _truncated_geodesic_candidate(z, v_hat, v_norm, t, q, degrees):
     """Degree-d truncations of the geodesic disc, argument-scaled to fit.
 
     Every degree is checked at sigma = 1 in one (degrees, samples) pass.
-    Returns, for every degree, an iterator of its unchecked (alpha, disc)
+    Returns, for every degree, an iterator of its unchecked (alpha, build)
     tries (see ``_truncation_tries``).  A degree that fits starts at
     sigma = 1, whose alpha v_norm / t is the least any truncation has.  One
     that does not first yields the key-only entry
@@ -473,15 +474,17 @@ def _truncated_geodesic_candidate(z, v_hat, v_norm, t, q, degrees):
 
 
 def _truncation_tries(z, v_hat, v_norm, t, q, d, sigma):
-    """(alpha, disc) for the degree-d truncation at scale sigma, then with
-    sigma shrunk by 0.1% per try, 8 tries in all; alpha grows per try."""
+    """(alpha, build) for the degree-d truncation at scale sigma, then with
+    sigma shrunk by 0.1% per try, 8 tries in all; alpha grows per try.
+    build() makes the try's disc, so only a checked try costs one."""
     j = np.arange(1, d + 1)
-    for _ in range(8):
+
+    def build(sigma):
         scale = (sigma ** j) * (q ** (j - 1))
-        coeffs = np.zeros((d + 1, len(z)), dtype=complex)
-        coeffs[0] = z
-        coeffs[1:] = t * scale[:, None] * v_hat[None, :]
-        yield v_norm / (t * sigma), DiscMap(coeffs)
+        return DiscMap(np.vstack([z, t * scale[:, None] * v_hat[None, :]]))
+
+    for _ in range(8):
+        yield v_norm / (t * sigma), partial(build, sigma)
         sigma *= 0.999
 
 
@@ -495,18 +498,19 @@ _GEODESIC_DEGREES = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 3
 def _verified_min(candidates):
     """The smallest alpha whose disc passes the check, or None.
 
-    Each candidate is an iterable of (alpha, disc) tries with alpha
-    nondecreasing, and its next try is taken only after its previous one
-    fails.  Tries are checked in ascending (alpha, candidate index) order,
-    so the first that passes is the minimum, over all candidates, of the
-    alpha of each one's first passing try: what checking every candidate
-    and taking the min would give.  A try with disc None is a key no
-    greater than the candidate's next alpha; it is passed over unchecked,
-    which leaves that order as it is.
+    Each candidate is an iterable of (alpha, build) tries with alpha
+    nondecreasing, build() making the try's disc, and its next try is taken
+    only after its previous one fails.  Tries are checked in ascending
+    (alpha, candidate index) order, so the first that passes is the
+    minimum, over all candidates, of the alpha of each one's first passing
+    try: what checking every candidate and taking the min would give.  A
+    try with build None is a key no greater than the candidate's next
+    alpha; it is passed over unchecked, which leaves that order as it is,
+    and only a checked try builds its disc.
     """
     tries = heapq.merge(*candidates, key=lambda t: t[0])
-    return next((alpha for alpha, disc in tries
-                 if disc is not None and disc.contained_in_unit_ball()), None)
+    return next((alpha for alpha, build in tries
+                 if build is not None and build().contained_in_unit_ball()), None)
 
 
 def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:

@@ -484,16 +484,18 @@ def random_ball_params(arity: int, count: int, seed: int):
 # Ball ratios: Levi form against invariant metrics
 # --------------------------------------------------------------------------
 
-#: Byte budget of one complex block of the (points x vectors) ratio table
-#: in ``_levi_ratio_tables``, which holds three such blocks at once.
+#: Byte budget of one complex (rows x vectors) block of the ratio table:
+#: the largest gathered block ``_ratio_prefix_maxima`` gives the kernel.
 RATIO_BLOCK_BYTES = 2 << 20
 
 
 def _ratio_inputs(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray):
-    """The checks of the ratio tables, in their order (points in the open
-    ball, usable direction vectors, no pole), then (squared norms of V,
-    values of f on Z, gradients of f on Z)."""
-    if Z.shape[0] == 0 or not np.all(np.linalg.norm(Z, axis=1) < 1.0):
+    """The checks of the ball ratios, in their order (points in the open
+    ball, d = 1 - |z|^2 > 0, which NaN fails; usable direction vectors; no
+    pole), then the tuple (Z, grad f on Z, d, (1+|f|^2)^2, |v|^2, V) that
+    the row bound and the kernel read."""
+    d = 1.0 - np.einsum("ij,ij->i", Z, Z.conjugate()).real
+    if Z.shape[0] == 0 or not np.all(d > 0.0):
         raise InputError("z samples must be nonempty and lie in the open unit ball")
     v2 = np.einsum("ij,ij->i", V, V.conjugate()).real
     if V.shape[0] == 0 or not np.all(np.isfinite(v2) & (v2 > 0.0)):
@@ -501,45 +503,22 @@ def _ratio_inputs(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray):
     vals, grads, pole = ex.eval_jet_batch(f, Z)
     if pole.any():
         raise InputError("pole signal inside the ball; certifier input must be holomorphic")
-    return v2, vals, grads
+    return Z, grads, d, np.square(_sphere_den(vals)), v2, V
 
 
-def _levi_ratio_tables(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale):
-    """np.max of each row of the (points x vectors) table levi_form(f, z, v)
-    / (scale * F_K(z, v)^2), F_K the Kobayashi metric of the unit ball.  NaN
-    propagates; np.argmax of the maxima is the row of the table's argmax.
-    Jets and per-row terms are computed once, the table in reused blocks of
-    RATIO_BLOCK_BYTES // (16 * vectors) rows, each entry rounded as in the
-    whole table, so memory is bounded at any number of points."""
-    v2, vals, grads = _ratio_inputs(f, Z, V)
-    m, k = Z.shape[0], V.shape[0]
-    den = np.square(_sphere_den(vals))
-    d = 1.0 - np.einsum("ij,ij->i", Z, Z.conjugate()).real
-    d2, Zc, VT = d ** 2, Z.conjugate(), V.T
-    # no one-row block unless m == 1: numpy computes a one-row product by
-    # gemv, which rounds differently from the rows of a matrix product
-    rows = max(2, RATIO_BLOCK_BYTES // (16 * k))
-    cap = min(m, rows + 1)
-    prod, levi, fk2 = np.empty((cap, k), complex), np.empty((cap, k)), np.empty((cap, k))
-    top = np.empty(m)
-    for s, e in itertools.pairwise([0, *range(rows, m - 1, rows), m]):
-        c, lv, fk = prod[:e - s], levi[:e - s], fk2[:e - s]
-        # fk2 = scale * (v2/d + |<v, z>|^2/d^2)
-        np.abs(np.matmul(Zc[s:e], VT, out=c), out=fk)
-        np.square(fk, out=fk)
-        np.divide(fk, d2[s:e, None], out=fk)
-        np.add(np.divide(v2, d[s:e, None], out=lv), fk, out=fk)
-        np.multiply(fk, scale, out=fk)
-        # levi = |grad f . v|^2 / (1 + |f|^2)^2, then levi / fk2
-        np.abs(np.matmul(grads[s:e], VT, out=c), out=lv)
-        np.square(lv, out=lv)
-        np.divide(lv, den[s:e, None], out=lv)
-        np.divide(lv, fk, out=lv)
-        np.max(lv, axis=1, out=top[s:e])
-    return top
+def _levi_ratio_tables(inputs, rows, scale):
+    """np.max of each row, at the indices ``rows``, of the (points x vectors)
+    table levi_form(f, z, v) / (scale * F_K(z, v)^2), F_K the Kobayashi
+    metric of the unit ball, from the ``_ratio_inputs`` tuple.  NaN
+    propagates.  Entries round as in the whole table but for one row (gemv)."""
+    Z, grads, d, den, v2, V = inputs
+    d = d[rows, None]
+    fk2 = scale * (v2 / d + np.abs(Z[rows].conjugate() @ V.T) ** 2 / d ** 2)
+    levi = np.abs(grads[rows] @ V.T) ** 2 / den[rows, None]
+    return np.max(levi / fk2, axis=1)
 
 
-def _ratio_row_bounds(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale):
+def _ratio_row_bounds(inputs, scale):
     """Upper bounds B_i on row i of the ratio table as the kernel
     ``_levi_ratio_tables`` rounds it, or +inf where none is proved.
 
@@ -559,16 +538,15 @@ def _ratio_row_bounds(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale):
     B = +inf where d is smaller, where |g|^2 max|v|^2 >= 2^1023 (|g.v|^2 may
     overflow in the kernel) or where the bound is not finite, as it is for
     a NaN or infinite jet; a NaN entry has no other cause."""
-    v2, vals, grads = _ratio_inputs(f, Z, V)
+    Z, grads, d, den, v2, _ = inputs
     slack, vmin = (Z.shape[1] + 1) * 2.0 ** -40, v2.min()
     with np.errstate(all="ignore"):
-        d = 1.0 - np.einsum("ij,ij->i", Z, Z.conjugate()).real
         gz = np.abs(np.einsum("ij,ij->i", grads, Z))
         b = np.einsum("ij,ij->i", grads, grads.conjugate()).real
         ok = (b * v2.max() < 2.0 ** 1023) & (d >= slack)
         b -= np.square(gz, out=gz)
         b *= d
-        b /= np.square(_sphere_den(vals))
+        b /= den
         b /= scale
         b *= 1.0 + slack / d
         b += (2.0 ** -1000 + 2.0 ** -1072 / vmin) if vmin >= 2.0 ** -1022 else np.inf
@@ -579,15 +557,16 @@ def _ratio_row_bounds(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale):
 def _ratio_prefix_maxima(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale, ends):
     """Row maxima of ``_levi_ratio_tables`` on the rows that the running
     maxima at the row counts ``ends`` (nondecreasing, the last m) depend
-    on, -inf on the others.  Each segment between ends takes its rows into
-    the kernel in decreasing order of the bound B (stable), in gathered
-    blocks of 2, 4, 8, ... up to RATIO_BLOCK_BYTES // (16 * vectors) rows,
-    until the next B is below the largest maximum evaluated up to the
-    segment's end.  A skipped row is then strictly below an evaluated row
-    of its prefix, so it is no running maximum nor the first index at one,
-    and a NaN row (B = +inf) is always evaluated.  A one-row block gets a
-    second row unless m == 1: a one-row product rounds apart (the kernel)."""
-    b = _ratio_row_bounds(f, Z, V, scale)
+    on, -inf on the others, from one ``_ratio_inputs`` pass.  Each segment
+    between ends takes its rows into the kernel in decreasing order of the
+    bound B (stable), in gathered blocks of 2, 4, 8, ... up to
+    RATIO_BLOCK_BYTES // (16 * vectors) rows, until the next B is below the
+    largest maximum evaluated up to the segment's end.  A skipped row is
+    then strictly below an evaluated row of its prefix, so it is no running
+    maximum nor the first index at one, and a NaN row (B = +inf) is always
+    evaluated.  A one-row block gets a second row unless m == 1 (the kernel)."""
+    inputs = _ratio_inputs(f, Z, V)
+    b = _ratio_row_bounds(inputs, scale)
     m = Z.shape[0]
     rows = max(2, RATIO_BLOCK_BYTES // (16 * V.shape[0]))
     top = np.full(m, -np.inf)
@@ -600,7 +579,7 @@ def _ratio_prefix_maxima(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale, en
             take = todo[:size]
             if take.size == 1 and m > 1:
                 take = np.append(take, 1 if take[0] == 0 else 0)
-            top[take] = _levi_ratio_tables(f, Z[take], V, scale)
+            top[take] = _levi_ratio_tables(inputs, take, scale)
             best = max(best, float(np.fmax.reduce(top[start:end])))
             todo = todo[size:]
             todo = todo[b[todo] >= best]

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import holonorm
 from holonorm import cli
+from holonorm import expr as ex
+from holonorm import normality as nr
 from holonorm import series as se
 
 
@@ -362,6 +367,27 @@ def test_console_entry_point_matches_module():
     assert proc.stdout == inproc.stdout
     assert json.loads(proc.stdout)["results"]["value"] == pytest.approx(
         1.6, rel=1e-12)
+
+
+def test_runtime_warnings_are_counted_on_one_line(capsys):
+    # exp(10/(1-z1)) overflows near z1 = 1, where numpy warns six times:
+    # one stderr line counts them, and no raw warning or source line shows
+    argv = ["yosida", "--expr", "exp(10/(1-z1))"]
+    root = str(Path(holonorm.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=root + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-m", "holonorm.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    count, clock = proc.stderr.splitlines()
+    assert count == ("holonorm yosida: 6 numpy RuntimeWarning(s) "
+                     "(overflow or invalid values) recorded")
+    assert clock.startswith("holonorm yosida: wall-clock ")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == proc.stdout
+    # library calls keep numpy's warnings
+    with pytest.warns(RuntimeWarning):
+        nr.yosida_bound(ex.parse("exp(10/(1-z1))", 1))
 
 
 def test_disc_probe_with_many_failed_samples_exits_3(capsys):

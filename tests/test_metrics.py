@@ -1,5 +1,6 @@
 """Chordal, Poincare, Bergman, Kobayashi, and the automorphism groups."""
 
+import functools
 import math
 import warnings
 
@@ -470,14 +471,41 @@ def test_kobayashi_upper_bit_pinned_on_discs_shapes(arity, r):
     assert got == list(DISCS_HEX[arity, r])
 
 
+def test_kobayashi_upper_builds_only_the_discs_it_checks(monkeypatch):
+    # the search's merge holds one try of every candidate; a try builds its
+    # coefficients and its disc only when it is checked
+    built, checked = [], []
+    init, check = mt.DiscMap.__post_init__, mt.DiscMap.contained_in_unit_ball
+
+    def counting_init(disc):
+        built.append(1)
+        init(disc)
+
+    def counting_check(disc):
+        checked.append(1)
+        return check(disc)
+
+    monkeypatch.setattr(mt.DiscMap, "__post_init__", counting_init)
+    monkeypatch.setattr(mt.DiscMap, "contained_in_unit_ball", counting_check)
+    for arity, r in sorted(DISCS_HEX):
+        z, v = _discs_case(arity, r)
+        for budget in DISCS_BUDGETS:
+            built.clear()
+            checked.clear()
+            mt.kobayashi_upper(mt.BallDomain(arity), z, v, budget, seed=7)
+            assert checked and len(built) <= len(checked), (arity, r, budget, len(built))
+
+
 def _alpha_matches_derivative(disc, alpha, v_norm):
     d0 = float(np.linalg.norm(disc.derivative_at_zero()))
     return abs(alpha - v_norm / d0) <= 1e-12 * alpha
 
 
 def _first_passing(tries):
-    """The first (alpha, disc) try of a candidate that passes the check."""
-    return next(((a, d) for a, d in tries if d.contained_in_unit_ball()), None)
+    """The first (alpha, disc) try of a candidate, given as (alpha, build)
+    tries, that passes the check."""
+    discs = ((a, build()) for a, build in tries)
+    return next(((a, d) for a, d in discs if d.contained_in_unit_ball()), None)
 
 
 @pytest.mark.parametrize("arity", [2, 3])
@@ -492,13 +520,14 @@ def test_candidate_discs_contained_with_matching_alpha(arity):
         t, q = mt._extremal_parameters(z, v_hat)
         geodesic = [list(tries) for tries in mt._truncated_geodesic_candidate(
             z, v_hat, v_norm, t, q, mt._GEODESIC_DEGREES)]
-        affine = mt._affine_candidate(z, v_hat, v_norm)
+        alpha, build = mt._affine_candidate(z, v_hat, v_norm)
+        affine = (alpha, build())
         for tries in geodesic:
             alphas = [alpha for alpha, _ in tries]
             assert alphas == sorted(alphas)  # a key-only entry included
-        # key-only entries (disc None) are neither tries nor checked; a
+        # key-only entries (build None) are neither tries nor checked; a
         # degree whose scale bisects to 0 has no tries at all
-        geodesic = [real for real in ([(a, d) for a, d in tries if d is not None]
+        geodesic = [real for real in ([(a, build()) for a, build in tries if build is not None]
                                       for tries in geodesic) if real]
         assert {len(tries) for tries in geodesic} == {8}  # sigma, then 7 retries
         for tries in geodesic + [[affine]]:
@@ -507,10 +536,7 @@ def test_candidate_discs_contained_with_matching_alpha(arity):
             for alpha, disc in tries:
                 assert np.array_equal(disc.coefficients[0], z)
                 assert _alpha_matches_derivative(disc, alpha, v_norm)
-        verified = [c for c in map(_first_passing, geodesic) if c is not None]
-        assert verified
-        for _, disc in verified:
-            assert disc.contained_in_unit_ball()
+        assert any(disc.contained_in_unit_ball() for tries in geodesic for _, disc in tries)
 
 
 def _eager_truncations(z, v_hat, v_norm, t, q, degrees):
@@ -598,11 +624,15 @@ def test_rejected_checks_follow_ascending_alpha(monkeypatch, rejected):
                 return False
             return key not in failed and original(disc)
 
+        def noted(alpha, build):
+            disc = build()
+            alpha_of[id(disc)] = alpha
+            return disc
+
         def noting(tries):
-            for alpha, disc in tries:
-                if disc is not None:  # a key-only entry is never checked
-                    alpha_of[id(disc)] = alpha
-                yield alpha, disc
+            for alpha, build in tries:
+                # a key-only entry (build None) is never checked
+                yield alpha, build and functools.partial(noted, alpha, build)
 
         def noting_all(candidates):
             return verified_min([noting(c) for c in candidates])
@@ -664,7 +694,7 @@ def test_truncations_bisected_once_after_full_scale_tries_fail(monkeypatch):
     v_norm = float(np.linalg.norm(v))
     v_hat = v / v_norm
     t, q = mt._extremal_parameters(z, v_hat)
-    full = {next(mt._truncation_tries(z, v_hat, v_norm, t, q, d, 1.0))[1].coefficients.tobytes()
+    full = {next(mt._truncation_tries(z, v_hat, v_norm, t, q, d, 1.0))[1]().coefficients.tobytes()
             for d in mt._GEODESIC_DEGREES}
     original = mt.DiscMap.contained_in_unit_ball
     log = []
@@ -916,7 +946,7 @@ def test_a_non_finite_disc_fails_containment_without_a_warning(coefficients, sho
         with pytest.raises(ContainmentError, match=rf"\(boundary max {shown}\)$"):
             mt.require_contained(disc)
         # the Kobayashi search passes over such a try
-        assert mt._verified_min([[(1.0, disc)], [(2.0, good)]]) == 2.0
+        assert mt._verified_min([[(1.0, lambda: disc)], [(2.0, lambda: good)]]) == 2.0
 
 
 NAN = complex(math.nan, 0.0)

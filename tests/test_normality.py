@@ -551,7 +551,13 @@ REDUCER_EXPRS = {
     2: ["exp(z1)*z2+z1", "0.7+i", "exp(40/(1-z1))", "sin(1/(1-z1))"],
     3: ["z1*z2+z3", "3", "exp(40/(1-z1))"],
     4: ["z1*z4+z2*z3^2", "exp(40/(1-z1))"],
+    8: ["z1*z8+z2*z3^2-exp(z4)*z5+z6*z7", "exp(40/(1-z1))"],
 }
+
+
+def _all_rows(f, Z, V, scale):
+    """The kernel's maximum of every row of the ratio table."""
+    return nr._levi_ratio_tables(nr._ratio_inputs(f, Z, V), np.arange(Z.shape[0]), scale)
 
 
 # rows per block asked of the budget: 1 (clamped to 2, see the reducer),
@@ -561,8 +567,7 @@ def test_ball_ratios_match_the_whole_matrix(monkeypatch, rows):
     rng = np.random.default_rng(rows or 0)
     ladder = (0.2, 0.1, 0.02, 0.01)
     nan_seen = False
-    for case in range(12):
-        n = case % 4 + 1
+    for case, n in enumerate([1, 2, 3, 4] * 3 + [8] * 2):
         text = REDUCER_EXPRS[n][case % len(REDUCER_EXPRS[n])]
         f = ex.parse(text, n)
         seed = int(rng.integers(1000))
@@ -583,21 +588,42 @@ def test_ball_ratios_match_the_whole_matrix(monkeypatch, rows):
         # every row maximum, not only those the reports show
         with np.errstate(all="ignore"):
             want = np.max(_eager_ratio(f, Z, V, 1), axis=1)
-            got = nr._levi_ratio_tables(f, Z, V, 1)
+            got = _all_rows(f, Z, V, 1)
         assert got.tobytes() == want.tobytes(), (text, seed)
         nan_seen |= "NaN" in want_k
     assert nan_seen  # the overflowing f reaches the NaN rows
 
 
 def test_kobayashi_check_memory_is_bounded():
-    f = ex.parse("exp(z1)*z2 + z3^2", 3)
-    tracemalloc.start()
-    try:
-        nr.kobayashi_normality_check(f, directions=256, radii=32, v_count=64)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 << 20
+    # the bound prunes the first f to a few rows; a constant f has every
+    # bound at the floor, so every row goes through the gathered blocks
+    for text in ("exp(z1)*z2 + z3^2", "0.7"):
+        f = ex.parse(text, 3)
+        tracemalloc.start()
+        try:
+            nr.kobayashi_normality_check(f, directions=256, radii=32, v_count=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20, text
+
+
+@pytest.mark.parametrize("text", ["exp(z1)*z2 + z3^2", "0.7"])
+def test_ball_ratios_evaluate_the_jets_once(monkeypatch, text):
+    calls, jets = [], ex.eval_jet_batch
+
+    def counting(f, Z):
+        calls.append(Z.shape[0])
+        return jets(f, Z)
+
+    monkeypatch.setattr(ex, "eval_jet_batch", counting)
+    f = ex.parse(text, 3)
+    nr.kobayashi_normality_check(f, directions=256, radii=32, v_count=64)
+    assert calls == [41182]
+    calls.clear()
+    nr.ball_normal_ratio(f, sp.uniform_ball_points(3, 5000, 0.95, 1),
+                         sp.unit_sphere_points(3, 200, 2))
+    assert calls == [5000]
 
 
 @pytest.mark.parametrize("rungs", [
@@ -652,6 +678,29 @@ def test_ball_normal_ratio_rejects_points_off_the_open_ball(Z):
         nr.ball_normal_ratio(ex.parse("z1", 2), Z, np.eye(2))
 
 
+def test_ball_ratios_test_the_open_ball_on_the_d_they_divide_by():
+    # within an ulp of the sphere, d = 1 - |z|^2 > 0 and |z| < 1 computed by
+    # np.linalg.norm can disagree: the ratios follow d, which the formulas
+    # divide by, so a point whose norm rounds to 1.0 is accepted when d > 0
+    # and one whose norm is below 1 is rejected when d rounds to 0
+    Z = sp.unit_sphere_points(2, 4000, 9)
+    d = 1.0 - np.einsum("ij,ij->i", Z, Z.conjugate()).real
+    norm = np.linalg.norm(Z, axis=1)
+    inside = np.flatnonzero((d > 0.0) & (norm == 1.0))
+    outside = np.flatnonzero((d <= 0.0) & (norm < 1.0))
+    assert inside.size and outside.size
+    f, V = ex.parse("z1*z2", 2), np.eye(2)
+    for i in inside[:5]:
+        est = nr.ball_normal_ratio(f, Z[i:i + 1], V)
+        assert np.array_equal(est.argmax_point, Z[i])
+        nr.kobayashi_normality_check(f, z_rungs=[Z[i:i + 1]], v_samples=V, ladder=(0.1,))
+    for i in outside[:5]:
+        with pytest.raises(InputError, match="open unit ball"):
+            nr.ball_normal_ratio(f, Z[i:i + 1], V)
+        with pytest.raises(InputError, match="open unit ball"):
+            nr.kobayashi_normality_check(f, z_rungs=[Z[i:i + 1]], v_samples=V, ladder=(0.1,))
+
+
 @pytest.mark.parametrize("V", [
     [[1.0, 0.0], [0.0, 0.0]],
     [[1.0, 0.0], [math.nan, 0.0]],
@@ -698,7 +747,7 @@ def _bound_points(n, seed):
 
 
 @pytest.mark.parametrize("scale", [1, "n+1"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_ratio_row_bounds_dominate_the_table_and_are_attained(n, scale):
     scale, checked = n + 1 if scale == "n+1" else 1, 0
     for case, text in enumerate(REDUCER_EXPRS[n]):
@@ -706,9 +755,9 @@ def test_ratio_row_bounds_dominate_the_table_and_are_attained(n, scale):
         Z = _bound_points(n, 40 * n + case)
         V = sp.unit_sphere_points(n, 24, 50 + case) * np.geomspace(0.01, 100, 24)[:, None]
         with np.errstate(all="ignore"):
-            bound = nr._ratio_row_bounds(f, Z, V, scale)
+            bound = nr._ratio_row_bounds(nr._ratio_inputs(f, Z, V), scale)
             table = _eager_ratio(f, Z, V, scale)
-            top = nr._levi_ratio_tables(f, Z, V, scale)
+            top = _all_rows(f, Z, V, scale)
         nan = np.isnan(table).any(axis=1)
         assert np.all(bound[nan] == np.inf), text
         assert np.all(table[~nan] <= bound[~nan, None]), text
@@ -776,9 +825,9 @@ def test_kobayashi_check_evaluates_a_tenth_of_the_heavy_shape_at_most(monkeypatc
     # the discs workload's heavy check: arity 3, 256 directions, 32 radii, 64 vectors
     kernel, rows = nr._levi_ratio_tables, []
 
-    def counting(f, Z, V, scale):
-        rows.append(Z.shape[0])
-        return kernel(f, Z, V, scale)
+    def counting(inputs, take, scale):
+        rows.append(take.size)
+        return kernel(inputs, take, scale)
 
     monkeypatch.setattr(nr, "_levi_ratio_tables", counting)
     for text in ("exp(z1)*z2 + z3^2",
@@ -790,7 +839,7 @@ def test_kobayashi_check_evaluates_a_tenth_of_the_heavy_shape_at_most(monkeypatc
         assert points == 41182 and sum(rows) <= points // 10, (text, sum(rows))
         # bounds that prune nothing give the same report
         with monkeypatch.context() as m:
-            m.setattr(nr, "_ratio_row_bounds", lambda f, Z, V, scale: np.full(Z.shape[0], np.inf))
+            m.setattr(nr, "_ratio_row_bounds", lambda inputs, scale: np.full(inputs[0].shape[0], np.inf))
             want = nr.kobayashi_normality_check(f, directions=256, radii=32, v_count=64)
         assert _canonical(got) == _canonical(want)
 
