@@ -3,7 +3,7 @@
 Contents: the chordal metric on the extended plane, the Poincare metric on
 the unit disc, the Bergman kernel and metric of the ball, Moebius
 automorphisms of disc and ball, the closed-form Kobayashi metric of the
-ball, and a verified-disc upper estimator for the Kobayashi metric.
+ball, and a proved upper bound on it from one certified geodesic disc.
 
 Conventions.  The Poincare tensor is 2/(1-|z|^2)^2, so for n = 1 it equals
 the Bergman tensor of the unit disc exactly.  The Bergman length uses the
@@ -12,10 +12,9 @@ Hermitian pairing <v, z> = sum v_mu * conj(z_mu).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -102,11 +101,18 @@ def _point(z, arity: int) -> np.ndarray:
     return a
 
 
+def _sq_norms(Z):
+    """|z|^2 of each z along the last axis of Z, as an einsum row sum: the
+    one rounding of |z|^2 for the open-ball rule, for the d = 1 - |z|^2
+    that the ball's formulas divide by, and for |v|^2 of direction vectors."""
+    return np.einsum("...j,...j->...", Z, Z.conjugate()).real
+
+
 def _in_ball(z, arity: int, message: str):
     """(z, |z|^2) for a point z of C^arity; InputError(message) unless
     |z|^2 < 1, a test that NaN fails."""
     zz = _point(z, arity)
-    s = float(np.vdot(zz, zz).real)
+    s = float(_sq_norms(zz))
     if not s < 1.0:
         raise InputError(message)
     return zz, s
@@ -382,158 +388,65 @@ def random_disc_maps(arity: int, count: int, degree: int, seed: int) -> list[Dis
 
 
 # --------------------------------------------------------------------------
-# Kobayashi upper estimator
+# Kobayashi upper bound
 # --------------------------------------------------------------------------
 
-def _affine_candidate(z, v_hat, v_norm):
-    """(alpha, build) for the largest safe affine disc in direction v_hat,
-    build() making the disc; None when no positive stretch fits, i.e. when
-    |z| >= 1 - margin."""
-    R = 1.0 - CONTAINMENT_MARGIN
-    pair = abs(complex(np.sum(z * v_hat.conjugate())))  # |<z, v_hat>|
-    s2 = R * R - float(np.vdot(z, z).real) + pair * pair
-    stretch = -pair + math.sqrt(max(s2, 0.0))
-    if stretch <= 0.0:
-        return None
-    return v_norm / stretch, partial(affine_disc, z, v_hat, stretch)
+#: Placeholders for removed searches, kept as bench/tracer.py's LAYERS names them.
+_affine_candidate = _truncated_geodesic_candidate = _quadratic_candidate = None
 
 
-def _extremal_parameters(z, v_hat):
-    """Scalar data (t, q) of the geodesic disc psi(l) = z + t v_hat l/(1 - q l)."""
-    nz = float(np.linalg.norm(z))
-    z_hat = z / nz
-    p = complex(np.sum(v_hat * z_hat.conjugate()))  # <v_hat, z_hat>
-    rho = math.sqrt(max(0.0, 1.0 - abs(p) ** 2))
-    s2 = 1.0 - nz * nz
-    t = s2 / math.sqrt(abs(p) ** 2 + rho * rho * s2)
-    q = -t * p * nz / s2
-    return t, q
+def _extremal_parameters(s, pair):
+    """(t, mu) of the geodesic disc psi(l) = z + t v_hat l/(1 - q l) through
+    z, |z|^2 = s, in direction v_hat, pair = |<v_hat, z>|: with d = 1 - s
+    and h = sqrt(pair^2 + d), t = d/h and q = -(pair/h) <v_hat, z>/pair,
+    whose mu = 1 - |q| = d/(h (h + pair)) has no cancellation.  Then
+    1 - |psi(l)|^2 = d (1 - |l|^2)/|1 - q l|^2; at z = 0, t = 1 and q = 0."""
+    d = 1.0 - s
+    h = math.sqrt(pair * pair + d)
+    return d / h, d / (h * (h + pair))
 
 
-def _geometric_boundary_max(z, v_hat, t, q, sigma, degrees):
-    """Exact boundary maxima of degree-d truncations scaled by sigma.
+def _geometric_boundary_max(s, pair, t, mu, rho):
+    """max |psi(rho l)|^2 over |l| = 1, in floats, for psi(w) = z +
+    t e w/(1 - q w), e = v/|v|, q = -(1 - mu) times the phase of <e, z>
+    (any phase when <e, z> = 0), and s = |z|^2 and pair = |<e, z>| as
+    ``kobayashi_upper`` forms them.
 
-    Row k is the disc z + t v_hat G(l) with
-    G(l) = sum_{j=1..d} (sigma_k l)^j q^(j-1), d = degrees[k], on 512
-    ring samples; the geometric form keeps the evaluation independent of d.
-    Returns one maximum per row.
+    On |w| = rho, u = w/(1 - q w) runs over the circle of centre
+    c = rho^2 conj(q)/k and radius r = rho/k, k = 1 - rho^2 |q|^2 = a (2 - a),
+    a = 1 - rho |q| = (1 - rho) + rho mu.  With p = <z, e>, |psi|^2 =
+    |z|^2 - |p|^2 + |p + t u|^2 has the maximum |z|^2 - |p|^2 +
+    (|p + t c| + y)^2, y = t r, and |p + t c| = |pair - x|, x = rho (1 - mu) y.
+
+    Rounding, u = 2^-53, n coordinates, with t, mu and rho the disc's exact
+    parameters.  s errs by (n+1)u (two roundings per |z_j|^2, n - 1 in the
+    sum, |z|^2 < 1), and pair, from v_hat and its norm ((n+5)u per
+    coordinate) and the pairing ((n+2)u), by (2n+10)u.  1 - rho and 1 - mu
+    are one rounding of an exact difference and a sums nonnegative terms,
+    so a errs relatively by 2u, 2 - a by 3u, k by 6u, y by 8u, x by 11u.
+    A result at most 1 has pair <= 1.01, (|pair - x| + y)^2 <= 2.03,
+    y <= 1.43 and x <= 2.44; so |pair - x| + y errs by (2n+52)u, its
+    square by (5.8n+152)u, s - pair^2 by (5.1n+24)u, and the result by
+    less than (11n+178)u, which (12n+200)u bounds with underflow included.
     """
-    w = np.asarray(sigma, dtype=float)[:, None] * _ring(512)
-    ratio = q * w
-    # one power per row with a Python int exponent, as numpy's scalar fast
-    # path for exponent 2 rounds differently from its array power
-    power = np.stack([r ** int(d) for r, d in zip(ratio, degrees)])
-    G = w * (1.0 - power) / (1.0 - ratio)
-    nz2 = float(np.vdot(z, z).real)
-    p_full = complex(np.sum(v_hat * z.conjugate()))  # <v_hat, z>
-    norm2 = nz2 + (t * np.abs(G)) ** 2 + 2.0 * t * np.real(G * p_full)
-    return np.sqrt(np.max(norm2, axis=1))
-
-
-def _truncated_geodesic_candidate(z, v_hat, v_norm, t, q, degrees):
-    """Degree-d truncations of the geodesic disc, argument-scaled to fit.
-
-    Every degree is checked at sigma = 1 in one (degrees, samples) pass.
-    Returns, for every degree, an iterator of its unchecked (alpha, build)
-    tries (see ``_truncation_tries``).  A degree that fits starts at
-    sigma = 1, whose alpha v_norm / t is the least any truncation has.  One
-    that does not first yields the key-only entry
-    (v_norm / (t * (1 - 2**-48)), None): its bisected sigma is at most
-    1 - 2**-48, so the key is strictly above v_norm / t and never above its
-    alpha.  When the first such entry is taken, the scales of all degrees
-    that do not fit are bisected in lockstep, one (degrees, samples) pass
-    per step; a degree whose scale bisects to 0 yields nothing more.
-    """
-    target = 1.0 - CONTAINMENT_MARGIN
-    over = _geometric_boundary_max(z, v_hat, t, q, np.ones(len(degrees)), degrees) > target
-    rows = np.flatnonzero(over)
-    sigma = {}
-
-    def bisected(k):
-        if not sigma:
-            sub = [degrees[r] for r in rows]
-            lo, hi = np.zeros(rows.size), np.ones(rows.size)
-            for _ in range(48):
-                mid = 0.5 * (lo + hi)
-                ok = _geometric_boundary_max(z, v_hat, t, q, mid, sub) <= target
-                lo = np.where(ok, mid, lo)
-                hi = np.where(ok, hi, mid)
-            sigma.update(zip(rows.tolist(), lo.tolist()))
-        return sigma[k]
-
-    def tries(k, d):
-        scale = 1.0
-        if over[k]:
-            yield v_norm / (t * (1.0 - 2.0 ** -48)), None
-            scale = bisected(k)
-            if scale <= 0.0:
-                return
-        yield from _truncation_tries(z, v_hat, v_norm, t, q, d, scale)
-
-    return [tries(k, d) for k, d in enumerate(degrees)]
-
-
-def _truncation_tries(z, v_hat, v_norm, t, q, d, sigma):
-    """(alpha, build) for the degree-d truncation at scale sigma, then with
-    sigma shrunk by 0.1% per try, 8 tries in all; alpha grows per try.
-    build() makes the try's disc, so only a checked try costs one."""
-    j = np.arange(1, d + 1)
-
-    def build(sigma):
-        scale = (sigma ** j) * (q ** (j - 1))
-        return DiscMap(np.vstack([z, t * scale[:, None] * v_hat[None, :]]))
-
-    for _ in range(8):
-        yield v_norm / (t * sigma), partial(build, sigma)
-        sigma *= 0.999
-
-
-#: Placeholder for a removed search, kept as bench/tracer.py's LAYERS names it.
-_quadratic_candidate = None
-
-
-_GEODESIC_DEGREES = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512)
-
-
-def _verified_min(candidates):
-    """The smallest alpha whose disc passes the check, or None.
-
-    Each candidate is an iterable of (alpha, build) tries with alpha
-    nondecreasing, build() making the try's disc, and its next try is taken
-    only after its previous one fails.  Tries are checked in ascending
-    (alpha, candidate index) order, so the first that passes is the
-    minimum, over all candidates, of the alpha of each one's first passing
-    try: what checking every candidate and taking the min would give.  A
-    try with build None is a key no greater than the candidate's next
-    alpha; it is passed over unchecked, which leaves that order as it is,
-    and only a checked try builds its disc.
-    """
-    tries = heapq.merge(*candidates, key=lambda t: t[0])
-    return next((alpha for alpha, build in tries
-                 if build is not None and build().contained_in_unit_ball()), None)
+    a = (1.0 - rho) + rho * mu
+    k = a * (2.0 - a)
+    y = t * rho / k
+    x = rho * (1.0 - mu) * y
+    return (s - pair * pair) + (abs(pair - x) + y) ** 2
 
 
 def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
-    """Upper bound on the Kobayashi metric F_K(z, v) of the unit ball.
+    """Proved upper bound on the Kobayashi metric F_K(z, v) of the unit ball.
 
-    Minimises alpha = |v| / |phi'(0)| over analytic discs phi with
-    phi(0) = z and phi'(0) a positive multiple of v: the largest safe
-    affine disc in direction v, then truncations of the geodesic disc at
-    the budget - 1 lowest of the 17 _GEODESIC_DEGREES (none at the origin
-    or for v orthogonal to z, where the geodesic disc is affine), so
-    ``budget`` caps the candidates at 1 + 17.  ``seed`` selects nothing.
-    Every truncation is tried at full scale in one pass; the scales of
-    those that do not fit are bisected together only if the search
-    reaches one of them.  Candidates are checked in ascending alpha order
-    (ties to the affine disc, then to the lower degree) until one passes
-    the sampled containment check on its exact coefficients; a failing
-    truncation is retried at a 0.1% smaller scale, 8 tries in all.  The
-    result is the least alpha of the candidates that pass, nonincreasing
-    in ``budget``; ContainmentError when none passes.  It bounds F_K only
-    as far as the check goes: containment is sampled at 256 points (more
-    for high degrees) of |lambda| = 1 - 1e-6, not proved on the closed
-    disc, so on the ball the result can fall below the closed form by
-    rounding.
+    F_K(z, v) = |v|/t for the geodesic disc psi of ``_extremal_parameters``
+    through z in the direction of v.  For rho = 1 - 2^-40/d, d = 1 - |z|^2,
+    ``_geometric_boundary_max`` proves that l -> psi(rho l) maps the closed
+    disc into the ball when its maximum is at most 1 minus its rounding
+    bound; the exact one is at most 1 - d (1 - rho^2)/4 <= 1 - 2^-42.  So
+    F_K(z, v) <= |v|/(t rho), returned rounded upward, about 2^-40/d above
+    F_K.  ContainmentError when d <= 2^-40 (rho <= 0) or the proof fails.
+    ``budget`` and ``seed`` select nothing; budget < 1 is an input error.
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
@@ -542,24 +455,18 @@ def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
     if not (np.isfinite(zz).all() and np.isfinite(vv).all()):
         raise InputError("base point and direction vector must be finite")
     with np.errstate(over="ignore"):
-        v_norm = float(np.linalg.norm(vv))
+        v_norm = math.sqrt(_sq_norms(vv))
     if not math.sqrt(np.finfo(float).tiny) <= v_norm < math.inf:
         # |v|^2 is not a normal float: scale by the largest part instead
         big = float(np.max(np.abs(np.concatenate([vv.real, vv.imag]))))
-        v_norm = big * float(np.linalg.norm(vv / big)) if big > 0.0 else 0.0
+        v_norm = big * math.sqrt(_sq_norms(vv / big)) if big > 0.0 else 0.0
     if not 0.0 < v_norm < math.inf:
         raise InputError("direction vector must be nonzero, with a finite norm")
     _, s = _in_ball(zz, B.arity, "base point must lie in the open ball")
-    v_hat = vv / v_norm
-
-    affine = _affine_candidate(zz, v_hat, v_norm)
-    candidates = [] if affine is None else [[affine]]
-    if s > 1e-24 and budget > 1:
-        t, q = _extremal_parameters(zz, v_hat)
-        if abs(q) > 1e-14:
-            degrees = _GEODESIC_DEGREES[:budget - 1]
-            candidates += _truncated_geodesic_candidate(zz, v_hat, v_norm, t, q, degrees)
-    best = _verified_min(candidates)
-    if best is None:
-        raise ContainmentError("no admissible disc found within budget")
-    return best
+    pair = abs(complex(np.sum(vv / v_norm * zz.conjugate())))  # |<v_hat, z>|
+    t, mu = _extremal_parameters(s, pair)
+    rho = 1.0 - 2.0 ** -40 / (1.0 - s)
+    bound = 1.0 - (12 * B.arity + 200) * 2.0 ** -53
+    if not (rho > 0.0 and _geometric_boundary_max(s, pair, t, mu, rho) <= bound):
+        raise ContainmentError(f"geodesic disc not proved inside the ball (d = {1.0 - s:.3g})")
+    return v_norm / (t * rho) * (1.0 + (B.arity + 8) * 2.0 ** -52)

@@ -494,10 +494,10 @@ def _ratio_inputs(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray):
     ball, d = 1 - |z|^2 > 0, which NaN fails; usable direction vectors; no
     pole), then the tuple (Z, grad f on Z, d, (1+|f|^2)^2, |v|^2, V) that
     the row bound and the kernel read."""
-    d = 1.0 - np.einsum("ij,ij->i", Z, Z.conjugate()).real
+    d = 1.0 - mt._sq_norms(Z)
     if Z.shape[0] == 0 or not np.all(d > 0.0):
         raise InputError("z samples must be nonempty and lie in the open unit ball")
-    v2 = np.einsum("ij,ij->i", V, V.conjugate()).real
+    v2 = mt._sq_norms(V)
     if V.shape[0] == 0 or not np.all(np.isfinite(v2) & (v2 > 0.0)):
         raise InputError("direction vectors must be nonzero with a finite squared norm")
     vals, grads, pole = ex.eval_jet_batch(f, Z)

@@ -1,14 +1,15 @@
 """Chordal, Poincare, Bergman, Kobayashi, and the automorphism groups."""
 
-import functools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 import holonorm.expr as ex
 import holonorm.metrics as mt
+import holonorm.normality as nr
 import holonorm.sampling as sp
 from holonorm.errors import ContainmentError, InputError
 
@@ -380,54 +381,21 @@ def test_kobayashi_upper_deterministic():
 
 
 # Estimates as float.hex() for z = r * PINNED_Z[n] / |PINNED_Z[n]|, v =
-# PINNED_V[n], seed 7, at PINNED_BUDGETS.  Budgets 20 and up hold every
-# candidate (1 + 17), so they read the same.  Recorded before the candidate
-# search was vectorised; any rounding change in the containment checks
-# shows up here.
+# PINNED_V[n], seed 7, at PINNED_BUDGETS.  The budget selects nothing, so a
+# row reads one value; any rounding change in the certified disc's
+# parameters or in the upward rounding of the result shows up here.
 PINNED_Z = {2: [1 + 0.5j, -0.3 + 0.7j], 3: [1 + 0.5j, -0.3 + 0.7j, 0.2 - 0.4j]}
 PINNED_V = {2: [0.5 - 0.3j, 0.8 + 0.1j], 3: [0.5 - 0.3j, 0.8 + 0.1j, -0.2 + 0.6j]}
 PINNED_BUDGETS = (1, 2, 5, 20, 200, 300)
 PINNED_HEX = {
-    (2, 0.0): (
-        '0x1.fd6efe55278a7p-1', '0x1.fd6efe55278a7p-1',
-        '0x1.fd6efe55278a7p-1', '0x1.fd6efe55278a7p-1',
-        '0x1.fd6efe55278a7p-1', '0x1.fd6efe55278a7p-1',
-    ),
-    (2, 0.3): (
-        '0x1.5c8e3d60af43cp+0', '0x1.264bec0cb586bp+0',
-        '0x1.14a8bb347a9cdp+0', '0x1.148da65558885p+0',
-        '0x1.148da65558885p+0', '0x1.148da65558885p+0',
-    ),
-    (2, 0.6): (
-        '0x1.23a76ea78fbe8p+1', '0x1.d5aeab5267ebdp+0',
-        '0x1.865d27d32c15ep+0', '0x1.7a8d2fc6593b1p+0',
-        '0x1.7a8d2fc6593b1p+0', '0x1.7a8d2fc6593b1p+0',
-    ),
-    (2, 0.9): (
-        '0x1.15d7e977d2f5ep+3', '0x1.c2ba6753acd9dp+2',
-        '0x1.6d2fad4489c0bp+2', '0x1.290c04f760be2p+2',
-        '0x1.290c04f760be2p+2', '0x1.290c04f760be2p+2',
-    ),
-    (3, 0.0): (
-        '0x1.2dd1cdf740939p+0', '0x1.2dd1cdf740939p+0',
-        '0x1.2dd1cdf740939p+0', '0x1.2dd1cdf740939p+0',
-        '0x1.2dd1cdf740939p+0', '0x1.2dd1cdf740939p+0',
-    ),
-    (3, 0.3): (
-        '0x1.84834eefaae1dp+0', '0x1.4fe3b37f82aeep+0',
-        '0x1.431cd99cef756p+0', '0x1.43163330dead5p+0',
-        '0x1.43163330dead5p+0', '0x1.43163330dead5p+0',
-    ),
-    (3, 0.6): (
-        '0x1.2f5b4d0c6a3cep+1', '0x1.ec252dd6a6a3ep+0',
-        '0x1.a8d3a88bc378ep+0', '0x1.a4a85333cdd39p+0',
-        '0x1.a4a85333cdd39p+0', '0x1.a4a85333cdd39p+0',
-    ),
-    (3, 0.9): (
-        '0x1.0773ff5980b11p+3', '0x1.a990025e0c52dp+2',
-        '0x1.57f77b518178cp+2', '0x1.23e36f09dafabp+2',
-        '0x1.23e36f09dafabp+2', '0x1.23e36f09dafabp+2',
-    ),
+    (2, 0.0): ('0x1.fd6efe4c9d890p-1',) * 6,
+    (2, 0.3): ('0x1.148da65559b8ep+0',) * 6,
+    (2, 0.6): ('0x1.7a8d2fc65b8b7p+0',) * 6,
+    (2, 0.9): ('0x1.290c04f766da6p+2',) * 6,
+    (3, 0.0): ('0x1.2dd1cdf231741p+0',) * 6,
+    (3, 0.3): ('0x1.43163330e0114p+0',) * 6,
+    (3, 0.6): ('0x1.a4a85333d0661p+0',) * 6,
+    (3, 0.9): ('0x1.23e36f09e0fbfp+2',) * 6,
 }
 
 
@@ -443,16 +411,15 @@ def test_kobayashi_upper_bit_pinned(arity, r):
 
 # The same for the shapes of the benchmark's discs workload: arity 2 and 3,
 # budgets 20, 100 and 200, seed 7, at the origin and two radii, with z and
-# v from _discs_case.  Recorded before the truncation scales were bisected
-# only when the search reaches them.
+# v from _discs_case.
 DISCS_BUDGETS = (20, 100, 200)
 DISCS_HEX = {
-    (2, 0.0): ('0x1.255c808ae4683p+1',) * 3,
-    (2, 0.4): ('0x1.4c0244d448424p+1',) * 3,
-    (2, 0.85): ('0x1.8d751b9a87802p+2',) * 3,
-    (3, 0.0): ('0x1.00cd43e974a99p+2',) * 3,
-    (3, 0.4): ('0x1.200d64f21cc58p+2',) * 3,
-    (3, 0.85): ('0x1.44f7d35c208cep+3',) * 3,
+    (2, 0.0): ('0x1.255c8085f9941p+1',) * 3,
+    (2, 0.4): ('0x1.4c0244d449ce5p+1',) * 3,
+    (2, 0.85): ('0x1.8d751b9a8d194p+2',) * 3,
+    (3, 0.0): ('0x1.00cd43e526b68p+2',) * 3,
+    (3, 0.4): ('0x1.200d64f21e1d3p+2',) * 3,
+    (3, 0.85): ('0x1.44f7d35c2520ep+3',) * 3,
 }
 
 
@@ -472,8 +439,8 @@ def test_kobayashi_upper_bit_pinned_on_discs_shapes(arity, r):
 
 
 def test_kobayashi_upper_builds_only_the_discs_it_checks(monkeypatch):
-    # the search's merge holds one try of every candidate; a try builds its
-    # coefficients and its disc only when it is checked
+    # the bound is proved in closed form: no polynomial disc is built and
+    # no sampled containment check runs
     built, checked = [], []
     init, check = mt.DiscMap.__post_init__, mt.DiscMap.contained_in_unit_ball
 
@@ -490,96 +457,12 @@ def test_kobayashi_upper_builds_only_the_discs_it_checks(monkeypatch):
     for arity, r in sorted(DISCS_HEX):
         z, v = _discs_case(arity, r)
         for budget in DISCS_BUDGETS:
-            built.clear()
-            checked.clear()
             mt.kobayashi_upper(mt.BallDomain(arity), z, v, budget, seed=7)
-            assert checked and len(built) <= len(checked), (arity, r, budget, len(built))
+    assert not built and not checked
 
 
-def _alpha_matches_derivative(disc, alpha, v_norm):
-    d0 = float(np.linalg.norm(disc.derivative_at_zero()))
-    return abs(alpha - v_norm / d0) <= 1e-12 * alpha
-
-
-def _first_passing(tries):
-    """The first (alpha, disc) try of a candidate, given as (alpha, build)
-    tries, that passes the check."""
-    discs = ((a, build()) for a, build in tries)
-    return next(((a, d) for a, d in discs if d.contained_in_unit_ball()), None)
-
-
-@pytest.mark.parametrize("arity", [2, 3])
-def test_candidate_discs_contained_with_matching_alpha(arity):
-    rng = np.random.default_rng(arity)
-    for trial in range(4):
-        z = sp.uniform_ball_points(arity, 1, 0.9, 40 + trial)[0]
-        raw = rng.standard_normal(2 * arity)
-        v = raw[:arity] + 1j * raw[arity:]
-        v_norm = float(np.linalg.norm(v))
-        v_hat = v / v_norm
-        t, q = mt._extremal_parameters(z, v_hat)
-        geodesic = [list(tries) for tries in mt._truncated_geodesic_candidate(
-            z, v_hat, v_norm, t, q, mt._GEODESIC_DEGREES)]
-        alpha, build = mt._affine_candidate(z, v_hat, v_norm)
-        affine = (alpha, build())
-        for tries in geodesic:
-            alphas = [alpha for alpha, _ in tries]
-            assert alphas == sorted(alphas)  # a key-only entry included
-        # key-only entries (build None) are neither tries nor checked; a
-        # degree whose scale bisects to 0 has no tries at all
-        geodesic = [real for real in ([(a, build()) for a, build in tries if build is not None]
-                                      for tries in geodesic) if real]
-        assert {len(tries) for tries in geodesic} == {8}  # sigma, then 7 retries
-        for tries in geodesic + [[affine]]:
-            alphas = [alpha for alpha, _ in tries]
-            assert alphas == sorted(alphas)  # what the lazy retries rely on
-            for alpha, disc in tries:
-                assert np.array_equal(disc.coefficients[0], z)
-                assert _alpha_matches_derivative(disc, alpha, v_norm)
-        assert any(disc.contained_in_unit_ball() for tries in geodesic for _, disc in tries)
-
-
-def _eager_truncations(z, v_hat, v_norm, t, q, degrees):
-    """Reference: the truncation tries with the scale of every degree that
-    does not fit at sigma = 1 bisected up front, 48 steps in lockstep, as
-    the estimator did before it bisected only when the search reached one."""
-    target = 1.0 - mt.CONTAINMENT_MARGIN
-    sigma = np.ones(len(degrees))
-    rows = np.flatnonzero(mt._geometric_boundary_max(z, v_hat, t, q, sigma, degrees) > target)
-    if rows.size:
-        sub = [degrees[k] for k in rows]
-        lo, hi = np.zeros(rows.size), np.ones(rows.size)
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            ok = mt._geometric_boundary_max(z, v_hat, t, q, mid, sub) <= target
-            lo = np.where(ok, mid, lo)
-            hi = np.where(ok, hi, mid)
-        sigma[rows] = lo
-    return [mt._truncation_tries(z, v_hat, v_norm, t, q, d, float(sig))
-            for d, sig in zip(degrees, sigma) if sig > 0.0]
-
-
-def _eager_kobayashi_upper(z, v, budget):
-    """Reference: check every candidate's tries in turn and take the min of
-    the first passing alphas, as the estimator did before branch and bound."""
-    z = np.asarray(z, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    v_norm = float(np.linalg.norm(v))
-    v_hat = v / v_norm
-    affine = mt._affine_candidate(z, v_hat, v_norm)
-    candidates = [] if affine is None else [[affine]]
-    if float(np.linalg.norm(z)) > 1e-12 and budget > 1:
-        t, q = mt._extremal_parameters(z, v_hat)
-        if abs(q) > 1e-14:
-            degrees = mt._GEODESIC_DEGREES[:budget - 1]
-            candidates += _eager_truncations(z, v_hat, v_norm, t, q, degrees)
-    alphas = [c[0] for c in map(_first_passing, candidates) if c is not None]
-    if not alphas:
-        raise ContainmentError("no admissible disc found within budget")
-    return min(alphas)
-
-
-def _lazy_eager_cases(count):
+def _seeded_cases(count):
+    """(n, z, v, budget, seed): arity 1-9, |z| up to 0.97, every 8th at 0."""
     rng = np.random.default_rng(1234)
     for i in range(count):
         n = int(rng.integers(1, 10))
@@ -592,181 +475,141 @@ def _lazy_eager_cases(count):
         yield n, r * u / np.linalg.norm(u), v, budget, int(rng.integers(0, 100))
 
 
-def test_kobayashi_upper_matches_eager_reference():
-    for n, z, v, budget, seed in _lazy_eager_cases(40):
-        B = mt.BallDomain(n)
-        want = _eager_kobayashi_upper(z, v, budget)
-        assert mt.kobayashi_upper(B, z, v, budget, seed=seed).hex() == want.hex()
+def _certified_cases():
+    """(z, v) pairs: seeded ones, the origin, a tiny |z|, v parallel and
+    orthogonal to z, and points up to |z| = 1 - 1e-10."""
+    cases = [(z, v) for _, z, v, _, _ in _seeded_cases(120)]
+    cases += [(np.zeros(n, complex), np.arange(1, n + 1) * (0.3 - 0.2j)) for n in (1, 2, 9)]
+    radii = ((1, 0.5), (2, 1 - 1e-3), (3, 1 - 1e-6), (5, 1 - 1e-8), (9, 1 - 1e-10), (2, 1e-170))
+    for n, r in radii:
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z = r * u / np.linalg.norm(u)
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        cases += [(z, w), (z, (0.7 - 0.2j) * u)]  # generic, v parallel to z
+        if n > 1:
+            cases.append((z, w - np.vdot(u, w) / np.vdot(u, u) * u))  # v orthogonal to z
+    return cases
 
 
-@pytest.mark.parametrize("rejected", [1, 3, 12, 40])
-def test_rejected_checks_follow_ascending_alpha(monkeypatch, rejected):
-    """The first ``rejected`` checks fail.  The estimator must then check in
-    ascending alpha with ties to the lower candidate (the affine disc, then
-    the lower degree), retry a rejected truncation at a 0.1% smaller scale,
-    and return what the eager search gives when the same discs fail."""
-    original = mt.DiscMap.contained_in_unit_ball
-    verified_min = mt._verified_min
-    cases = [(2, np.array([0.35 + 0.1j, -0.2 + 0.25j]), np.array([0.5 - 0.3j, 0.8 + 0.1j]), 60, 0),
-             (3, np.zeros(3, complex), np.array([0.3, 0.4j, -0.2]), 30, 5),
-             (1, np.array([0.6j]), np.array([1.5 + 0j]), 25, 1)]
-    cases += list(_lazy_eager_cases(6))
-    ties = 0
-    for n, z, v, budget, seed in cases:
-        B = mt.BallDomain(n)
-        seen, failed, alpha_of, lazy = [], set(), {}, [True]
-
-        def reject_first(disc):
-            key = (disc.coefficients.shape, disc.coefficients.tobytes())
-            if lazy[0] and len(seen) < rejected:
-                seen.append((alpha_of[id(disc)], disc.degree))
-                failed.add(key)
-                return False
-            return key not in failed and original(disc)
-
-        def noted(alpha, build):
-            disc = build()
-            alpha_of[id(disc)] = alpha
-            return disc
-
-        def noting(tries):
-            for alpha, build in tries:
-                # a key-only entry (build None) is never checked
-                yield alpha, build and functools.partial(noted, alpha, build)
-
-        def noting_all(candidates):
-            return verified_min([noting(c) for c in candidates])
-
-        monkeypatch.setattr(mt.DiscMap, "contained_in_unit_ball", reject_first)
-        monkeypatch.setattr(mt, "_verified_min", noting_all)
-        try:
-            got = mt.kobayashi_upper(B, z, v, budget, seed=seed).hex()
-        except ContainmentError:
-            got = None
-        lazy[0] = False
-        try:
-            want = _eager_kobayashi_upper(z, v, budget).hex()
-        except ContainmentError:
-            want = None
-        monkeypatch.setattr(mt.DiscMap, "contained_in_unit_ball", original)
-        assert got == want
-        assert len(seen) == rejected or got is None
-        # one heap holds the affine disc and the truncations
-        for (a0, d0), (a1, d1) in zip(seen, seen[1:]):
-            assert a1 >= a0
-            if a1 == a0:
-                assert d1 > d0
-                ties += 1
-    assert ties or rejected < 3
+def test_kobayashi_upper_never_undercuts_the_closed_form():
+    for z, v in _certified_cases():
+        B = mt.BallDomain(len(z))
+        got = mt.kobayashi_upper(B, z, v, 200, seed=7)
+        want = mt.kobayashi_closed_form_ball(z, v)
+        eps = 2.0 ** -40 / (1.0 - float(np.vdot(z, z).real))
+        assert want <= got <= want * (1.0 + eps / (1.0 - eps) + 1e-13), (z, v)
+        # neither the budget nor the seed selects anything
+        assert {mt.kobayashi_upper(B, z, v, budget, seed).hex()
+                for budget in (1, 18, 300) for seed in (0, 99)} == {got.hex()}
 
 
-def _boundary_passes(monkeypatch, log):
-    """Log each truncation boundary pass as ("pass", rows) in ``log``."""
-    original = mt._geometric_boundary_max
+def _recorded_maxima(monkeypatch):
+    """Each call of _geometric_boundary_max as (args, result)."""
+    calls, original = [], mt._geometric_boundary_max
 
-    def logged(z, v_hat, t, q, sigma, degrees):
-        log.append(("pass", len(degrees)))
-        return original(z, v_hat, t, q, sigma, degrees)
+    def recorded(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(mt, "_geometric_boundary_max", logged)
+    monkeypatch.setattr(mt, "_geometric_boundary_max", recorded)
+    return calls
+
+
+def test_certified_disc_maximum_matches_mpmath(monkeypatch):
+    """The float maximum is within the stated rounding bound of a 50-digit
+    evaluation of the disc's maximum for the exact unit e = v/|v|; the
+    closed form is attained on |w| = rho; s and pair err as the proof says;
+    and the result is at least |v|/(t rho)."""
+    calls = _recorded_maxima(monkeypatch)
+    u = 2.0 ** -53
+    with mpmath.workdps(50):
+        for z, v in _certified_cases():
+            n = len(z)
+            got = mt.kobayashi_upper(mt.BallDomain(n), z, v, 20)
+            (s, pair, t, mu, rho), value = calls.pop()
+            t, rho = mpmath.mpf(t), mpmath.mpf(rho)
+            zz = [mpmath.mpc(c) for c in np.asarray(z, complex)]
+            vv = [mpmath.mpc(c) for c in np.asarray(v, complex)]
+            v_norm = mpmath.sqrt(mpmath.fsum(abs(c) ** 2 for c in vv))
+            e = [c / v_norm for c in vv]
+            p = mpmath.fsum(a * mpmath.conj(b) for a, b in zip(zz, e))  # <z, e>
+            S = mpmath.fsum(abs(c) ** 2 for c in zz)
+            assert abs(s - S) <= (n + 1) * u and abs(pair - abs(p)) <= (2 * n + 10) * u
+            m = 1 - mpmath.mpf(mu)
+            k = 1 - (rho * m) ** 2
+            y = t * rho / k
+            exact = S - abs(p) ** 2 + (abs(abs(p) - rho * m * y) + y) ** 2
+            assert abs(value - exact) <= (12 * n + 200) * u, (z, v)
+            # attained: psi(w) = z + t e w/(1 - q w), q = -m conj(p)/|p|, at
+            # the point of |w| = rho where p + t u points along p + t c
+            phase = mpmath.conj(p) / abs(p) if abs(p) else mpmath.mpf(1)
+            q = -m * phase
+            c = rho ** 2 * mpmath.conj(q) / k
+            along = p + t * c
+            peak = c + rho / k * (along / abs(along) if abs(along) else 1)
+            w = peak / (1 + q * peak)
+            image = [a + t * b * w / (1 - q * w) for a, b in zip(zz, e)]
+            assert abs(abs(w) - rho) <= 1e-40
+            assert abs(mpmath.fsum(abs(c) ** 2 for c in image) - exact) <= 1e-40
+            assert got >= v_norm / (t * rho)
 
 
 @pytest.mark.parametrize("arity", [2, 3])
-def test_truncation_that_fits_at_full_scale_wins_without_bisection(monkeypatch, arity):
-    # at these points 5 of the 17 degrees do not fit at sigma = 1; the eager
-    # search bisected their scales, 48 more passes, and never used them
-    z, v = _discs_case(arity, 0.4)
-    v_norm = float(np.linalg.norm(v))
-    t, _ = mt._extremal_parameters(z, v / v_norm)
-    log = []
-    _boundary_passes(monkeypatch, log)
-    got = mt.kobayashi_upper(mt.BallDomain(arity), z, v, 200, seed=7)
-    assert got == v_norm / t  # the least alpha of any truncation
-    assert log == [("pass", len(mt._GEODESIC_DEGREES))]
-
-
-def test_truncations_bisected_once_after_full_scale_tries_fail(monkeypatch):
-    """With every sigma = 1 try rejected, the search reaches the degrees
-    that do not fit: their scales are bisected once, in lockstep, after the
-    rejected tries, and the result is the eager search's."""
-    B = mt.BallDomain(2)
-    z, v = _discs_case(2, 0.4)
-    v_norm = float(np.linalg.norm(v))
-    v_hat = v / v_norm
-    t, q = mt._extremal_parameters(z, v_hat)
-    full = {next(mt._truncation_tries(z, v_hat, v_norm, t, q, d, 1.0))[1]().coefficients.tobytes()
-            for d in mt._GEODESIC_DEGREES}
-    original = mt.DiscMap.contained_in_unit_ball
-    log = []
-
-    def reject_full_scale(disc):
-        rejected = disc.coefficients.tobytes() in full
-        log.append(("reject" if rejected else "check", disc.degree))
-        return not rejected and original(disc)
-
-    monkeypatch.setattr(mt.DiscMap, "contained_in_unit_ball", reject_full_scale)
-    _boundary_passes(monkeypatch, log)
-    got = mt.kobayashi_upper(B, z, v, 200, seed=7)
-    passes = [k for k, (kind, _) in enumerate(log) if kind == "pass"]
-    rejects = [k for k, (kind, _) in enumerate(log) if kind == "reject"]
-    # one pass at sigma = 1 over all 17 degrees, 48 over the 5 that do not
-    # fit, and those only after the 12 full-scale tries were rejected
-    assert [log[k] for k in passes] == [("pass", 17)] + [("pass", 5)] * 48
-    assert len(rejects) == 12 and passes[0] < rejects[0] and rejects[-1] < passes[1]
-    assert passes == [passes[0]] + list(range(passes[1], passes[1] + 48))
-    want = _eager_kobayashi_upper(z, v, 200)
-    assert got.hex() == want.hex() and got > v_norm / t
-
-
-def _upper_hex(z, v, budget, seed):
-    """kobayashi_upper as float.hex(), or None on ContainmentError."""
-    try:
-        return mt.kobayashi_upper(mt.BallDomain(len(z)), z, v, budget, seed=seed).hex()
-    except ContainmentError:
-        return None
-
-
-def test_search_holds_only_the_affine_disc_and_truncations(monkeypatch):
-    """With every disc rejected, a budget-200 call makes at most 1 + 17 * 8
-    checks (the affine disc, then 8 tries per truncation) and raises.  From
-    budget 1 + 17 on, neither the budget nor the seed moves a bit."""
-    original = mt.DiscMap.contained_in_unit_ball
-    checks = []
-
-    def reject(disc, samples=None):
-        checks.append(disc.degree)
-        return False
-
-    monkeypatch.setattr(mt.DiscMap, "contained_in_unit_ball", reject)
-    for arity, r in ((2, 0.4), (3, 0.85), (3, 0.0)):
-        z, v = _discs_case(arity, r)
-        checks.clear()
-        with pytest.raises(ContainmentError):
-            mt.kobayashi_upper(mt.BallDomain(arity), z, v, 200, seed=7)
-        assert 1 <= len(checks) <= 1 + len(mt._GEODESIC_DEGREES) * 8
-        assert checks.count(2) <= 8
-    monkeypatch.setattr(mt.DiscMap, "contained_in_unit_ball", original)
-
-    cases = [(z, v) for _, z, v, _, _ in _lazy_eager_cases(40)]
-    u = np.array([0.6 + 0.3j, -0.2 + 0.7j])
-    z = 0.8 * u / np.linalg.norm(u)
-    cases += [((1.0 - 10 ** -8.9) * u / np.linalg.norm(u), np.array([0.3 - 0.1j, 0.9j])),
-              (z, np.array([-z[1].conjugate(), z[0].conjugate()])),  # v orthogonal to z
-              (z, (0.7 - 0.2j) * z)]  # v parallel to z
-    for z, v in cases:
-        got = {_upper_hex(z, v, budget, seed) for budget in (18, 200, 300) for seed in (0, 7, 99)}
-        assert len(got) == 1, (z, v, got)
+def test_candidate_discs_contained_with_matching_alpha(monkeypatch, arity):
+    # the one candidate, l -> psi(rho l), on a 2^16-sample ring: no sample
+    # exceeds the proved maximum, and |v|/|phi'(0)| is the result
+    calls = _recorded_maxima(monkeypatch)
+    ring = np.exp(2j * np.pi * np.arange(1 << 16) / (1 << 16))
+    slack = (12 * arity + 200) * 2.0 ** -53
+    for z, v in [case for case in _certified_cases() if len(case[0]) == arity]:
+        got = mt.kobayashi_upper(mt.BallDomain(arity), z, v, 20)
+        (s, pair, t, mu, rho), value = calls.pop()
+        v_hat = v / np.linalg.norm(v)
+        inner = complex(np.sum(v_hat * z.conjugate()))  # <v_hat, z>
+        q = -(1.0 - mu) * inner / abs(inner) if inner else 0.0
+        w = rho * ring
+        phi = z[:, None] + t * v_hat[:, None] * (w / (1.0 - q * w))
+        assert np.max(np.sum(np.abs(phi) ** 2, axis=0)) <= value + slack <= 1.0
+        assert got == pytest.approx(np.linalg.norm(v) / np.linalg.norm(t * rho * v_hat), rel=1e-14)
 
 
 def test_kobayashi_upper_near_the_sphere_raises_containment_error():
-    # |z| = 1 - 1e-10 is inside the ball but beyond the containment margin;
-    # the affine stretch is 0 there, which divided by zero
+    # at d = 1 - |z|^2 <= 2^-40 the disc radius rho = 1 - 2^-40/d is not
+    # positive; just inside that, the bound is proved and close to F_K
     B = mt.BallDomain(2)
+    for x in (1 - 2.0 ** -41, 1 - 2.0 ** -42, math.nextafter(1.0, 0.0)):
+        for v in ([0j, 1 + 0j], [1 + 0j, 0j], [0.6 + 0j, 0.8j]):
+            for budget in (1, 20):
+                with pytest.raises(ContainmentError):
+                    mt.kobayashi_upper(B, [x + 0j, 0j], v, budget)
+    z = [1 - 1e-10 + 0j, 0j]
     for v in ([0j, 1 + 0j], [1 + 0j, 0j], [0.6 + 0j, 0.8j]):
-        for budget in (1, 20):
-            with pytest.raises(ContainmentError):
-                mt.kobayashi_upper(B, [1 - 1e-10 + 0j, 0j], v, budget)
+        want = mt.kobayashi_closed_form_ball(z, v)
+        assert want <= mt.kobayashi_upper(B, z, v, 1) <= 1.01 * want
 
+
+def test_points_and_ball_ratios_share_one_open_ball_rule():
+    # a point passes _in_ball exactly when the ball ratios take it, and
+    # both read the same |z|^2; a BLAS vdot and an einsum row sum round
+    # apart on 377 of these points, all within an ulp of the sphere
+    Z = sp.unit_sphere_points(2, 4000, 9)
+    V = sp.unit_sphere_points(2, 3, 10)
+    f = ex.parse("z1 * z2", 2)
+    inside, s = [], []
+    for z in Z:
+        try:
+            s.append(mt._in_ball(z, 2, "outside")[1])
+            inside.append(True)
+        except InputError:
+            inside.append(False)
+    inside = np.array(inside)
+    assert 0 < inside.sum() < len(Z)
+    d = nr._ratio_inputs(f, Z[inside], V)[2]
+    assert d.tobytes() == (1.0 - np.array(s)).tobytes()
+    for z in Z[~inside]:
+        with pytest.raises(InputError, match="open unit ball"):
+            nr._ratio_inputs(f, z[None], V)
 
 @pytest.mark.parametrize("z,v", [
     ([math.nan, 0.0], [0.0, 1.0]),
@@ -940,13 +783,10 @@ def test_a_disc_needs_a_coordinate(make):
 ])
 def test_a_non_finite_disc_fails_containment_without_a_warning(coefficients, shown):
     disc = mt.DiscMap(np.array(coefficients, dtype=complex))
-    good = mt.DiscMap([[0.1, 0.0], [0.5, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ContainmentError, match=rf"\(boundary max {shown}\)$"):
             mt.require_contained(disc)
-        # the Kobayashi search passes over such a try
-        assert mt._verified_min([[(1.0, lambda: disc)], [(2.0, lambda: good)]]) == 2.0
 
 
 NAN = complex(math.nan, 0.0)

@@ -458,7 +458,9 @@ def test_disc_theorem_along_kobayashi_geodesics():
         z = sp.uniform_ball_points(n, 1, 0.95, 600 + case)[0]
         v = sp.unit_sphere_points(n, 1, 700 + case)[0] * (0.5 + case)
         v_hat = v / np.linalg.norm(v)
-        t, q = mt._extremal_parameters(z, v_hat)
+        pair = complex(np.sum(v_hat * z.conjugate()))  # <v_hat, z>
+        t, mu = mt._extremal_parameters(float(np.vdot(z, z).real), abs(pair))
+        q = -(1.0 - mu) * pair / abs(pair)
 
         def psi(lam):
             w = 1.0 - q * lam
