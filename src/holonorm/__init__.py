@@ -25,9 +25,7 @@ from .series import (
     PowerSeries,
     UniSeries,
     load_series,
-    partial_sum,
     radius_estimate,
-    restrict_to_line,
 )
 from .metrics import (
     INF,
@@ -73,15 +71,13 @@ from .linescan import (
     canonical_direction,
     direction_set,
     hartogs_test,
-    restrict_function,
 )
 
 __all__ = [
     "__version__",
     "HolonormError", "ParseError", "InputError", "PoleError", "ContainmentError",
     "HoloExpr", "Jet", "parse", "eval_jet", "reciprocal", "substitute",
-    "PowerSeries", "UniSeries", "partial_sum", "restrict_to_line",
-    "radius_estimate", "load_series",
+    "PowerSeries", "UniSeries", "radius_estimate", "load_series",
     "INF", "BallDomain", "DiscMap",
     "chordal_distance", "poincare_tensor", "poincare_distance",
     "bergman_kernel_ball", "bergman_tensor_ball", "bergman_norm_sq",
@@ -95,6 +91,5 @@ __all__ = [
     "kobayashi_normality_check", "disc_family_probe",
     "CONVERGENT", "DIVERGENT",
     "DirectionSet", "LineReport", "direction_set", "canonical_direction",
-    "restrict_function",
     "alexander_function_test", "alexander_family_test", "hartogs_test",
 ]

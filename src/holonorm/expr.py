@@ -795,9 +795,10 @@ def eval_values(f: HoloExpr, Z) -> tuple[np.ndarray, np.ndarray]:
 
 def line_map(c):
     """The complex line lambda -> lambda * c as a map for
-    :func:`eval_disc_jets`.  Coordinate k is c_k * lambda, with tangent
-    c_k * 1 + lambda * 0, rounded as ``restrict_function(f, c)`` computes them.
-    The map writes the coordinates into the current workspace."""
+    :func:`_map_jets`.  Coordinate k is c_k * lambda, with tangent
+    c_k * 1 + lambda * 0, rounded as the tree of f(lambda * c) built with
+    :func:`substitute` computes them.  The map writes the coordinates into
+    the current workspace."""
     cv = np.asarray(c, dtype=complex).reshape(-1)
     scales = [cv[k:k + 1] for k in range(cv.shape[0])]
 
@@ -813,10 +814,13 @@ def line_map(c):
 
 
 def _map_jets(f: HoloExpr, phi, lam: np.ndarray):
-    """Jets of f along a map: g(lambda) = f(phi(lambda)) at the points of
-    the 1-D array ``lam``, as :func:`eval_disc_jets` gives them, but in the
-    current workspace: they hold only until it evaluates again.  A scan of
-    many lines or discs thus maps no array per map."""
+    """``(values, derivatives, pole_mask)`` of g(lambda) = f(phi(lambda)),
+    g' = grad f(phi) . phi', at the contiguous 1-D array ``lam``, from f's
+    tape with one tangent.  ``phi(lam)`` gives, per block of points, the
+    coordinate columns phi_k and tangent columns phi_k' (a tangent may be a
+    1-element array that broadcasts).  The jets are in the current
+    workspace and hold only until it evaluates again: a scan of many lines
+    or discs maps no array per map."""
     ws, m = _workspace(), lam.shape[0]
     out = ws.take("values", (m,)), ws.take("tangents", (m, 1)), ws.take("pole", (m,), bool)
 
@@ -827,19 +831,6 @@ def _map_jets(f: HoloExpr, phi, lam: np.ndarray):
         return coords, [(t,) for t in tangents]
     vals, deriv, pole = _evaluate(f.tape, m, 1, block_inputs, ws, out)
     return vals, deriv[:, 0], pole
-
-
-def eval_disc_jets(f: HoloExpr, phi, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jets of f along a map of the disc: g(lambda) = f(phi(lambda)).
-
-    ``phi(lam)`` gives, for a block of points, the coordinate columns
-    phi_k(lam) and the tangent columns phi_k'(lam) (a tangent may be a
-    1-element array that broadcasts).  Returns ``(values, derivatives,
-    pole_mask)`` with g'(lambda) = grad f(phi(lambda)) . phi'(lambda), from
-    the tape of ``f`` with a single tangent, block by block.
-    """
-    lam = np.ascontiguousarray(as_points(lam, 1)[:, 0])
-    return tuple(a.copy() for a in _map_jets(f, phi, lam))
 
 
 def eval_jet(f: HoloExpr, z) -> Jet:

@@ -4,10 +4,10 @@ A function or family on the unit ball is probed along complex lines
 lambda -> lambda * c through the origin.  A slice g(lambda) = f(lambda * c)
 is evaluated along ``ex.line_map(c)`` by the directional mode of f's tape
 (value and grad f . c), so all one-variable machinery (ladders, trend
-verdicts) applies unchanged without building the composed expression;
-``restrict_function`` still builds it for callers that want the tree.  For power series the same
-direction sweep yields root-test radius estimates and a convergence verdict
-for the Hartogs-type partial-sum argument.
+verdicts) applies unchanged without building the composed expression; a
+slice's ladder table is formed as ``yosida_bound``'s (``nr._ladder_tables``).
+For power series the same direction sweep yields root-test radius estimates
+and a convergence verdict for the Hartogs-type partial-sum argument.
 """
 
 from __future__ import annotations
@@ -77,14 +77,8 @@ def canonical_direction(c) -> np.ndarray:
     return cv * (abs(cv[k]) / cv[k])
 
 
-def restrict_function(f: ex.HoloExpr, c) -> ex.HoloExpr:
-    """The one-variable slice g(lambda) = f(lambda * c), as an expression."""
-    cv = np.asarray(c, dtype=complex).reshape(-1)
-    if cv.shape[0] != f.arity:
-        raise InputError(f"direction must have {f.arity} coordinates")
-    lam = ex.var_expr(1, 1)
-    parts = [ex.const_expr(ck, 1) * lam for ck in cv]
-    return ex.substitute(f, parts)
+#: Placeholder for a removed name, kept as bench/tracer.py's LAYERS names it.
+restrict_function = None
 
 
 @dataclass(frozen=True)
@@ -140,21 +134,14 @@ def _slice_verdicts(fam, D: DirectionSet, ladder, radii: int, angles: int):
     """Family verdict of each line slice, and their aggregate.
 
     The ladder grid and the evaluation workspace are built once; per line,
-    each member's weighted sharp table comes from its directional jets
-    along the line, weighted in place: ``line_sharp`` and
-    ``_finite_or_raise`` hand over arrays of their own.
+    one ``ex.line_map`` serves every member's weighted sharp table
+    (``nr._ladder_tables``, from the directional jets along the line).
     """
     grid = nr.disc_ladder(ladder, radii, angles)
-    reports = []
-    verdicts = []
-    total = 0
+    reports, verdicts, total = [], [], 0
     with ex.Workspace():
         for c in D.directions:
-            cc = canonical_direction(c)
-            tables = [nr._finite_or_raise(nr.line_sharp(f, cc, grid.points), "weighted ladder")
-                      for f in fam]
-            for t in tables:
-                np.multiply(grid.weights, t, out=t)
+            tables = nr._ladder_tables(fam, ex.line_map(canonical_direction(c)), grid)
             v = _family_line_verdict(tables, grid, ladder)
             verdicts.append(v)
             reports.append(LineReport(direction=c, verdict=v))

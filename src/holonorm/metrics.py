@@ -48,11 +48,13 @@ def chordal_distance(z1, z2) -> float:
     ia, ib = _is_infinite(a), _is_infinite(b)
     if ia and ib:
         return 0.0
-    if ia:
-        return 2.0 / math.sqrt(1.0 + abs(b) ** 2)
-    if ib:
-        return 2.0 / math.sqrt(1.0 + abs(a) ** 2)
-    return 2.0 * abs(a - b) / math.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
+    # sqrt(1 + |w|^2) as hypot(1, |w|), which does not overflow; the halves
+    # keep a - b finite, and dividing by the larger root first keeps every
+    # quotient at most 1, and the result symmetric
+    lo, hi = sorted((math.hypot(1.0, abs(a)), math.hypot(1.0, abs(b))))
+    if ia or ib:
+        return 2.0 / lo
+    return 4.0 * (abs(0.5 * a - 0.5 * b) / hi) / lo
 
 
 # --------------------------------------------------------------------------
@@ -139,20 +141,34 @@ def bergman_tensor_ball(B: BallDomain, z) -> np.ndarray:
     return (n + 1) * g
 
 
-def _length_sq(zz: np.ndarray, vv: np.ndarray, d: float) -> float:
-    """|v|^2/d + |<v, z>|^2/d^2: the squared Kobayashi length of v at z in
-    the unit ball for d = 1 - |z|^2, and 1/(n+1) of the Bergman one."""
+def _norm_and_pair(zz: np.ndarray, vv: np.ndarray) -> tuple[float, float]:
+    """(|v|, |<v/|v|, z>|) of a finite v, the pairing 0 at v = 0; where |v|^2
+    is not a normal float, |v| is formed from v scaled by its largest part."""
+    with np.errstate(over="ignore"):
+        v_norm = math.sqrt(_sq_norms(vv))
+    if not math.sqrt(np.finfo(float).tiny) <= v_norm < math.inf:
+        big = float(np.max(np.abs(np.concatenate([vv.real, vv.imag]))))
+        v_norm = big * math.sqrt(_sq_norms(vv / big)) if big > 0.0 else 0.0
+    e = vv / v_norm if v_norm else vv
+    return v_norm, abs(complex(np.sum(e * zz.conjugate())))
+
+
+def _length_sq(zz: np.ndarray, vv: np.ndarray, d: float) -> tuple[float, float]:
+    """(|v|, L), L = 1/d + |<v/|v|, z>|^2/d^2, d = 1 - |z|^2: the squared
+    Kobayashi length of v at z in the unit ball is |v|^2 L, the Bergman one
+    (n+1) |v|^2 L, and neither is formed from |v|^2 alone."""
     if not np.isfinite(vv).all():
         raise InputError("tangent vector must be finite")
-    v2 = float(np.vdot(vv, vv).real)
-    pair = complex(np.sum(vv * zz.conjugate()))  # <v, z>
-    return v2 / d + abs(pair) ** 2 / (d * d)
+    v_norm, pair = _norm_and_pair(zz, vv)
+    return v_norm, 1.0 / d + pair * pair / (d * d)
 
 
 def bergman_norm_sq(B: BallDomain, z, v) -> float:
-    """Closed-form squared Bergman length of tangent vector v at z."""
+    """Closed-form squared Bergman length of tangent vector v at z; +inf
+    only where it exceeds the float range."""
     zz, s = _in_ball(z, B.arity, "metric evaluation point must lie in the open ball")
-    return (B.arity + 1) * _length_sq(zz, _point(v, B.arity), 1.0 - s)
+    v_norm, L = _length_sq(zz, _point(v, B.arity), 1.0 - s)
+    return v_norm * (v_norm * ((B.arity + 1) * L))
 
 
 # --------------------------------------------------------------------------
@@ -239,7 +255,8 @@ def kobayashi_closed_form_ball(z, v) -> float:
     if zz.shape != vv.shape:
         raise InputError("point and vector must have matching arity")
     zz, s = _in_ball(zz, zz.size, "Kobayashi evaluation point must lie in the open ball")
-    return math.sqrt(_length_sq(zz, vv, 1.0 - s))
+    v_norm, L = _length_sq(zz, vv, 1.0 - s)
+    return v_norm * math.sqrt(L)
 
 
 # --------------------------------------------------------------------------
@@ -299,7 +316,7 @@ class DiscMap:
 
     def jets(self, lam):
         """Coordinate and tangent columns phi_k(lam), phi_k'(lam): the disc
-        as a map for ``ex.eval_disc_jets``."""
+        as a map for ``ex._map_jets``."""
         return self._horner(lam), self._horner(lam, True)
 
     def derivative_at_zero(self) -> np.ndarray:
@@ -357,13 +374,6 @@ def require_contained(disc: DiscMap) -> DiscMap:
     return disc
 
 
-def affine_disc(z, direction, stretch: float) -> DiscMap:
-    """lambda -> z + lambda * stretch * direction."""
-    zz = np.asarray(z, dtype=complex).reshape(-1)
-    dd = np.asarray(direction, dtype=complex).reshape(-1)
-    return DiscMap(np.stack([zz, stretch * dd]))
-
-
 def random_disc_maps(arity: int, count: int, degree: int, seed: int) -> list[DiscMap]:
     """Seeded polynomial discs, rescaled into the unit ball and verified."""
     if count < 1 or degree < 1:
@@ -391,8 +401,8 @@ def random_disc_maps(arity: int, count: int, degree: int, seed: int) -> list[Dis
 # Kobayashi upper bound
 # --------------------------------------------------------------------------
 
-#: Placeholders for removed searches, kept as bench/tracer.py's LAYERS names them.
-_affine_candidate = _truncated_geodesic_candidate = _quadratic_candidate = None
+#: Placeholders for removed names, kept as bench/tracer.py's LAYERS names them.
+_affine_candidate = _truncated_geodesic_candidate = _quadratic_candidate = affine_disc = None
 
 
 def _extremal_parameters(s, pair):
@@ -454,16 +464,10 @@ def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
     vv = _point(v, B.arity)
     if not (np.isfinite(zz).all() and np.isfinite(vv).all()):
         raise InputError("base point and direction vector must be finite")
-    with np.errstate(over="ignore"):
-        v_norm = math.sqrt(_sq_norms(vv))
-    if not math.sqrt(np.finfo(float).tiny) <= v_norm < math.inf:
-        # |v|^2 is not a normal float: scale by the largest part instead
-        big = float(np.max(np.abs(np.concatenate([vv.real, vv.imag]))))
-        v_norm = big * math.sqrt(_sq_norms(vv / big)) if big > 0.0 else 0.0
+    v_norm, pair = _norm_and_pair(zz, vv)  # pair = |<v_hat, z>|
     if not 0.0 < v_norm < math.inf:
         raise InputError("direction vector must be nonzero, with a finite norm")
     _, s = _in_ball(zz, B.arity, "base point must lie in the open ball")
-    pair = abs(complex(np.sum(vv / v_norm * zz.conjugate())))  # |<v_hat, z>|
     t, mu = _extremal_parameters(s, pair)
     rho = 1.0 - 2.0 ** -40 / (1.0 - s)
     bound = 1.0 - (12 * B.arity + 200) * 2.0 ** -53

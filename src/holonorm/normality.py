@@ -188,19 +188,6 @@ def mu_batch(f: ex.HoloExpr, Z) -> np.ndarray:
     return _mu_along(f, _identity, Z)
 
 
-def line_sharp(f: ex.HoloExpr, c, lam) -> np.ndarray:
-    """sharp of the slice g(lambda) = f(lambda * c) at the points ``lam``.
-
-    The values of ``sharp_batch(restrict_function(f, c), lam)``, from the
-    jets of ``f`` along ``ex.line_map(c)`` (no substituted tree), with the
-    same reciprocal fallback at poles, in a new array.  A default ladder
-    line is one block of ``ex.BLOCK`` points, so f's tape runs once per
-    line, and the line's coordinates and jets stay in the workspace.
-    """
-    out = _mu_along(f, ex.line_map(c), lam)
-    return np.multiply(out, 0.5, out=out)
-
-
 def levi_form(f: ex.HoloExpr, z, v) -> float:
     """Levi form of log(1 + |f|^2) at z in direction v (holomorphic f).
 
@@ -344,23 +331,19 @@ def rung_sups(tables, lengths, points):
     return sups, arg, list(itertools.accumulate(tops, max))
 
 
-def weighted_sharp_sups(family, ladder=sp.DEFAULT_LADDER,
-                        radii: int = sp.DEFAULT_RADII,
-                        angles: int = sp.DEFAULT_ANGLES):
-    """Per-rung sup of (1-|z|^2) * sharp over a family on cumulative grids.
-
-    Returns (sups, argmax, total_samples, per_member_final) where
-    per_member_final[i] is the running prefix supremum over the first i+1
-    members at the deepest rung.
-    """
-    fam = _as_family(family)
-    if fam[0].arity != 1:
-        raise InputError("ladder certifiers run on one-variable expressions")
-    lad = disc_ladder(ladder, radii, angles)
-    tables = [lad.weights * _finite_or_raise(sharp_batch(f, lad.points), "weighted ladder")
-              for f in fam]
-    sups, arg, running = rung_sups(tables, lad.lengths, lad.points)
-    return sups, arg, len(fam) * lad.points.shape[0], running
+def _ladder_tables(fam, phi, grid: DiscLadder) -> list:
+    """Each member's (1-|z|^2) sharp of f o phi on the ladder grid, in
+    arrays of its own: half of ``_mu_along`` along the map phi
+    (``_identity`` for f itself, ``ex.line_map(c)`` for the slice along c),
+    non-finite samples through ``_finite_or_raise``, weighted in place.  A
+    default ladder line is one block of ``ex.BLOCK`` points, so f's tape
+    runs once per member and map."""
+    tables = []
+    for f in fam:
+        t = _mu_along(f, phi, grid.points)
+        t = _finite_or_raise(np.multiply(t, 0.5, out=t), "weighted ladder")
+        tables.append(np.multiply(grid.weights, t, out=t))
+    return tables
 
 
 def ladder_verdict(sups, arg, samples: int, ladder) -> Verdict:
@@ -380,16 +363,15 @@ def yosida_bound(f: ex.HoloExpr, ladder=sp.DEFAULT_LADDER,
     geometric growth along the ladder is the numerical signature of a
     non-normal one.
     """
-    sups, arg, total, _ = weighted_sharp_sups([f], ladder, radii, angles)
-    return ladder_verdict(sups, arg, total, ladder)
+    if f.arity != 1:
+        raise InputError("ladder certifiers run on one-variable expressions")
+    lad = disc_ladder(ladder, radii, angles)
+    sups, arg, _ = rung_sups(_ladder_tables([f], _identity, lad), lad.lengths, lad.points)
+    return ladder_verdict(sups, arg, lad.points.shape[0], ladder)
 
 
-def lehto_virtanen_check(f: ex.HoloExpr, ladder=sp.DEFAULT_LADDER,
-                         radii: int = sp.DEFAULT_RADII,
-                         angles: int = sp.DEFAULT_ANGLES) -> Verdict:
-    """Alias of yosida_bound, no longer exported by the package.  It stays
-    in this module only because bench/tracer.py wraps it by name."""
-    return yosida_bound(f, ladder, radii, angles)
+#: Placeholders for removed names, kept as bench/tracer.py's LAYERS names them.
+lehto_virtanen_check = weighted_sharp_sups = None
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InputError
-from . import expr as ex
 
 DEFAULT_MAX_DEGREE = 64
 DEFAULT_WINDOW = 0.5
@@ -114,20 +113,6 @@ class UniSeries:
         return len(self.coefficients)
 
 
-def partial_sum(F: PowerSeries, m: int) -> ex.HoloExpr:
-    """The polynomial sum of all terms of degree at most ``m``, as an expression."""
-    if not 0 <= m <= F.max_degree:
-        raise InputError(f"partial-sum degree {m} outside 0..{F.max_degree}")
-    node = None
-    for alpha, c in sorted((alpha, c) for alpha, c in F.terms.items() if sum(alpha) <= m):
-        term: ex.Node = ex.Const(c)
-        for k, a in enumerate(alpha, start=1):
-            if a:
-                term = ex.Mul(term, ex.Var(k) if a == 1 else ex.Pow(ex.Var(k), a))
-        node = term if node is None else ex.Add(node, term)
-    return ex.HoloExpr(ex.Const(0j) if node is None else node, F.arity)
-
-
 def _part_sums(F: PowerSeries, Z: np.ndarray, polys) -> list:
     """For each (exponent matrix, coefficient vector) in ``polys``, laid out
     like ``F.exponents`` and ``F.values``, the (len(Z), max_degree + 1) array
@@ -170,9 +155,8 @@ def restrict_to_lines(F: PowerSeries, C) -> np.ndarray:
     return b
 
 
-def restrict_to_line(F: PowerSeries, c) -> UniSeries:
-    """Coefficients of lambda -> F(lambda * c): ``restrict_to_lines``'s row."""
-    return UniSeries(restrict_to_lines(F, np.asarray(c, dtype=complex)[None])[0])
+#: Placeholders for removed names, kept as bench/tracer.py's LAYERS names them.
+partial_sum = restrict_to_line = None
 
 
 def partial_sum_jets(F: PowerSeries, Z) -> tuple[np.ndarray, np.ndarray]:

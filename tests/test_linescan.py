@@ -11,6 +11,7 @@ from holonorm import linescan as ls
 from holonorm import normality as nr
 from holonorm import sampling as sp
 from holonorm import series as se
+from oracles import partial_sum, restrict_function
 
 
 def unit(v) -> np.ndarray:
@@ -38,12 +39,12 @@ def exp_two_vars(degree: int = 40) -> se.PowerSeries:
 
 
 # --------------------------------------------------------------------------
-# restrict_function
+# restrict_function (the test oracle of the slices)
 # --------------------------------------------------------------------------
 
 def test_restrict_z1_along_first_axis_is_identity():
     f = hn.parse("z1", 2)
-    g = ls.restrict_function(f, [1.0, 0.0])
+    g = restrict_function(f, [1.0, 0.0])
     for lam in (0.0, 0.3, -0.5 + 0.2j, 0.9j):
         assert hn.eval_jet(g, [lam]).value == pytest.approx(lam, abs=1e-15)
 
@@ -51,7 +52,7 @@ def test_restrict_z1_along_first_axis_is_identity():
 def test_restrict_product_along_diagonal():
     f = hn.parse("z1 * z2", 2)
     c = unit([1.0, 1.0])
-    g = ls.restrict_function(f, c)
+    g = restrict_function(f, c)
     for lam in (0.2, 0.7j, -0.4 + 0.1j):
         assert hn.eval_jet(g, [lam]).value == pytest.approx(lam * lam / 2,
                                                             abs=1e-14)
@@ -62,7 +63,7 @@ def test_restrict_chain_rule_against_gradient():
     rng = np.random.default_rng(11)
     for _ in range(5):
         c = unit(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        g = ls.restrict_function(f, c)
+        g = restrict_function(f, c)
         lam = 0.3
         lhs = hn.eval_jet(g, [lam]).gradient[0]
         jet = hn.eval_jet(f, lam * c)
@@ -72,7 +73,7 @@ def test_restrict_chain_rule_against_gradient():
 
 def test_restrict_arity_mismatch():
     with pytest.raises(hn.InputError):
-        ls.restrict_function(hn.parse("z1", 2), [1.0])
+        restrict_function(hn.parse("z1", 2), [1.0])
 
 
 # --------------------------------------------------------------------------
@@ -344,7 +345,7 @@ def test_hartogs_probe_matches_marty_sup_of_partial_sum_trees(F, count, seed):
     worst = v.estimate.sup_value
     ball_r = min(0.5 * worst if math.isfinite(worst) else 1.0, 4.0)
     grid = sp.ball_grid(F.arity, ball_r, 32, 8, seed)
-    ref = nr.marty_sup([se.partial_sum(F, m) for m in range(F.max_degree + 1)], grid)
+    ref = nr.marty_sup([partial_sum(F, m) for m in range(F.max_degree + 1)], grid)
     assert abs(probe.sup_value - ref.sup_value) <= 1e-13 * ref.sup_value
     assert np.array_equal(probe.argmax_point, ref.argmax_point)
     assert probe.samples == ref.samples

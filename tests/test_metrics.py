@@ -58,6 +58,36 @@ def test_chordal_rejects_nan():
         mt.chordal_distance(complex("nan"), 0j)
 
 
+def _mp_chordal(a, b):
+    if mt._is_infinite(b):
+        return 2 / mpmath.sqrt(1 + abs(a) ** 2)
+    return 2 * abs(a - b) / mpmath.sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2))
+
+
+@pytest.mark.parametrize("a, b", [
+    (1e200, 0), (0, 1e200), (1e200, 1e199), (1e300, 1e10j), (-1e160 + 1e160j, mt.INF),
+    (1e154, -1e154), (1.5e308, -1.5e308), (1e-200, 3e-200j), (0.5, -2 + 1j), (3.0, mt.INF),
+])
+def test_chordal_distance_does_not_overflow(a, b):
+    a, b = complex(a), complex(b)
+    got = mt.chordal_distance(a, b)
+    assert got == mt.chordal_distance(b, a)
+    with mpmath.workdps(50):
+        want = float(_mp_chordal(mpmath.mpc(a.real, a.imag), mpmath.mpc(b.real, b.imag)))
+    assert abs(got - want) <= 4 * 2.0 ** -52 * want
+
+
+def test_lipschitz_ratio_of_an_overflowing_chordal_argument():
+    # exp(400 z) reaches 1e165 on |z| <= 0.95, where |f|^2 overflowed
+    est = nr.lipschitz_ratio(ex.parse("exp(400*z1)", 1), pair_samples=200)
+    a, b = est.argmax_point
+    with mpmath.workdps(50):
+        fa, fb = (mpmath.exp(400 * mpmath.mpc(w.real, w.imag)) for w in (a, b))
+        want = float(_mp_chordal(fa, fb)) / mt.poincare_distance(a, b)
+    assert abs(est.sup_value - want) <= 1e-12 * want
+    assert 0.0 < est.sup_value < math.inf
+
+
 # ---------------------------------------------------------------- poincare
 
 def test_poincare_tensor_values():
@@ -298,6 +328,40 @@ def test_kobayashi_closed_form_n1_reduction():
         assert abs(fk - 1.0 / (1 - r**2)) <= 1e-12 / (1 - r**2)
         pt = mt.poincare_tensor(r + 0j)
         assert abs(fk - math.sqrt(pt / 2.0)) <= 1e-12 * fk
+
+
+def _mp_length_sq(z, v):
+    """|v|^2/d + |<v, z>|^2/d^2, d = 1 - |z|^2, in 50-digit mpmath."""
+    zm, vm = ([mpmath.mpc(w.real, w.imag) for w in np.asarray(x, dtype=complex)] for x in (z, v))
+    d = 1 - sum(abs(w) ** 2 for w in zm)
+    pair = sum(a * mpmath.conj(b) for a, b in zip(vm, zm))
+    return sum(abs(w) ** 2 for w in vm) / d + abs(pair) ** 2 / d ** 2
+
+
+@pytest.mark.parametrize("z, v", [
+    ((0.3, 0.1j), (1e-170, 2e-170j)),
+    ((0.3, 0.1j), (1e160, 0.0)),
+    ((0.3, 0.1j), (1e-160, 0.0)),
+    # |z|^2 = 1 - 2^-19 + 2^-40 exactly, so L is about 2.75e11
+    ((1.0 - 2.0 ** -20, 0.0), (1e-165, 0.0)),  # |v|^2 underflows, |v|^2 L does not
+    ((1.0 - 2.0 ** -20, 0.0), (1e150, 0.0)),  # |v|^2 is finite, |v|^2 L is not
+    ((0.3, 0.1j), (0.5 - 0.2j, 1.0)),
+], ids=["tiny", "huge", "subnormal-square", "near-sphere-tiny", "near-sphere-huge", "unit"])
+def test_closed_form_lengths_scale_v(z, v):
+    B = mt.BallDomain(2)
+    with mpmath.workdps(50):
+        exact = _mp_length_sq(z, v)
+        want_fk, want_bergman = float(mpmath.sqrt(exact)), float(3 * exact)
+    fk = mt.kobayashi_closed_form_ball(z, v)
+    assert abs(fk - want_fk) <= 1e-14 * want_fk
+    assert fk <= mt.kobayashi_upper(B, z, v, budget=1)
+    # the squared Bergman length is +inf or 0 only beyond the float range
+    bergman = mt.bergman_norm_sq(B, z, v)
+    if math.isinf(want_bergman):
+        assert bergman == math.inf
+    else:
+        assert abs(bergman - want_bergman) <= 1e-14 * want_bergman + 2 * 5e-324
+    assert (bergman == 0.0) == (want_bergman == 0.0)
 
 
 # ----------------------------------------------------------- disc maps

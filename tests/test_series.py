@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from holonorm import expr as ex
 import holonorm.series as se
 from holonorm.errors import InputError
+from oracles import partial_sum, restrict_to_line
 
 EVAL_RTOL = 1e-10
 RADIUS_TOL = 1e-9
@@ -22,19 +23,19 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 def test_partial_sum_truncates():
     F = se.PowerSeries(1, 2, {(0,): 1 + 0j, (1,): 1 + 0j, (2,): 1 + 0j})
-    p1 = se.partial_sum(F, 1)
+    p1 = partial_sum(F, 1)
     assert abs(p1(0.5 + 0j) - 1.5) < 1e-15
 
 
 def test_partial_sum_empty_series():
     F = se.PowerSeries(1, 4, {})
-    p = se.partial_sum(F, 3)
+    p = partial_sum(F, 3)
     assert p(0.7 + 0.2j) == 0j
 
 
 def test_partial_sum_factorial_prefix():
     F = se.PowerSeries(1, 10, {(k,): complex(math.factorial(k)) for k in range(11)})
-    p3 = se.partial_sum(F, 3)
+    p3 = partial_sum(F, 3)
     z = 0.5 + 0j
     assert abs(p3(z) - (1 + z + 2 * z**2 + 6 * z**3)) < 1e-14
 
@@ -42,9 +43,9 @@ def test_partial_sum_factorial_prefix():
 def test_partial_sum_range_check():
     F = se.PowerSeries(1, 2, {(1,): 1 + 0j})
     with pytest.raises(InputError):
-        se.partial_sum(F, 3)
+        partial_sum(F, 3)
     with pytest.raises(InputError):
-        se.partial_sum(F, -1)
+        partial_sum(F, -1)
 
 
 EPS = np.finfo(float).eps
@@ -84,8 +85,8 @@ def test_restriction_matches_mpmath_reference(case):
     sum |terms|; an entry within 8 (count_m + 1) eps sum |terms| is zeroed.
     So a returned b_m != 0 lies within (count_m + 2 (m + arity)) eps sum
     |terms| of the exact value, and a zeroed one is exact zero within that
-    plus the zeroing band.  ``restrict_to_line`` is the batched row, bit for
-    bit.
+    plus the zeroing band.  A row alone (``restrict_to_line``) is the
+    batched row, bit for bit.
     """
     F, C = case
     B = se.restrict_to_lines(F, C)
@@ -93,7 +94,7 @@ def test_restriction_matches_mpmath_reference(case):
     counts = np.diff(F.offsets)
     with mpmath.workdps(40):
         for c, row in zip(C, B):
-            assert se.restrict_to_line(F, c).coefficients.tobytes() == row.tobytes()
+            assert restrict_to_line(F, c).coefficients.tobytes() == row.tobytes()
             ref = [mpmath.mpc(0)] * (F.max_degree + 1)
             scale = [mpmath.mpf(0)] * (F.max_degree + 1)
             for alpha, coeff in F.terms.items():
@@ -122,7 +123,7 @@ def test_restrict_to_line_is_the_batched_row(count):
     C = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
     B = se.restrict_to_lines(F, C)
     for c, row in zip(C, B):
-        assert se.restrict_to_line(F, c).coefficients.tobytes() == row.tobytes()
+        assert restrict_to_line(F, c).coefficients.tobytes() == row.tobytes()
 
 
 def test_restrict_zeroes_rounding_noise_only():
@@ -132,8 +133,8 @@ def test_restrict_zeroes_rounding_noise_only():
     c = (0.6, 0.8)
     exact = se.PowerSeries(2, 2, {(2, 0): 16.0, (0, 2): -9.0})
     near = se.PowerSeries(2, 2, {(2, 0): 16.0, (0, 2): -9.0 * (1 - 1e-9)})
-    assert se.restrict_to_line(exact, c).coefficients[2] == 0
-    assert se.restrict_to_line(near, c).coefficients[2] == pytest.approx(5.76e-9, rel=1e-6)
+    assert restrict_to_line(exact, c).coefficients[2] == 0
+    assert restrict_to_line(near, c).coefficients[2] == pytest.approx(5.76e-9, rel=1e-6)
 
 
 def test_partial_sum_jets_match_the_trees():
@@ -142,27 +143,27 @@ def test_partial_sum_jets_match_the_trees():
     vals, grads = se.partial_sum_jets(F, Z)
     assert vals.shape == (6, 3) and grads.shape == (6, 3, 2)
     for m in range(6):
-        tree_vals, tree_grads, _ = ex.eval_jet_batch(se.partial_sum(F, m), Z)
+        tree_vals, tree_grads, _ = ex.eval_jet_batch(partial_sum(F, m), Z)
         assert np.allclose(vals[m], tree_vals, rtol=1e-14, atol=1e-15)
         assert np.allclose(grads[m], tree_grads, rtol=1e-14, atol=1e-15)
 
 
 def test_restrict_product_diagonal():
     F = se.PowerSeries(2, 2, {(1, 1): 1 + 0j})
-    u = se.restrict_to_line(F, (SQRT_HALF, SQRT_HALF))
+    u = restrict_to_line(F, (SQRT_HALF, SQRT_HALF))
     assert np.allclose(u.coefficients, [0, 0, 0.5], atol=1e-15)
 
 
 def test_restrict_line_in_zero_set():
     F = se.PowerSeries(2, 3, {(1, 0): 1 + 0j})
-    u = se.restrict_to_line(F, (0.0, 1.0))
+    u = restrict_to_line(F, (0.0, 1.0))
     assert np.all(u.coefficients == 0)
 
 
 def test_restrict_diagonal_factorials():
     terms = {(k, k): complex(math.factorial(k)) for k in range(7)}
     F = se.PowerSeries(2, 12, terms)
-    u = se.restrict_to_line(F, (SQRT_HALF, SQRT_HALF))
+    u = restrict_to_line(F, (SQRT_HALF, SQRT_HALF))
     for k in range(7):
         expect = math.factorial(k) / 2**k
         assert abs(u.coefficients[2 * k] - expect) < 1e-12 * max(1.0, expect)
@@ -180,19 +181,19 @@ def test_restrict_is_linear():
         combo_terms[alpha] = combo_terms.get(alpha, 0) + b * cf
     H = se.PowerSeries(2, 3, combo_terms)
     c = (0.8 + 0.1j, 0.59160797830996161j)  # unit norm
-    uf = se.restrict_to_line(F, c).coefficients
-    ug = se.restrict_to_line(G, c).coefficients
-    uh = se.restrict_to_line(H, c).coefficients
+    uf = restrict_to_line(F, c).coefficients
+    ug = restrict_to_line(G, c).coefficients
+    uh = restrict_to_line(H, c).coefficients
     assert np.allclose(uh, a * uf + b * ug, atol=1e-12)
 
 
 def test_restriction_matches_partial_sum_evaluation():
     terms = {(2, 0): 1 + 0j, (1, 1): -0.5j, (0, 3): 0.25 + 0.1j, (0, 0): 2 + 0j}
     F = se.PowerSeries(2, 3, terms)
-    p = se.partial_sum(F, 3)
+    p = partial_sum(F, 3)
     c = np.array([0.6 + 0.3j, 0.1 - 0.73484692283495345j])
     assert abs(np.linalg.norm(c) - 1.0) < 1e-12
-    u = se.restrict_to_line(F, c)
+    u = restrict_to_line(F, c)
     for lam in (0.2 + 0.1j, -0.3j, 0.05 + 0.05j):
         direct = p(np.array(lam * c))
         powers = np.array([lam**m for m in range(len(u.coefficients))])
@@ -205,8 +206,8 @@ def test_restriction_matches_partial_sum_evaluation():
 def test_restrict_phase_rotation(theta):
     F = se.PowerSeries(2, 4, {(2, 0): 1 + 2j, (1, 1): -1j, (0, 4): 3 + 0j})
     c = np.array([SQRT_HALF, SQRT_HALF])
-    u0 = se.restrict_to_line(F, c).coefficients
-    u1 = se.restrict_to_line(F, np.exp(1j * theta) * c).coefficients
+    u0 = restrict_to_line(F, c).coefficients
+    u1 = restrict_to_line(F, np.exp(1j * theta) * c).coefficients
     phases = np.exp(1j * theta * np.arange(len(u0)))
     assert np.allclose(u1, u0 * phases, atol=1e-12)
     assert np.allclose(np.abs(u1), np.abs(u0), atol=1e-12)
@@ -409,5 +410,5 @@ def test_non_finite_coefficients_rejected(text):
 
 def test_geometric_series_fixture():
     G = se.geometric_series(2, 8)
-    u = se.restrict_to_line(G, (1.0, 0.0))
+    u = restrict_to_line(G, (1.0, 0.0))
     assert np.allclose(u.coefficients, np.ones(9), atol=1e-15)

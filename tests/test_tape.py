@@ -19,7 +19,8 @@ import holonorm.metrics as mt
 import holonorm.normality as nr
 import holonorm.sampling as sp
 from holonorm.errors import InputError, ParseError
-from holonorm.linescan import alexander_function_test, direction_set, restrict_function
+from holonorm.linescan import alexander_function_test, direction_set
+from oracles import map_jets, restrict_function
 
 
 def _oracle_node(node, Z, pole, want_grad):
@@ -260,7 +261,7 @@ def test_directional_mode_matches_substituted_slice(case):
     with np.errstate(all="ignore"):
         want_v, want_g, want_pole = oracle_jet_batch(g, lam)
         new_v, new_g, new_pole = ex.eval_jet_batch(g, lam)
-        vals, deriv, pole = ex.eval_disc_jets(f, ex.line_map(c), lam)
+        vals, deriv, pole = map_jets(f, ex.line_map(c), lam)
     assert np.array_equal(pole, want_pole)
     assert np.array_equal(new_pole, want_pole)
     assert same(vals, want_v) and same(new_v, want_v)
@@ -285,7 +286,7 @@ def test_line_map_at_one_point_rounds_as_the_tree():
     f = ex.parse("z1", 1)
     c = np.array([complex(float.fromhex("0x1.3d832336b3294p+0"), 1.0)])
     lam = np.array([1.75 + 1j])
-    vals, deriv, _ = ex.eval_disc_jets(f, ex.line_map(c), lam)
+    vals, deriv, _ = map_jets(f, ex.line_map(c), lam)
     want_v, want_g, _ = ex.eval_jet_batch(restrict_function(f, c), lam)
     assert same(vals, want_v) and same(deriv, want_g[:, 0])
 
@@ -300,7 +301,7 @@ def test_disc_mode_matches_gradient_mode_along_discs(case):
         want_v, grads, want_pole = ex.eval_jet_batch(f, pts)
         want = np.einsum("ij,ij->i", grads, dphi)
         _, scale, floor = _tangent_majorant(f.root, pts, dphi)
-        vals, deriv, pole = ex.eval_disc_jets(f, disc.jets, lam)
+        vals, deriv, pole = map_jets(f, disc.jets, lam)
         # each mode rounds at subnormal intermediates by up to ``floor``;
         # gradient mode's components are then weighted by |phi'_k|
         floor *= 1.0 + np.abs(dphi).sum(axis=1)
@@ -324,7 +325,7 @@ def test_both_modes_round_subnormal_quotients_within_the_floor():
     with np.errstate(all="ignore"):
         pts, dphi = disc(lam), disc.derivative(lam)
         grads = ex.eval_jet_batch(f, pts)[1][:, 0]
-        deriv = ex.eval_disc_jets(f, disc.jets, lam)[1]
+        deriv = map_jets(f, disc.jets, lam)[1]
         _, scale, floor = _tangent_majorant(f.root, pts, dphi)
     tiny = np.finfo(float).tiny
     rel = 1e-12 * scale + tiny
@@ -404,7 +405,7 @@ def test_blocks_change_no_bit():
         got = ex.eval_jet_batch(f, pts)
         c = np.array([0.6, 0.8j])
         slice_want = oracle_jet_batch(restrict_function(f, c), pts[:, 0])
-        slice_got = ex.eval_disc_jets(f, ex.line_map(c), pts[:, 0])
+        slice_got = map_jets(f, ex.line_map(c), pts[:, 0])
     assert want[2].sum() == 2 and np.array_equal(got[2], want[2])
     assert same(got[0], want[0]) and same(got[1], want[1])
     assert np.array_equal(slice_got[2], slice_want[2])
@@ -432,8 +433,17 @@ def _default_ladder_line():
 _PROBE_DISC = mt.DiscMap(np.array([[0, 0], [0.5, 0.5j]]))
 
 
+def _line_sharp(f, c, lam):
+    """sharp of the slice f(lambda * c) at ``lam``: half of ``nr._mu_along``
+    along the line, as ``nr._ladder_tables`` forms it before the weights."""
+    out = nr._mu_along(f, ex.line_map(c), lam)
+    return np.multiply(out, 0.5, out=out)
+
+
 @pytest.mark.parametrize("arity, along, refuses_poles", [
-    (2, lambda f, lam: nr.line_sharp(f, np.array([0.6, 0.8j]), lam), False),
+    # the slice tables of the default line test, whose grid is ``lam``
+    (2, lambda f, lam: nr._ladder_tables([f], ex.line_map(np.array([0.6, 0.8j])),
+                                         nr.disc_ladder(sp.DEFAULT_LADDER, 48, 64)), False),
     (1, nr.mu_batch, False),  # the identity map of C^1
     # the probe's grid at 48 radii and 64 angles is the default ladder line
     (2, lambda f, lam: nr.disc_family_probe(f, [_PROBE_DISC], radii=48, angles=64), True),
@@ -467,23 +477,23 @@ def test_shared_workspace_keeps_results_apart():
     g = ex.parse("exp(z1*z2)/(z1 - 0.5) + sin(z2)^3*cos(z1) - z2/(z1 + 2)", 2)
     assert g.tape.registers > f.tape.registers
     with np.errstate(all="ignore"), ex.Workspace():
-        first = ex.eval_disc_jets(f, line, lam)
+        first = map_jets(f, line, lam)
         kept = [a.copy() for a in first]
-        ex.eval_disc_jets(g, line, lam)  # grows the workspace
-        third = ex.eval_disc_jets(f, line, lam)
+        map_jets(g, line, lam)  # grows the workspace
+        third = map_jets(f, line, lam)
     assert all(same(a, k) and same(a, t) for a, k, t in zip(first, kept, third))
-    # the reciprocal fallback of line_sharp runs in the same workspace; here
+    # the reciprocal fallback along the line runs in the same workspace; here
     # the reciprocal needs more registers than h itself
     h = ex.parse("(exp(z1*z2)*sin(z2) + cos(z1)*z2^3)/(z1 + 0.5*z2)", 2)
     assert h.inverse.tape.registers > h.tape.registers
     with np.errstate(all="ignore"):
-        alone = nr.line_sharp(h, c, lam)
+        alone = _line_sharp(h, c, lam)
         want = nr.sharp_batch(restrict_function(h, c), lam)
         with ex.Workspace():
-            first = nr.line_sharp(h, c, lam)
+            first = _line_sharp(h, c, lam)
             kept = first.copy()
-            nr.line_sharp(g, c, lam)
-            third = nr.line_sharp(h, c, lam)
+            _line_sharp(g, c, lam)
+            third = _line_sharp(h, c, lam)
     assert np.isnan(alone).any() and not np.isnan(alone).all()
     assert same(first, kept) and same(first, third) and same(first, alone)
     assert same(alone, want)
