@@ -23,7 +23,6 @@ from .errors import (
 from .expr import HoloExpr, Jet, eval_jet, parse, reciprocal, substitute
 from .series import (
     PowerSeries,
-    UniSeries,
     load_series,
     radius_estimate,
 )
@@ -77,7 +76,7 @@ __all__ = [
     "__version__",
     "HolonormError", "ParseError", "InputError", "PoleError", "ContainmentError",
     "HoloExpr", "Jet", "parse", "eval_jet", "reciprocal", "substitute",
-    "PowerSeries", "UniSeries", "radius_estimate", "load_series",
+    "PowerSeries", "radius_estimate", "load_series",
     "INF", "BallDomain", "DiscMap",
     "chordal_distance", "poincare_tensor", "poincare_distance",
     "bergman_kernel_ball", "bergman_tensor_ball", "bergman_norm_sq",

@@ -267,7 +267,8 @@ def main(argv=None) -> int:
         print(f"holonorm: numeric failure: {e}", file=sys.stderr)
         return 3
     except MemoryError as e:
-        print(f"holonorm: numeric failure: out of memory: {e}", file=sys.stderr)
+        detail = f": {e}" if str(e) else ""
+        print(f"holonorm: numeric failure: out of memory{detail}", file=sys.stderr)
         return 3
     dt = time.perf_counter() - t0
     if args.format == "json":

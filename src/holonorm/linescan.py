@@ -41,8 +41,6 @@ class DirectionSet:
     """Unit directions in C^n: the coordinate axes plus seeded samples."""
 
     directions: np.ndarray  # (m, n) complex, unit rows
-    seed: int
-    count: int
 
     @property
     def arity(self) -> int:
@@ -60,7 +58,7 @@ def direction_set(arity: int, count: int = DEFAULT_DIRECTIONS,
     rows = [np.eye(arity, dtype=complex)]
     if count:
         rows.append(sp.unit_sphere_points(arity, count, seed))
-    return DirectionSet(np.concatenate(rows), seed=seed, count=count)
+    return DirectionSet(np.concatenate(rows))
 
 
 def canonical_direction(c) -> np.ndarray:
@@ -221,10 +219,11 @@ def hartogs_test(F: se.PowerSeries, D: DirectionSet | None = None,
     CONVERGENT when the worst direction still clears R_min under both
     truncations without material shrink, DIVERGENT when some direction
     falls below R_min and keeps shrinking as the degree grows, otherwise
-    INCONCLUSIVE.  Optionally the partial sums f_0 .. f_M, the family whose
-    normality the slice argument feeds on, are reduced as in marty_sup on a
-    grid (32 seeded directions, 8 radii) of the ball of half the worst
-    radius, from their jets (``se.partial_sum_jets``), not from trees.
+    INCONCLUSIVE.  Optionally the partial sums f_m at the degrees that hold
+    terms, the family whose normality the slice argument feeds on, are
+    reduced as in marty_sup on a grid (32 seeded directions, 8 radii) of the
+    ball of half the worst radius, from their jets (``se.partial_sum_jets``),
+    not from trees; a series with no terms has no such family.
 
     Returns (verdict, line reports, partial-sum SupEstimate or None).
     """
@@ -237,8 +236,8 @@ def hartogs_test(F: se.PowerSeries, D: DirectionSet | None = None,
         raise InputError("R_min must be positive and finite")
     D = _check_directions(D, F.arity)
     B = se.restrict_to_lines(F, [canonical_direction(c) for c in D.directions])
-    full, half = (np.array([se.radius_estimate(se.UniSeries(b[:m]), window) for b in B])
-                  for m in (None, F.max_degree // 2 + 1))
+    full, half = (np.array([se.radius_estimate(b, F.degrees, m, window) for b in B])
+                  for m in (F.max_degree, F.max_degree // 2))
     reports = [LineReport(c, radius=r, radius_half=h) for c, r, h in zip(D.directions, full, half)]
     # a radius that turns finite as the degree grows shrank too
     shrank = np.where(np.isfinite(half), full < half * (1.0 - _SHRINK_TOL), np.isfinite(full))
@@ -254,7 +253,7 @@ def hartogs_test(F: se.PowerSeries, D: DirectionSet | None = None,
                          samples=len(D.directions), growth_series=[])
     verdict = nr.Verdict(label, est, threshold=R_min, trend_ratio=1.0)
     partial_report = None
-    if probe_partial_sums:
+    if probe_partial_sums and len(F):
         ball_r = min(0.5 * worst if math.isfinite(worst) else 1.0, 4.0)
         if ball_r > 0:
             grid = ex.as_points(sp.ball_grid(F.arity, ball_r, 32, 8, seed), F.arity)

@@ -56,8 +56,10 @@ class PowerSeries:
     ``terms`` maps multi-indices to nonzero complex coefficients; zeros are
     never stored, so lacunary series cost what their support costs.  Sorted
     by (degree, multi-index), the terms are derived once as arrays:
-    ``exponents`` (T, arity), ``values`` (T,) and ``offsets``, where the
-    terms of degree m are rows offsets[m]:offsets[m + 1].
+    ``exponents`` (T, arity), ``values`` (T,), ``degrees``, the degrees that
+    hold terms in ascending order, and ``offsets``, where the terms of
+    degrees[i] are rows offsets[i]:offsets[i + 1].  Every per-degree array
+    runs along ``degrees``, never up to max_degree.
     """
 
     arity: int
@@ -65,11 +67,13 @@ class PowerSeries:
     terms: dict = field(default_factory=dict)
     exponents: np.ndarray = field(init=False, repr=False, compare=False)
     values: np.ndarray = field(init=False, repr=False, compare=False)
+    degrees: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _integer(self.arity, "arity", lo=1)
-        _integer(self.max_degree, "max_degree", hi=_INTP_MAX - 2)  # len(offsets) is max_degree + 2
+        # radius_estimate's window ends at max_degree + 1, which must be an intp
+        _integer(self.max_degree, "max_degree", hi=_INTP_MAX - 1)
         clean = {}
         for alpha, c in self.terms.items():
             try:
@@ -90,7 +94,9 @@ class PowerSeries:
         E = np.array(order, dtype=np.intp).reshape(len(order), self.arity)
         object.__setattr__(self, "exponents", E)
         object.__setattr__(self, "values", np.array([clean[t] for t in order], dtype=complex))
-        object.__setattr__(self, "offsets", np.searchsorted(E.sum(1), range(self.max_degree + 2)))
+        degrees, starts = np.unique(E.sum(1), return_index=True)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "offsets", np.append(starts, len(order)))
 
     def coefficient(self, alpha) -> complex:
         return self.terms.get(tuple(alpha), 0j)
@@ -99,36 +105,24 @@ class PowerSeries:
         return len(self.terms)
 
 
-@dataclass(frozen=True)
-class UniSeries:
-    """Dense coefficient list b_0 .. b_M of a one-variable series."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
-        object.__setattr__(self, "coefficients", c)
-
-    def __len__(self):
-        return len(self.coefficients)
-
-
 def _part_sums(F: PowerSeries, Z: np.ndarray, polys) -> list:
     """For each (exponent matrix, coefficient vector) in ``polys``, laid out
-    like ``F.exponents`` and ``F.values``, the (len(Z), max_degree + 1) array
-    whose column m sums coeff * z**alpha over the terms of degree m at the
-    rows z of Z.  Points go in row blocks, and terms in groups of the whole
-    degrees that start within one GROUP_TERMS-wide run of rows, so about
-    BLOCK products are held at once.  No sum uses BLAS.
+    like ``F.exponents`` and ``F.values``, the (len(Z), len(F.degrees))
+    array whose column i sums coeff * z**alpha over the terms of degree
+    degrees[i] at the rows z of Z.  Points go in row blocks, and terms in
+    groups of the whole degrees that start within one GROUP_TERMS-wide run
+    of rows, so about BLOCK products are held at once.  The power table runs
+    to the largest exponent present.  No sum uses BLAS.
     """
-    starts, M = F.offsets, F.max_degree
-    degs = np.flatnonzero(np.diff(starts))  # the degrees that hold terms
-    cuts = np.flatnonzero(np.diff(starts[degs] // GROUP_TERMS)) + 1
-    groups = [(starts[g[0]], starts[g[-1] + 1], g) for g in np.split(degs, cuts) if g.size]
+    starts = F.offsets
+    cuts = np.flatnonzero(np.diff(starts[:-1] // GROUP_TERMS)) + 1
+    groups = [(starts[g[0]], starts[g[-1] + 1], g)
+              for g in np.split(np.arange(len(F.degrees)), cuts) if g.size]
     rows = max(1, BLOCK // max((e - s for s, e, _ in groups), default=1))
-    outs = [np.zeros((len(Z), M + 1), dtype=np.result_type(Z, a)) for _, a in polys]
+    top = int(F.exponents.max(initial=0))
+    outs = [np.zeros((len(Z), len(F.degrees)), dtype=np.result_type(Z, a)) for _, a in polys]
     for r in range(0, len(Z), rows):
-        steps = np.repeat(Z[r:r + rows].T[:, :, None], M + 1, axis=2)
+        steps = np.repeat(Z[r:r + rows].T[:, :, None], top + 1, axis=2)
         steps[:, :, 0] = 1
         powers = np.cumprod(steps, axis=2)  # powers[k, i, j] = Z[r + i, k] ** j
         for s, e, full in groups:
@@ -143,9 +137,10 @@ def _part_sums(F: PowerSeries, Z: np.ndarray, polys) -> list:
 
 
 def restrict_to_lines(F: PowerSeries, C) -> np.ndarray:
-    """The (directions, max_degree + 1) matrix of b_m = P_m(c), the
-    coefficients of lambda -> F(lambda * c), for the rows c of ``C``.  A b_m
-    within 8 (count_m + 1) eps sum |terms| is rounding noise: exact zero."""
+    """The (directions, len(F.degrees)) matrix of b_m = P_m(c) at the
+    degrees m that hold terms, the coefficients of lambda -> F(lambda * c),
+    for the rows c of ``C``; every other b_m is zero.  A b_m within
+    8 (count_m + 1) eps sum |terms| is rounding noise: exact zero."""
     C = np.asarray(C, dtype=complex)
     if C.ndim != 2 or C.shape[1] != F.arity:
         raise InputError(f"direction must have {F.arity} coordinates")
@@ -160,9 +155,10 @@ partial_sum = restrict_to_line = None
 
 
 def partial_sum_jets(F: PowerSeries, Z) -> tuple[np.ndarray, np.ndarray]:
-    """Values (M+1, N) and gradients (M+1, N, n) of the partial sums f_0 ..
-    f_M at the N rows of ``Z``: cumulative sums over k of the homogeneous
-    parts P_k and their gradients, each evaluated once (no expression tree).
+    """Values (D, N) and gradients (D, N, n) of the partial sums f_m at the
+    D degrees m that hold terms (the sum changes at no other degree), at the
+    N rows of ``Z``: cumulative sums of the homogeneous parts P_m and their
+    gradients, each evaluated once (no expression tree).
     """
     E, a = F.exponents, F.values
     polys = [(E, a)] + [(np.maximum(E - np.eye(F.arity, dtype=E.dtype)[j], 0), E[:, j] * a)
@@ -172,24 +168,26 @@ def partial_sum_jets(F: PowerSeries, Z) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(parts[0], axis=1).T, grads
 
 
-def radius_estimate(u: UniSeries, window: float = DEFAULT_WINDOW) -> float:
-    """Root-test radius from the top ``window`` fraction of coefficient indices.
+def radius_estimate(coefficients, degrees, max_degree: int,
+                    window: float = DEFAULT_WINDOW) -> float:
+    """Root-test radius of the series sum b_m lambda**m truncated at
+    ``max_degree``, whose b_m are ``coefficients`` at the ascending
+    ``degrees`` and zero elsewhere, from the top ``window`` fraction of the
+    degrees 1 .. max_degree.
 
-    Uses R = 1 / max of |b_m|**(1/m) over the windowed indices with b_m != 0,
+    Uses R = 1 / max of |b_m|**(1/m) over the windowed degrees with b_m != 0,
     skipping zero coefficients so lacunary restrictions are handled.  Returns
     +inf when every windowed coefficient vanishes.
     """
-    coeffs = u.coefficients
-    if len(coeffs) < 4:
+    if max_degree < 3:
         raise InputError("radius estimate needs at least 4 coefficients")
     if not 0 < window <= 1:
         raise InputError("window must lie in (0, 1]")
-    M = len(coeffs) - 1
-    count = max(1, math.ceil(window * M))
-    lo = max(1, M - count + 1)
+    lo = max(1, max_degree - math.ceil(window * max_degree) + 1)
+    i, j = np.searchsorted(degrees, (lo, max_degree + 1))
     best = 0.0
-    for m in range(lo, M + 1):
-        mag = abs(coeffs[m])
+    for m, b in zip(degrees[i:j].tolist(), coefficients[i:j]):
+        mag = abs(b)
         if mag > 0:
             best = max(best, mag ** (1.0 / m))
     if best == 0.0:

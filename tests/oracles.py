@@ -35,9 +35,12 @@ def restrict_function(f: ex.HoloExpr, c) -> ex.HoloExpr:
     return ex.substitute(f, [ex.const_expr(ck, 1) * lam for ck in cv])
 
 
-def restrict_to_line(F: se.PowerSeries, c) -> se.UniSeries:
-    """Coefficients of lambda -> F(lambda * c): one row of ``se.restrict_to_lines``."""
-    return se.UniSeries(se.restrict_to_lines(F, np.asarray(c, dtype=complex)[None])[0])
+def restrict_to_line(F: se.PowerSeries, c) -> np.ndarray:
+    """Coefficients b_0 .. b_M of lambda -> F(lambda * c): one row of
+    ``se.restrict_to_lines``, laid out densely up to max_degree."""
+    dense = np.zeros(F.max_degree + 1, dtype=complex)
+    dense[F.degrees] = se.restrict_to_lines(F, np.asarray(c, dtype=complex)[None])[0]
+    return dense
 
 
 def map_jets(f: ex.HoloExpr, phi, lam):

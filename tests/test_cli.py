@@ -211,6 +211,18 @@ def test_hartogs_on_a_1035_term_series_exit_0(capsys, tmp_path):
     assert results["partial_sum_sup"]["samples"] > 0
 
 
+def test_hartogs_on_a_series_with_no_terms_at_degree_2_40_exit_0(capsys, tmp_path):
+    # no array runs up to max_degree, so a degree of 2^40 with no terms is cheap
+    path = tmp_path / "empty.json"
+    path.write_text('{"arity": 2, "max_degree": 1099511627776, "terms": []}')
+    code, out, _ = run(capsys, "hartogs", "--series", str(path))
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["classification"] == "CONVERGENT"
+    assert results["min_radius"] == "inf"
+    assert "partial_sum_sup" not in results
+
+
 # each subcommand with the certifier it calls, looked up through cli's modules
 CERTIFIERS = [
     ("sharp", "nr", "sharp", ["--at", "0.1"]),
@@ -249,6 +261,17 @@ def test_out_of_memory_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "holonorm: numeric failure: out of memory: Unable to allocate 5.96 GiB\n"
+
+
+def test_out_of_memory_without_text_exits_3(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_run", exhausted)
+    code, out, err = run(capsys, "yosida", "--expr", "z1")
+    assert code == 3
+    assert out == ""
+    assert err == "holonorm: numeric failure: out of memory\n"
 
 
 @pytest.mark.parametrize("command", ["sharp", "mu"])

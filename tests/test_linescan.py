@@ -154,12 +154,12 @@ def test_alexander_phase_invariance_of_reports():
     rng = np.random.default_rng(7)
     c = unit(rng.standard_normal(2) + 1j * rng.standard_normal(2))
     ref, _ = ls.alexander_function_test(
-        f, ls.DirectionSet(np.asarray([c]), seed=0, count=1),
+        f, ls.DirectionSet(np.asarray([c])),
         radii=12, angles=16)
     for theta in (0.3, 1.7, -2.2):
         rot = np.exp(1j * theta) * c
         v, _ = ls.alexander_function_test(
-            f, ls.DirectionSet(np.asarray([rot]), seed=0, count=1),
+            f, ls.DirectionSet(np.asarray([rot])),
             radii=12, angles=16)
         assert abs(v.estimate.sup_value - ref.estimate.sup_value) <= 1e-10
         assert v.classification == ref.classification
@@ -169,7 +169,7 @@ def test_alexander_input_errors():
     f = hn.parse("z1", 2)
     with pytest.raises(hn.InputError):
         ls.alexander_function_test(f, ls.direction_set(3, 4, 0))
-    empty = ls.DirectionSet(np.zeros((0, 2), dtype=complex), seed=0, count=0)
+    empty = ls.DirectionSet(np.zeros((0, 2), dtype=complex))
     with pytest.raises(hn.InputError):
         ls.alexander_function_test(f, empty)
 
@@ -265,12 +265,12 @@ def test_hartogs_phase_invariant_radii():
     rng = np.random.default_rng(9)
     c = unit(rng.standard_normal(2) + 1j * rng.standard_normal(2))
     _, ref, _ = ls.hartogs_test(
-        F, ls.DirectionSet(np.asarray([c]), seed=0, count=1),
+        F, ls.DirectionSet(np.asarray([c])),
         probe_partial_sums=False)
     for theta in (0.9, 2.5):
         rot = np.exp(1j * theta) * c
         _, reps, _ = ls.hartogs_test(
-            F, ls.DirectionSet(np.asarray([rot]), seed=0, count=1),
+            F, ls.DirectionSet(np.asarray([rot])),
             probe_partial_sums=False)
         assert abs(reps[0].radius - ref[0].radius) <= 1e-10
         assert abs(reps[0].radius_half - ref[0].radius_half) <= 1e-10
@@ -372,6 +372,37 @@ def test_hartogs_dense_arity3_degree48_with_probe():
     norm = float(np.linalg.norm(a))
     assert min(r.radius for r in reports) >= lo / (math.e * norm)
     assert 0.0 < probe.sup_value <= norm * math.exp(4.0 * norm)
+
+
+def test_hartogs_gap_series_reads_its_radius_on_its_eleven_degrees():
+    """sum of z1^(2^k), k = 0..10: a Hadamard gap series of radius 1.
+
+    Only degree 1024 lies in the full window and degree 512 in the half
+    one, so e1 reads radius 1 under both; e2 sees no terms.  The partial
+    sums change at the 11 degrees that hold terms, and the probe has one
+    member for each."""
+    F = se.PowerSeries(2, 1024, {(2 ** k, 0): 1.0 for k in range(11)})
+    assert F.degrees.tolist() == [2 ** k for k in range(11)]
+    v, reports, probe = ls.hartogs_test(F, ls.direction_set(2, 0, 0))
+    assert v.classification == ls.CONVERGENT
+    assert (reports[0].radius, reports[0].radius_half) == (1.0, 1.0)
+    assert reports[1].radius == math.inf
+    grid = sp.ball_grid(2, 0.5, 32, 8, 0)
+    ref = nr.marty_sup([partial_sum(F, int(m)) for m in F.degrees], grid)
+    assert len(probe.growth_series) == 11
+    assert probe.samples == ref.samples == 11 * len(grid)
+    assert abs(probe.sup_value - ref.sup_value) <= 1e-13 * ref.sup_value
+
+
+def test_hartogs_polynomial_below_max_degree_is_entire():
+    # every multi-index of degree at most 10, declared at max_degree 40
+    terms = {(a, d - a): 1.0 for d in range(11) for a in range(d + 1)}
+    F = se.PowerSeries(2, 40, terms)
+    D = ls.direction_set(2, 16, 1)
+    assert se.restrict_to_lines(F, D.directions).shape == (len(D), 11)
+    v, reports, _ = ls.hartogs_test(F, D, probe_partial_sums=False)
+    assert v.classification == ls.CONVERGENT
+    assert all(r.radius == r.radius_half == math.inf for r in reports)
 
 
 def test_line_report_serialization():

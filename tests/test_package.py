@@ -4,7 +4,7 @@ import holonorm as hn
 
 #: Names removed from the package; a few stay in their modules as None.
 RETIRED = ["partial_sum", "restrict_to_line", "restrict_function", "lehto_virtanen_check",
-           "weighted_sharp_sups", "affine_disc", "eval_disc_jets", "line_sharp"]
+           "weighted_sharp_sups", "affine_disc", "eval_disc_jets", "line_sharp", "UniSeries"]
 
 
 def test_exports_resolve_and_retired_names_are_gone():
