@@ -4,8 +4,9 @@ One subcommand per certifier, each declared once in ``COMMANDS``.  Reports
 are JSON by default (canonical: the same configuration and seed reproduce
 the same bytes; timing goes to stderr only) or a flattened CSV.  Exit codes:
 0 success, 2 for input errors (syntax, bad file, bad flag, a non-finite
-``--at`` coordinate or float flag), 3 for numeric failures (pole storms, no admissible
-disc, running out of memory).  RuntimeWarnings are counted, not printed raw.
+``--at`` coordinate or float flag, a negative ``--seed``), 3 for numeric
+failures (pole storms, no admissible disc, running out of memory).
+RuntimeWarnings are counted, not printed raw.
 """
 
 from __future__ import annotations
@@ -226,6 +227,8 @@ def _run(args) -> dict:
                for t in (args.expr if kind == "family" else [args.expr])]
         inp = fam if kind == "family" else fam[0]
         config.update(expr=args.expr, arity=args.arity)
+    if args.seed < 0:
+        raise InputError(f"--seed {args.seed} is negative")
     for name, *_ in flags:
         value = getattr(args, name)
         if isinstance(value, float) and not math.isfinite(value):

@@ -287,24 +287,27 @@ class DiscMap:
     def arity(self) -> int:
         return self.coefficients.shape[1]
 
+    @cached_property
+    def _tangent_coefficients(self) -> np.ndarray:
+        """Coefficients j * a_j of phi', zeros for a degree-0 disc."""
+        return (np.arange(1, self.degree + 1)[:, None] * self.coefficients[1:]
+                if self.degree else np.zeros_like(self.coefficients))
+
     def _horner(self, lam, derivative: bool = False) -> np.ndarray:
-        """Values at points lam in (n, ...) layout, by in-place Horner, of
-        phi or, given ``derivative``, of phi' (coefficients j * a_j)."""
-        coefficients = self.coefficients
-        if derivative:
-            coefficients = (np.arange(1, self.degree + 1)[:, None] * coefficients[1:]
-                            if self.degree else np.zeros_like(coefficients))
+        """Values at points lam in (n, ...) layout, by in-place Horner one
+        coordinate row at a time, of phi or, given ``derivative``, of phi'."""
         L = np.asarray(lam, dtype=complex)
-        tail = (slice(None),) + (None,) * L.ndim
-        out = np.empty((self.arity,) + L.shape, dtype=complex)
-        out[...] = coefficients[-1][tail]
-        for a in coefficients[-2::-1]:
-            # numpy multiplies a one-element array in place, or by a
-            # one-element array of fewer dimensions, through a scalar loop
-            # that rounds differently from its vector loop
-            out = out * L.reshape(out.shape) if out.size == 1 else np.multiply(out, L, out=out)
-            out += a[tail]
-        return out
+        flat, out = L.reshape(-1), np.empty((self.arity, L.size), dtype=complex)
+        coefficients = self._tangent_coefficients if derivative else self.coefficients
+        for row, column in zip(out, coefficients.T):
+            row[...] = column[-1]
+            for a in column[-2::-1]:
+                # numpy multiplies a one-element array in place through a
+                # scalar loop that rounds differently from its vector loop,
+                # so a one-element row is multiplied from a copy
+                np.multiply(row if row.size > 1 else row.copy(), flat, out=row)
+                row += a
+        return out.reshape((self.arity,) + L.shape)
 
     def __call__(self, lam) -> np.ndarray:
         """Evaluate at points lam (any shape); returns (..., n)."""
@@ -326,10 +329,7 @@ class DiscMap:
 
     @cached_property
     def _ring_max(self) -> float:
-        samples = max(CONTAINMENT_SAMPLES, 4 * (self.degree + 1))
-        # a non-finite coefficient fails containment without a warning
-        with np.errstate(all="ignore"):
-            return _ring_norm_max(self._horner(_ring(samples)))
+        return float(_ring_maxima(self.coefficients[None])[0])
 
     def boundary_max(self) -> float:
         """Max image norm over the verification ring |lambda| = CONTAINMENT_RING."""
@@ -348,21 +348,30 @@ def _ring(samples: int) -> np.ndarray:
     return lam
 
 
-def _ring_norm_max(vals: np.ndarray) -> float:
-    """Max image norm over the samples of (n, samples) values: faster than
-    np.linalg.norm on this layout, and rounded as it is over (samples, n)
-    rows, where numpy sums rows shorter than 8 left to right, longer ones
-    pairwise."""
-    sq = np.conjugate(vals)
-    sq *= vals
-    sq = sq.real
-    if len(sq) < 8:
-        total = sq[0]
-        for row in sq[1:]:
-            total += row
-    else:
-        total = np.add.reduce(np.ascontiguousarray(sq.T), axis=-1)
-    return math.sqrt(np.max(total))
+def _ring_maxima(stack: np.ndarray) -> np.ndarray:
+    """Max image norm over the verification ring of each disc of a
+    (k, degree + 1, n) coefficient stack, in one stacked Horner pass.  Each
+    disc's norms round as np.linalg.norm's over its (samples, n) rows, which
+    numpy sums left to right when shorter than 8, longer ones pairwise; a
+    non-finite coefficient gives inf or NaN without a warning."""
+    k, terms, n = stack.shape
+    lam = _ring(max(CONTAINMENT_SAMPLES, 4 * terms))
+    with np.errstate(all="ignore"):
+        vals = np.empty((k, n, lam.size), dtype=complex)
+        vals[...] = stack[:, -1, :, None]
+        for j in range(terms - 2, -1, -1):
+            np.multiply(vals, lam, out=vals)
+            vals += stack[:, j, :, None]
+        sq = np.conjugate(vals)
+        sq *= vals
+        sq = sq.real
+        if n < 8:
+            total = sq[:, 0]
+            for r in range(1, n):
+                total += sq[:, r]
+        else:
+            total = np.add.reduce(np.ascontiguousarray(sq.transpose(0, 2, 1)), axis=-1)
+        return np.sqrt(np.max(total, axis=-1))
 
 
 def require_contained(disc: DiscMap) -> DiscMap:
@@ -375,26 +384,27 @@ def require_contained(disc: DiscMap) -> DiscMap:
 
 
 def random_disc_maps(arity: int, count: int, degree: int, seed: int) -> list[DiscMap]:
-    """Seeded polynomial discs, rescaled into the unit ball and verified."""
-    if count < 1 or degree < 1:
-        raise InputError("need count >= 1 and degree >= 1")
-    rng = np.random.default_rng(seed)
-    discs = []
-    for _ in range(count):
-        coeffs = np.zeros((degree + 1, arity), dtype=complex)
-        raw = rng.standard_normal(2 * arity)
-        center = raw[:arity] + 1j * raw[arity:]
-        coeffs[0] = 0.4 * center / max(1.0, np.linalg.norm(center))
-        for j in range(1, degree + 1):
-            raw = rng.standard_normal(2 * arity)
-            coeffs[j] = (raw[:arity] + 1j * raw[arity:]) * (0.5 / j)
-        disc = DiscMap(coeffs)
-        b = disc.boundary_max()
-        scale = (1.0 - 2.0 * CONTAINMENT_MARGIN) / max(b, 1e-12)
-        if scale < 1.0:
-            disc = DiscMap(coeffs * scale)
-        discs.append(require_contained(disc))
-    return discs
+    """Seeded polynomial discs, rescaled into the unit ball and verified.
+    One draw gives every coefficient; stacked ring passes of at most
+    ex.BLOCK ring values (discs x coordinates x samples) give each disc's
+    ring maximum, and one more round of them those of the rescaled discs."""
+    if arity < 1 or count < 1 or degree < 1:
+        raise InputError("need n >= 1, count >= 1 and degree >= 1")
+    raw = np.random.default_rng(seed).standard_normal((count, degree + 1, 2 * arity))
+    coeffs = raw[..., :arity] + 1j * raw[..., arity:]
+    coeffs[:, 1:] *= (0.5 / np.arange(1, degree + 1))[:, None]
+    for c in coeffs:
+        c[0] = 0.4 * c[0] / max(1.0, np.linalg.norm(c[0]))
+    step = max(1, ex.BLOCK // (arity * max(CONTAINMENT_SAMPLES, 4 * (degree + 1))))
+    b = np.concatenate([_ring_maxima(coeffs[s:s + step]) for s in range(0, count, step)])
+    scale = (1.0 - 2.0 * CONTAINMENT_MARGIN) / np.maximum(b, 1e-12)
+    fit = np.flatnonzero(scale < 1.0)
+    coeffs[fit] *= scale[fit, None, None]
+    b[fit] = [m for s in range(0, len(fit), step) for m in _ring_maxima(coeffs[fit[s:s + step]])]
+    discs = [DiscMap(c) for c in coeffs]
+    for disc, ring_max in zip(discs, b.tolist()):
+        object.__setattr__(disc, "_ring_max", ring_max)  # the cached property's value
+    return [require_contained(disc) for disc in discs]
 
 
 # --------------------------------------------------------------------------

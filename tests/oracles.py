@@ -1,13 +1,18 @@
-"""Expression-tree references the package no longer builds.
+"""References the package no longer builds, and closed forms it never does.
 
 The line slices and the Hartogs probe evaluate jets along maps and partial
 sums as arrays; the trees below are the independent references that tests
-compare those arrays with.
+compare those arrays with.  The analytic discs are drawn and verified per
+family; the per-disc loop below is the reference for those bits.  S_K is the
+ceiling that every disc-probe and line-slice sample lies under.
 """
+
+import math
 
 import numpy as np
 
 import holonorm.expr as ex
+import holonorm.metrics as mt
 import holonorm.series as se
 from holonorm.errors import InputError
 
@@ -48,3 +53,70 @@ def map_jets(f: ex.HoloExpr, phi, lam):
     so they outlive the workspace's next evaluation."""
     lam = np.ascontiguousarray(ex.as_points(lam, 1)[:, 0])
     return tuple(a.copy() for a in ex._map_jets(f, phi, lam))
+
+
+def ring_norm_max(vals: np.ndarray) -> float:
+    """Max image norm over the samples of (n, samples) values, rounded as
+    np.linalg.norm over (samples, n) rows: rows shorter than 8 summed left
+    to right, longer ones pairwise."""
+    sq = np.conjugate(vals)
+    sq *= vals
+    sq = sq.real
+    if len(sq) < 8:
+        total = sq[0]
+        for row in sq[1:]:
+            total += row
+    else:
+        total = np.add.reduce(np.ascontiguousarray(sq.T), axis=-1)
+    return math.sqrt(np.max(total))
+
+
+def ring_max(coefficients: np.ndarray) -> float:
+    """A disc's max image norm over the verification ring, from in-place
+    Horner on (n, samples) values started at a copy of the leading
+    coefficient; inf or NaN, without a warning, for a non-finite disc."""
+    lam = mt._ring(max(mt.CONTAINMENT_SAMPLES, 4 * len(coefficients)))
+    out = np.empty((coefficients.shape[1], lam.size), dtype=complex)
+    out[...] = coefficients[-1][:, None]
+    with np.errstate(all="ignore"):
+        for a in coefficients[-2::-1]:
+            np.multiply(out, lam, out=out)
+            out += a[:, None]
+        return ring_norm_max(out)
+
+
+def random_disc_maps(arity: int, count: int, degree: int, seed: int) -> list:
+    """``mt.random_disc_maps`` as a per-disc loop: (coefficients, ring max)
+    of each seeded disc, rescaled into the ball where its ring max asks."""
+    rng = np.random.default_rng(seed)
+    discs = []
+    for _ in range(count):
+        coeffs = np.zeros((degree + 1, arity), dtype=complex)
+        raw = rng.standard_normal(2 * arity)
+        center = raw[:arity] + 1j * raw[arity:]
+        coeffs[0] = 0.4 * center / max(1.0, np.linalg.norm(center))
+        for j in range(1, degree + 1):
+            raw = rng.standard_normal(2 * arity)
+            coeffs[j] = (raw[:arity] + 1j * raw[arity:]) * (0.5 / j)
+        b = ring_max(coeffs)
+        scale = (1.0 - 2.0 * mt.CONTAINMENT_MARGIN) / max(b, 1e-12)
+        if scale < 1.0:
+            coeffs = coeffs * scale
+            b = ring_max(coeffs)
+        discs.append((coeffs, b))
+    return discs
+
+
+def kobayashi_sharp_sq(f: ex.HoloExpr, Z) -> np.ndarray:
+    """S_K(z) = (1-|z|^2)(|grad f|^2 - |sum_k z_k df/dz_k|^2)/(1+|f|^2)^2 at
+    each point z of the ball: the squared sup over v of |grad f . v| /
+    ((1+|f|^2) F_K(z, v)), F_K the ball's Kobayashi metric.  F_K decreases
+    under holomorphic maps, so a disc phi into the ball has
+    F_K(phi(l), phi'(l)) <= 1/(1-|l|^2), and every probe sample
+    (1-|l|^2)|(f o phi)'(l)|/(1+|f|^2) is at most sqrt(S_K(phi(l)))."""
+    Z = ex.as_points(Z, f.arity)
+    vals, grads, _ = ex.eval_jet_batch(f, Z)
+    radial = np.abs(np.sum(Z * grads, axis=1)) ** 2
+    gradient = np.sum(np.abs(grads) ** 2, axis=1)
+    d = 1.0 - np.sum(np.abs(Z) ** 2, axis=1)
+    return d * (gradient - radial) / (1.0 + np.abs(vals) ** 2) ** 2

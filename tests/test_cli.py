@@ -304,6 +304,17 @@ def test_non_finite_float_flag_exits_2(capsys, tmp_path, argv):
     assert err == f"holonorm: input error: {argv[-2]} {float(argv[-1])!r} is not finite\n"
 
 
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_negative_seed_exits_2(capsys, tmp_path, command):
+    # numpy's generators reject a negative seed with a ValueError traceback
+    source = (["--series", series_file(tmp_path, geometric())] if command == "hartogs"
+              else ["--expr", "z1", "--arity", "1" if command in ("mu", "yosida") else "2"])
+    code, out, err = run(capsys, command, *source, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "holonorm: input error: --seed -1 is negative\n"
+
+
 FAST_COMMANDS = [
     ("sharp", ["sharp", "--expr", "z1*z2", "--arity", "2", "--radius", "0.4"]),
     ("marty", ["marty", "--expr", "z1", "--expr", "2*z1", "--radius", "0.5"]),

@@ -13,6 +13,8 @@ import holonorm.normality as nr
 import holonorm.sampling as sp
 from holonorm.errors import ContainmentError, InputError
 
+import oracles
+
 TRIANGLE_SLACK = 1e-12
 INVARIANCE_RTOL = 1e-8
 KERNEL_LAW_RTOL = 1e-9
@@ -709,15 +711,50 @@ def test_kobayashi_upper_rejects_a_direction_whose_norm_overflows():
 
 @pytest.mark.parametrize("arity", [1, 2, 3, 5, 8, 9, 17])
 def test_ring_norm_rounds_as_numpy_norm(arity):
-    # one nonzero sample per call, at every position of a 256-sample ring,
-    # so the max is that sample's own norm
+    # one constant disc per vector, all 256 in one stack, so each disc's
+    # ring samples all equal its vector and its max is that vector's norm
     rng = np.random.default_rng(arity)
     x = rng.standard_normal((256, arity)) + 1j * rng.standard_normal((256, arity))
     want = np.linalg.norm(x, axis=-1)
+    maxima = mt._ring_maxima(x[:, None, :])
     for k in range(256):
-        vals = np.zeros((arity, 256), dtype=complex)
-        vals[:, k] = x[k]
-        assert mt._ring_norm_max(vals) == want[k]
+        assert maxima[k] == want[k]
+
+
+FAMILY_ARITIES = [1, 2, 3, 7, 8, 9, 17]
+
+
+@pytest.mark.parametrize("arity", FAMILY_ARITIES)
+def test_random_disc_maps_match_the_per_disc_loop(arity):
+    # 12 discs are one stacked pass at arity 1, four of them at arity 17
+    for degree in range(1, 7):
+        for seed in range(20):
+            want = oracles.random_disc_maps(arity, 12, degree, seed)
+            got = mt.random_disc_maps(arity, 12, degree, seed)
+            assert len(got) == len(want)
+            for disc, (coefficients, ring_max) in zip(got, want):
+                assert disc.coefficients.tobytes() == coefficients.tobytes()
+                assert disc.boundary_max() == ring_max
+
+
+@pytest.mark.parametrize("arity", FAMILY_ARITIES)
+def test_stacked_ring_pass_matches_each_disc(arity):
+    rng = np.random.default_rng(100 + arity)
+    for degree in range(1, 7):
+        shape = (9, degree + 1, arity)
+        stack = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (degree + 1)
+        # a finite disc between each infinite and NaN one
+        stack[1, rng.integers(degree + 1), rng.integers(arity)] = math.inf
+        stack[3, -1, 0] = complex(math.nan, 0.0)
+        stack[5, 0, -1] = complex(0.0, -math.inf)
+        stack[7] *= 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mt._ring_maxima(stack)
+            want = [oracles.ring_max(c) for c in stack]
+        assert np.array_equal(got, want, equal_nan=True), degree
+        assert np.isnan(got[3]) and not np.isfinite(got[[1, 5, 7]]).any()
+        assert np.isfinite(got[[0, 2, 4, 6, 8]]).all()
 
 
 @pytest.mark.parametrize("arity,degree", [(1, 1), (1, 5), (2, 2), (3, 40), (9, 3)])
@@ -782,7 +819,7 @@ def test_horner_from_the_leading_coefficient_keeps_every_bit(arity):
                     want = _horner_reference(disc, lam, derivative)
                     assert _bits(disc._horner(lam, derivative)) == _bits(want), (degree, name)
             ring = _horner_reference(disc, mt._ring(mt.CONTAINMENT_SAMPLES))
-            assert disc.boundary_max() == mt._ring_norm_max(ring)
+            assert disc.boundary_max() == oracles.ring_norm_max(ring)
 
 
 def test_a_negative_zero_leading_part_moves_only_the_sign_of_zeros():

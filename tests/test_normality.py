@@ -16,6 +16,7 @@ import holonorm.normality as nr
 import holonorm.sampling as sp
 from holonorm.errors import InputError, PoleError
 from holonorm.reports import canonical_json
+import oracles
 from oracles import map_jets
 
 LEVI_FD_STEP = 1e-4
@@ -906,21 +907,28 @@ def test_disc_probe_rejects_escaping_disc():
 
 
 def test_each_disc_evaluates_its_ring_once(monkeypatch):
-    calls = []
-    ring_norm_max = mt._ring_norm_max
-    monkeypatch.setattr(mt, "_ring_norm_max", lambda vals: calls.append(1) or ring_norm_max(vals))
+    passes = []
+    ring_maxima = mt._ring_maxima
+    monkeypatch.setattr(mt, "_ring_maxima",
+                        lambda stack: passes.append(len(stack)) or ring_maxima(stack))
     disc = mt.DiscMap(np.array([[0.1, 0.0], [0.5, 0.2]]))
     for _ in range(3):
         assert mt.require_contained(disc).contained_in_unit_ball()
-    assert disc.boundary_max() < 1.0 and len(calls) == 1
-    calls.clear()
+    assert disc.boundary_max() < 1.0 and passes == [1]
+    # 20 discs of arity 3 and degree 2 fill one pass of ex.BLOCK ring
+    # values; the discs rescaled to fit (all of them at this seed) take one
+    # more round of passes
+    passes.clear()
     discs = mt.random_disc_maps(3, 20, 2, 5)
-    # one ring per disc, and one more for a disc rescaled to fit
-    made = len(calls)
-    assert len(discs) <= made <= 2 * len(discs)
-    # the probe's re-check of the discs it is given reads their cached maxima
+    assert 20 * 3 * mt.CONTAINMENT_SAMPLES == ex.BLOCK
+    assert passes == [20, 20]
+    passes.clear()
+    assert len(mt.random_disc_maps(3, 45, 2, 5)) == 45
+    assert passes == [20, 20, 5] * 2
+    # the probe's re-check of the discs it is given reads their maxima
+    passes.clear()
     nr.disc_family_probe(ex.parse("z1 + z2*z3", 3), discs=discs, radii=6, angles=8)
-    assert len(calls) == made
+    assert passes == []
 
 
 def _e1_disc(r):
@@ -944,6 +952,57 @@ def test_disc_probe_keeps_a_disc_with_a_few_failed_samples():
 def test_disc_probe_raises_when_a_disc_fails_over_5_percent(text, kwargs):
     with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="disc probe"):
         nr.disc_family_probe(ex.parse(text, 2), **kwargs)
+
+
+# ------------------------------------------ one ceiling for discs and lines
+
+#: relative; a line sample meets the ceiling in exact arithmetic where its
+#: direction is parallel to conj(grad f), and S_K's cancellation costs at
+#: most about 2^-53/(1-|z|^2), 50 ulps on the default ladder
+CEILING_SLACK = 1e-12
+CEILING_FUNCTIONS = [("exp(z1+z2)", 2), ("sin(1/(1-z1))", 2), ("z1*z2 + exp(3*z2)", 2),
+                     ("exp(z1)*z2 + z3^2", 3)]
+
+
+def _recorded_tables(monkeypatch):
+    """The sample tables of each nr.rung_sups call, in call order."""
+    calls, rung_sups = [], nr.rung_sups
+
+    def recorded(tables, lengths, points):
+        calls.append(tables)
+        return rung_sups(tables, lengths, points)
+
+    monkeypatch.setattr(nr, "rung_sups", recorded)
+    return calls
+
+
+def _assert_under_ceiling(samples, f, Z):
+    ceiling = np.sqrt(oracles.kobayashi_sharp_sq(f, Z))
+    assert np.isfinite(samples).all()
+    assert (samples <= ceiling * (1.0 + CEILING_SLACK)).all(), np.max(samples / ceiling)
+
+
+@pytest.mark.parametrize("text,arity", CEILING_FUNCTIONS)
+def test_disc_probe_samples_lie_under_the_kobayashi_ceiling(monkeypatch, text, arity):
+    f = ex.parse(text, arity)
+    discs = mt.random_disc_maps(arity, 30, 2, 0)
+    tables = _recorded_tables(monkeypatch)
+    nr.disc_family_probe(f, discs=discs)
+    [per_disc] = tables
+    grid = nr.disc_ladder(sp.DEFAULT_LADDER, 24, 32)
+    for phi, samples in zip(discs, per_disc, strict=True):
+        _assert_under_ceiling(samples, f, phi(grid.points))
+
+
+@pytest.mark.parametrize("text,arity", CEILING_FUNCTIONS)
+def test_line_slice_samples_lie_under_the_kobayashi_ceiling(monkeypatch, text, arity):
+    f = ex.parse(text, arity)
+    D = ls.direction_set(arity, 8, 0)
+    tables = _recorded_tables(monkeypatch)
+    ls.alexander_function_test(f, D, radii=48, angles=64)
+    grid = nr.disc_ladder(sp.DEFAULT_LADDER, 48, 64)
+    for c, [samples] in zip(D.directions, tables, strict=True):
+        _assert_under_ceiling(samples, f, grid.points[:, None] * ls.canonical_direction(c))
 
 
 # ------------------------------------------------ shared f# kernel and reducer
