@@ -371,7 +371,7 @@ def yosida_bound(f: ex.HoloExpr, ladder=sp.DEFAULT_LADDER,
 
 
 #: Placeholders for removed names, kept as bench/tracer.py's LAYERS names them.
-lehto_virtanen_check = weighted_sharp_sups = None
+lehto_virtanen_check = weighted_sharp_sups = _levi_ratio_tables = None
 
 
 # --------------------------------------------------------------------------
@@ -466,16 +466,10 @@ def random_ball_params(arity: int, count: int, seed: int):
 # Ball ratios: Levi form against invariant metrics
 # --------------------------------------------------------------------------
 
-#: Byte budget of one complex (rows x vectors) block of the ratio table:
-#: the largest gathered block ``_ratio_prefix_maxima`` gives the kernel.
-RATIO_BLOCK_BYTES = 2 << 20
-
-
 def _ratio_inputs(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray):
     """The checks of the ball ratios, in their order (points in the open
     ball, d = 1 - |z|^2 > 0, which NaN fails; usable direction vectors; no
-    pole), then the tuple (Z, grad f on Z, d, (1+|f|^2)^2, |v|^2, V) that
-    the row bound and the kernel read."""
+    pole), then (grad f on Z, d, (1+|f|^2)^2)."""
     d = 1.0 - mt._sq_norms(Z)
     if Z.shape[0] == 0 or not np.all(d > 0.0):
         raise InputError("z samples must be nonempty and lie in the open unit ball")
@@ -485,106 +479,45 @@ def _ratio_inputs(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray):
     vals, grads, pole = ex.eval_jet_batch(f, Z)
     if pole.any():
         raise InputError("pole signal inside the ball; certifier input must be holomorphic")
-    return Z, grads, d, np.square(_sphere_den(vals)), v2, V
+    return grads, d, np.square(_sphere_den(vals))
 
 
-def _levi_ratio_tables(inputs, rows, scale):
-    """np.max of each row, at the indices ``rows``, of the (points x vectors)
-    table levi_form(f, z, v) / (scale * F_K(z, v)^2), F_K the Kobayashi
-    metric of the unit ball, from the ``_ratio_inputs`` tuple.  NaN
-    propagates.  Entries round as in the whole table but for one row (gemv)."""
-    Z, grads, d, den, v2, V = inputs
-    d = d[rows, None]
-    fk2 = scale * (v2 / d + np.abs(Z[rows].conjugate() @ V.T) ** 2 / d ** 2)
-    levi = np.abs(grads[rows] @ V.T) ** 2 / den[rows, None]
-    return np.max(levi / fk2, axis=1)
-
-
-def _ratio_row_bounds(inputs, scale):
-    """Upper bounds B_i on row i of the ratio table as the kernel
-    ``_levi_ratio_tables`` rounds it, or +inf where none is proved.
+def _ratio_sups(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale) -> np.ndarray:
+    """S(z) = sup over every direction v of levi_form(f, z, v) / (scale *
+    F_K(z, v)^2) at each point, F_K the Kobayashi metric of the unit ball,
+    after the ``_ratio_inputs`` checks; V selects nothing.
 
     With g = grad f(z), d = 1 - |z|^2 and F_K^2 = v*(I/d + zz*/d^2)v,
     Sherman-Morrison (d + |z|^2 = 1) gives the inverse d(I - zz*), so
-    sup_v levi / (scale F_K^2) = S = d(|g|^2 - |g.z|^2) / ((1+|f|^2)^2 scale),
-    g.z = sum_k g_k z_k, attained at v ~ d(I - zz*) conj(g): the invariant
-    gradient of Cima and Krantz.  d and (1+|f|^2)^2 are the kernel's floats.
-    With u = 2^-53 and gamma = (n+3)u for a sum over the n coordinates, the
-    kernel's sums err by gamma|v| and gamma|g||v|, and v*(...)v >= |v|^2/d,
-    so an entry is r^ <= S (1 + gamma/sqrt(d))^2 (1 - gamma/sqrt(d))^-2
-    (1 + 11u).  The cancellation |g|^2 - |g.z|^2 >= |g|^2 (1 - |z|^2) and
-    d's rounding (|d + |z|^2 - 1| <= gamma) give S^ >= S (1 - 5 gamma/d).
-    For d >= (n+1) 2^-40, t = (n+1) 2^-40 / d exceeds both terms together,
-    so r^ <= S^ (1 + t).  Underflow adds at most 2^-1072 / min|v|^2 to an
-    entry and a few 2^-1074 to S^: the floor, while min|v|^2 is normal.
-    B = +inf where d is smaller, where |g|^2 max|v|^2 >= 2^1023 (|g.v|^2 may
-    overflow in the kernel) or where the bound is not finite, as it is for
-    a NaN or infinite jet; a NaN entry has no other cause."""
-    Z, grads, d, den, v2, _ = inputs
-    slack, vmin = (Z.shape[1] + 1) * 2.0 ** -40, v2.min()
-    with np.errstate(all="ignore"):
-        gz = np.abs(np.einsum("ij,ij->i", grads, Z))
-        b = np.einsum("ij,ij->i", grads, grads.conjugate()).real
-        ok = (b * v2.max() < 2.0 ** 1023) & (d >= slack)
-        b -= np.square(gz, out=gz)
-        b *= d
-        b /= den
-        b /= scale
-        b *= 1.0 + slack / d
-        b += (2.0 ** -1000 + 2.0 ** -1072 / vmin) if vmin >= 2.0 ** -1022 else np.inf
-    b[~(ok & np.isfinite(b))] = np.inf
-    return b
-
-
-def _ratio_prefix_maxima(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale, ends):
-    """Row maxima of ``_levi_ratio_tables`` on the rows that the running
-    maxima at the row counts ``ends`` (nondecreasing, the last m) depend
-    on, -inf on the others, from one ``_ratio_inputs`` pass.  Each segment
-    between ends takes its rows into the kernel in decreasing order of the
-    bound B (stable), in gathered blocks of 2, 4, 8, ... up to
-    RATIO_BLOCK_BYTES // (16 * vectors) rows, until the next B is below the
-    largest maximum evaluated up to the segment's end.  A skipped row is
-    then strictly below an evaluated row of its prefix, so it is no running
-    maximum nor the first index at one, and a NaN row (B = +inf) is always
-    evaluated.  A one-row block gets a second row unless m == 1 (the kernel)."""
-    inputs = _ratio_inputs(f, Z, V)
-    b = _ratio_row_bounds(inputs, scale)
-    m = Z.shape[0]
-    rows = max(2, RATIO_BLOCK_BYTES // (16 * V.shape[0]))
-    top = np.full(m, -np.inf)
-    best, start = -math.inf, 0
-    for end in ends:
-        todo = start + np.flatnonzero(b[start:end] >= best)
-        todo = todo[np.argsort(-b[todo], kind="stable")]
-        size = 2
-        while todo.size:
-            take = todo[:size]
-            if take.size == 1 and m > 1:
-                take = np.append(take, 1 if take[0] == 0 else 0)
-            top[take] = _levi_ratio_tables(inputs, take, scale)
-            best = max(best, float(np.fmax.reduce(top[start:end])))
-            todo = todo[size:]
-            todo = todo[b[todo] >= best]
-            size = min(2 * size, rows)
-        start = end
-    return top
+    S = d(|g|^2 - |g.z|^2) / ((1+|f|^2)^2 scale), g.z = sum_k g_k z_k,
+    attained at v = d(conj g - z conj(g.z)): the invariant gradient of Rudin
+    and of Cima and Krantz.  With gamma = (n+3) 2^-53, the cancellation
+    |g|^2 - |g.z|^2 >= |g|^2 d and d's rounding bound the relative error by
+    about 5 gamma / d, plus a few 2^-1074 of underflow.  A NaN or infinite
+    jet gives NaN."""
+    grads, d, den = _ratio_inputs(f, Z, V)
+    s = np.einsum("ij,ij->i", grads, grads.conjugate()).real
+    s -= np.square(np.abs(np.einsum("ij,ij->i", grads, Z)))
+    return s * d / (den * scale)
 
 
 def ball_normal_ratio(f: ex.HoloExpr, z_samples, v_samples) -> SupEstimate:
-    """sup of levi_form / bergman_norm_sq over sample pairs: the norm constant.
+    """sup of levi_form / bergman_norm_sq over the points and every direction:
+    the norm constant.
 
     A finite stable value certifies the Levi form is dominated by the Bergman
     metric on the sampled region, the defining estimate for ball normality.
-    The Bergman length is (n+1) F_K^2, and the growth series keeps the
-    running supremum after every (m // 16)-th row; ``_ratio_prefix_maxima``
-    evaluates the rows those and the sup can depend on, in bounded memory.
+    The Bergman length is (n+1) F_K^2, so each point reads ``_ratio_sups``
+    at scale n+1.  ``samples`` counts the points x ``v_samples`` pairs, all
+    covered by the closed form, and the growth series keeps the running
+    supremum after every (m // 16)-th point.
     """
     Z = ex.as_points(z_samples, f.arity)
     V = ex.as_points(v_samples, f.arity)
     m = Z.shape[0]
     step = max(1, m // 16)
     counts = range(step, m + 1, step)
-    top = _ratio_prefix_maxima(f, Z, V, f.arity + 1, [*counts, m])
+    top = _ratio_sups(f, Z, V, f.arity + 1)
     i = int(np.argmax(top))
     # the running max starts at -inf and skips NaN rows
     running = list(itertools.accumulate(top.tolist(), max, initial=-math.inf))
@@ -596,15 +529,18 @@ def kobayashi_normality_check(f: ex.HoloExpr, z_rungs=None, v_samples=None,
                               ladder=sp.DEFAULT_LADDER, directions: int = 64,
                               radii: int = 16, v_count: int = 32,
                               seed: int = 0) -> Verdict:
-    """Trend of sup levi_form / F_K^2 along an exhaustion of the unit ball.
+    """Trend of sup levi_form / F_K^2 over every direction along an
+    exhaustion of the unit ball.
 
-    Equals (n+1) times the Bergman-normalised ratio at every sample.  There
-    is one rung per ladder entry, and each must be a prefix of the deepest
-    no shorter than the rung before it, as the cumulative rung grids are,
-    so the ladder of suprema is nondecreasing and one bounded-memory pass of
-    ``_ratio_prefix_maxima`` serves them all; stabilization reads BOUNDED,
-    sustained geometric growth reads UNBOUNDED_TREND.  Only rungs a caller
-    passes are tested as prefixes: the default ones are built as such.
+    Each point reads ``_ratio_sups`` at scale 1, (n+1) times the
+    Bergman-normalised ratio; ``samples`` counts the pairs of points and
+    vectors (``v_samples``, or the axes and ``v_count`` seeded ones), all
+    covered by the closed form.  There is one rung per ladder entry, and
+    each must be a prefix of the deepest no shorter than the rung before it,
+    as the cumulative rung grids are, so the ladder of suprema is
+    nondecreasing; stabilization reads BOUNDED, sustained geometric growth
+    reads UNBOUNDED_TREND.  Only rungs a caller passes are tested as
+    prefixes: the default ones are built as such.
     """
     lad = sp.check_ladder(ladder)
     n = f.arity
@@ -626,7 +562,7 @@ def kobayashi_normality_check(f: ex.HoloExpr, z_rungs=None, v_samples=None,
             raise InputError("every z rung must be a nonempty prefix of the deepest rung, "
                              "no shorter than the rung before it")
     V = ex.as_points(v_samples, n)
-    top = _ratio_prefix_maxima(f, deep, V, 1, lengths)
+    top = _ratio_sups(f, deep, V, 1)
     sups, arg, _ = rung_sups([top], lengths, deep)
     return ladder_verdict(sups, arg, top.size * V.shape[0], lad)
 

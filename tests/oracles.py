@@ -4,7 +4,10 @@ The line slices and the Hartogs probe evaluate jets along maps and partial
 sums as arrays; the trees below are the independent references that tests
 compare those arrays with.  The analytic discs are drawn and verified per
 family; the per-disc loop below is the reference for those bits.  S_K is the
-ceiling that every disc-probe and line-slice sample lies under.
+ceiling that every disc-probe and line-slice sample lies under, and the
+supremum over every direction that the ball ratios report; the sampled
+(points x vectors) table they reported before lies under it, and the eager
+reductions below rebuild their reports from it.
 """
 
 import math
@@ -13,6 +16,7 @@ import numpy as np
 
 import holonorm.expr as ex
 import holonorm.metrics as mt
+import holonorm.normality as nr
 import holonorm.series as se
 from holonorm.errors import InputError
 
@@ -107,16 +111,63 @@ def random_disc_maps(arity: int, count: int, degree: int, seed: int) -> list:
     return discs
 
 
-def kobayashi_sharp_sq(f: ex.HoloExpr, Z) -> np.ndarray:
+def kobayashi_sharp_sq(f: ex.HoloExpr, Z, scale=1) -> np.ndarray:
     """S_K(z) = (1-|z|^2)(|grad f|^2 - |sum_k z_k df/dz_k|^2)/(1+|f|^2)^2 at
-    each point z of the ball: the squared sup over v of |grad f . v| /
-    ((1+|f|^2) F_K(z, v)), F_K the ball's Kobayashi metric.  F_K decreases
+    each point z of the ball, divided by ``scale``: the squared sup over v of
+    |grad f . v| / ((1+|f|^2) F_K(z, v)), F_K the ball's Kobayashi metric,
+    rounded as the ball ratios round it (einsum row sums).  F_K decreases
     under holomorphic maps, so a disc phi into the ball has
     F_K(phi(l), phi'(l)) <= 1/(1-|l|^2), and every probe sample
     (1-|l|^2)|(f o phi)'(l)|/(1+|f|^2) is at most sqrt(S_K(phi(l)))."""
     Z = ex.as_points(Z, f.arity)
     vals, grads, _ = ex.eval_jet_batch(f, Z)
-    radial = np.abs(np.sum(Z * grads, axis=1)) ** 2
-    gradient = np.sum(np.abs(grads) ** 2, axis=1)
-    d = 1.0 - np.sum(np.abs(Z) ** 2, axis=1)
-    return d * (gradient - radial) / (1.0 + np.abs(vals) ** 2) ** 2
+    radial = np.abs(np.einsum("ij,ij->i", grads, Z)) ** 2
+    gradient = np.einsum("ij,ij->i", grads, grads.conjugate()).real
+    d = 1.0 - np.einsum("ij,ij->i", Z, Z.conjugate()).real
+    return (gradient - radial) * d / ((1.0 + np.abs(vals) ** 2) ** 2 * scale)
+
+
+def ratio_table(f: ex.HoloExpr, Z, V, scale) -> np.ndarray:
+    """The sampled (points x vectors) table levi_form(f, z, v) / (scale *
+    F_K(z, v)^2) as whole-matrix products, NaN propagating: what the ball
+    ratios reduced before they read S_K."""
+    vals, grads, pole = ex.eval_jet_batch(f, Z)
+    assert not pole.any()
+    levi = np.abs(grads @ V.T) ** 2 / (1.0 + np.abs(vals) ** 2)[:, None] ** 2
+    d = 1.0 - np.einsum("ij,ij->i", Z, Z.conjugate()).real
+    v2 = np.einsum("ij,ij->i", V, V.conjugate()).real
+    fk2 = v2[None, :] / d[:, None] + np.abs(Z.conjugate() @ V.T) ** 2 / (d ** 2)[:, None]
+    return levi / (scale * fk2)
+
+
+def ball_normal_ratio(f: ex.HoloExpr, Z, V) -> nr.SupEstimate:
+    """``nr.ball_normal_ratio`` reduced eagerly from S_K at scale n+1: the
+    first point at the max (or at the first NaN), the running max after
+    each (m // 16)-th point, and points x vectors samples."""
+    S = kobayashi_sharp_sq(f, Z, f.arity + 1)
+    i = int(np.argmax(S))
+    series, best = [], -math.inf
+    for k, s in enumerate(S.tolist(), 1):
+        best = max(best, s)
+        series.append((float(k), best))
+    step = max(1, len(series) // 16)
+    return nr.SupEstimate(float(S[i]), Z[i], samples=S.size * len(V),
+                          growth_series=series[step - 1::step])
+
+
+def kobayashi_normality_check(f: ex.HoloExpr, z_rungs, V, ladder) -> nr.Verdict:
+    """``nr.kobayashi_normality_check`` on passed rungs, reduced eagerly from
+    S_K: each rung's np.max and np.argmax over its whole prefix."""
+    deep = z_rungs[-1]
+    S = kobayashi_sharp_sq(f, deep)
+    sups, best, arg = [], -math.inf, None
+    for rung in z_rungs:
+        block = S[:len(rung)]
+        i = int(np.argmax(block))
+        if block[i] > best:
+            best, arg = float(block[i]), deep[i]
+        sups.append(float(np.max(block)))
+    label, trend = nr.classify_trend(sups)
+    est = nr.SupEstimate(max(sups), arg, samples=S.size * len(V),
+                         growth_series=list(zip([float(e) for e in ladder], sups)))
+    return nr.Verdict(label, est, threshold=nr.GROWTH_FACTOR, trend_ratio=trend)

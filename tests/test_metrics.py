@@ -671,7 +671,7 @@ def test_points_and_ball_ratios_share_one_open_ball_rule():
             inside.append(False)
     inside = np.array(inside)
     assert 0 < inside.sum() < len(Z)
-    d = nr._ratio_inputs(f, Z[inside], V)[2]
+    d = nr._ratio_inputs(f, Z[inside], V)[1]
     assert d.tobytes() == (1.0 - np.array(s)).tobytes()
     for z in Z[~inside]:
         with pytest.raises(InputError, match="open unit ball"):

@@ -6,6 +6,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -514,56 +515,7 @@ def test_kobayashi_check_detects_axis_blowup():
     assert v.trend_ratio >= nr.GROWTH_FACTOR
 
 
-# ------------------------------------------------- row-blocked ratio reducer
-
-def _eager_ratio(f, Z, V, scale):
-    """The whole (points x vectors) matrix levi / (scale * F_K^2), as the
-    ball ratios computed it before the row-blocked reducer."""
-    vals, grads, pole = ex.eval_jet_batch(f, Z)
-    assert not pole.any()
-    contr = grads @ V.T
-    levi = np.abs(contr) ** 2 / (1.0 + np.abs(vals) ** 2)[:, None] ** 2
-    s = np.einsum("ij,ij->i", Z, Z.conjugate()).real
-    d = 1.0 - s
-    v2 = np.einsum("ij,ij->i", V, V.conjugate()).real
-    pair = Z.conjugate() @ V.T
-    fk2 = v2[None, :] / d[:, None] + np.abs(pair) ** 2 / (d ** 2)[:, None]
-    return levi / (scale * fk2)
-
-
-def _eager_ball_normal_ratio(f, Z, V):
-    ratio = _eager_ratio(f, Z, V, f.arity + 1)
-    flat = int(np.argmax(ratio))
-    i, j = divmod(flat, ratio.shape[1])
-    series = []
-    best = -math.inf
-    for i2 in range(Z.shape[0]):
-        best = max(best, float(np.max(ratio[i2])))
-        series.append((float(i2 + 1), best))
-    step = max(1, len(series) // 16)
-    series = series[step - 1::step] if len(series) > 16 else series
-    return nr.SupEstimate(float(ratio[i, j]), Z[i], samples=int(ratio.size),
-                          growth_series=series)
-
-
-def _eager_kobayashi_check(f, z_rungs, V, ladder):
-    deep = z_rungs[-1]
-    ratio = _eager_ratio(f, deep, V, 1)
-    sups = []
-    best = -math.inf
-    arg = None
-    for rung in z_rungs:
-        block = ratio[:rung.shape[0]]
-        i1, j1 = divmod(int(np.argmax(block)), block.shape[1])
-        if block[i1, j1] > best:
-            best = float(block[i1, j1])
-            arg = deep[i1]
-        sups.append(float(np.max(block)))
-    label, trend = nr.classify_trend(sups)
-    est = nr.SupEstimate(max(sups), arg, samples=int(ratio.size),
-                         growth_series=list(zip([float(e) for e in ladder], sups)))
-    return nr.Verdict(label, est, threshold=nr.GROWTH_FACTOR, trend_ratio=trend)
-
+# ------------------------------------- ball ratios: the closed form S per point
 
 def _canonical(report) -> str:
     return json.dumps(report.to_dict(), sort_keys=True)
@@ -578,48 +530,38 @@ REDUCER_EXPRS = {
 }
 
 
-def _all_rows(f, Z, V, scale):
-    """The kernel's maximum of every row of the ratio table."""
-    return nr._levi_ratio_tables(nr._ratio_inputs(f, Z, V), np.arange(Z.shape[0]), scale)
-
-
-# rows per block asked of the budget: 1 (clamped to 2, see the reducer),
-# small counts that split the rungs of every grid below, and the default
-@pytest.mark.parametrize("rows", [1, 3, 7, 50, None])
-def test_ball_ratios_match_the_whole_matrix(monkeypatch, rows):
-    rng = np.random.default_rng(rows or 0)
+@pytest.mark.parametrize("seed", [1, 3, 7, 50, 0])
+def test_ball_ratios_match_the_eager_reduction(seed):
+    rng = np.random.default_rng(seed)
     ladder = (0.2, 0.1, 0.02, 0.01)
     nan_seen = False
     for case, n in enumerate([1, 2, 3, 4] * 3 + [8] * 2):
         text = REDUCER_EXPRS[n][case % len(REDUCER_EXPRS[n])]
         f = ex.parse(text, n)
-        seed = int(rng.integers(1000))
+        grid_seed = int(rng.integers(1000))
         z_rungs = sp.ball_ladder_grids(n, ladder, int(rng.integers(1, 12)),
-                                       int(rng.integers(1, 6)), seed)
-        V = sp.unit_sphere_points(n, int(rng.integers(1, 24)), seed + 1)
+                                       int(rng.integers(1, 6)), grid_seed)
+        V = sp.unit_sphere_points(n, int(rng.integers(1, 24)), grid_seed + 1)
         V = V * rng.uniform(0.1, 3.0, (V.shape[0], 1))
-        if rows is not None:
-            monkeypatch.setattr(nr, "RATIO_BLOCK_BYTES", rows * 16 * V.shape[0])
         Z = z_rungs[-1][rng.permutation(z_rungs[-1].shape[0])]
         with np.errstate(all="ignore"):
-            want_k = _canonical(_eager_kobayashi_check(f, z_rungs, V, ladder))
+            want_k = _canonical(oracles.kobayashi_normality_check(f, z_rungs, V, ladder))
             got_k = _canonical(nr.kobayashi_normality_check(f, z_rungs, V, ladder))
-            want_b = _canonical(_eager_ball_normal_ratio(f, Z, V))
+            want_b = _canonical(oracles.ball_normal_ratio(f, Z, V))
             got_b = _canonical(nr.ball_normal_ratio(f, Z, V))
-        assert got_k == want_k, (text, seed)
-        assert got_b == want_b, (text, seed)
-        # every row maximum, not only those the reports show
-        with np.errstate(all="ignore"):
-            want = np.max(_eager_ratio(f, Z, V, 1), axis=1)
-            got = _all_rows(f, Z, V, 1)
-        assert got.tobytes() == want.tobytes(), (text, seed)
+            # every point's S, not only those the reports show
+            want = oracles.kobayashi_sharp_sq(f, Z)
+            got = nr._ratio_sups(f, Z, V, 1)
+        assert got_k == want_k, (text, grid_seed)
+        assert got_b == want_b, (text, grid_seed)
+        assert got.tobytes() == want.tobytes(), (text, grid_seed)
         nan_seen |= "NaN" in want_k
     assert nan_seen  # the overflowing f reaches the NaN rows
 
 
 def test_kobayashi_check_memory_is_bounded():
-    # the bound prunes the first f to a few rows; a constant f has every
-    # bound at the floor, so every row goes through the gathered blocks
+    # the closed form keeps a few numbers per point at any vector count,
+    # for a varying f and for a constant one
     for text in ("exp(z1)*z2 + z3^2", "0.7"):
         f = ex.parse(text, 3)
         tracemalloc.start()
@@ -760,7 +702,7 @@ def test_kobayashi_check_names_the_fault_of_a_nan_rung(rungs, message):
                                      ladder=sp.DEFAULT_LADDER[:len(z_rungs)])
 
 
-# ------------------------------------------- bound-pruned ratio reducer
+# ------------------------------------------ the closed form and the table
 
 def _bound_points(n, seed):
     """The origin, a point at |z| = 1 - 1e-9 and seeded points of the ball."""
@@ -772,33 +714,65 @@ def _bound_points(n, seed):
 @pytest.mark.parametrize("scale", [1, "n+1"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_ratio_row_bounds_dominate_the_table_and_are_attained(n, scale):
+    # S bounds every row of the sampled table up to (n+1) 2^-40 / d
+    # relative, which covers the table's sums ((n+3) 2^-53 |v| and |g||v|)
+    # and S's cancellation (about 5 (n+3) 2^-53 / d), plus 2^-1000 for
+    # underflow; it is attained at v = d(conj g - z conj(g.z)), and a NaN
+    # row of the table reads NaN
     scale, checked = n + 1 if scale == "n+1" else 1, 0
     for case, text in enumerate(REDUCER_EXPRS[n]):
         f = ex.parse(text, n)
         Z = _bound_points(n, 40 * n + case)
         V = sp.unit_sphere_points(n, 24, 50 + case) * np.geomspace(0.01, 100, 24)[:, None]
         with np.errstate(all="ignore"):
-            bound = nr._ratio_row_bounds(nr._ratio_inputs(f, Z, V), scale)
-            table = _eager_ratio(f, Z, V, scale)
-            top = _all_rows(f, Z, V, scale)
+            S = nr._ratio_sups(f, Z, V, scale)
+            table = oracles.ratio_table(f, Z, V, scale)
         nan = np.isnan(table).any(axis=1)
-        assert np.all(bound[nan] == np.inf), text
+        assert np.array_equal(np.isnan(S), nan), text
+        d = 1.0 - mt._sq_norms(Z)
+        bound = S * (1.0 + (n + 1) * 2.0 ** -40 / d) + 2.0 ** -1000
         assert np.all(table[~nan] <= bound[~nan, None]), text
-        assert np.all(top[~nan] <= bound[~nan]), text
-        # the closed form S, attained at v = d (conj(g) - z conj(g.z))
         vals, grads, _ = ex.eval_jet_batch(f, Z)
-        for z, val, g, b in zip(Z, vals, grads, bound):
-            d, gz = 1.0 - np.vdot(z, z).real, np.sum(g * z)
-            with np.errstate(all="ignore"):
-                S = d * (np.vdot(g, g).real - abs(gz) ** 2) / ((1 + abs(val) ** 2) ** 2 * scale)
-            if not (np.isfinite(b) and S > 0.0):
+        for z, g, s, dz in zip(Z, grads, S, d):
+            if not (np.isfinite(s) and s > 0.0):
                 continue
             checked += 1
-            v = d * (g.conjugate() - z * gz.conjugate())
+            gz = np.sum(g * z)
+            v = dz * (g.conjugate() - z * gz.conjugate())
             attained = nr.levi_form(f, z, v) / (scale * mt.kobayashi_closed_form_ball(z, v) ** 2)
-            assert abs(attained - S) <= 2.0 ** -44 / d * S, (text, z)
-            assert S <= b <= S * (1 + 2 * (n + 1) * 2.0 ** -40 / d) + 2.0 ** -999, (text, z)
+            assert abs(attained - s) <= 2.0 ** -44 / dz * s, (text, z)
     assert checked >= 40  # the origin, the edge point and most of the others
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_ratio_sups_match_mpmath(n):
+    # S from the float jets against 50 digits: seeded points, points at
+    # d ~ 1e-12 and zero gradients; the relative error stays within
+    # 5 gamma / d, gamma = (n+3) 2^-53, and a zero gradient reads 0 exactly
+    gamma = (n + 3) * 2.0 ** -53
+    edge = sp.unit_sphere_points(n, 4, 90 + n) * (1.0 - 5e-13)
+    Z = np.concatenate([np.zeros((1, n)), edge, sp.uniform_ball_points(n, 40, 0.99, 80 + n)])
+    texts = [t for t in REDUCER_EXPRS[n] if "exp(40" not in t] + ["0.7+i"]
+    zeros = 0
+    with mpmath.workdps(50):
+        zz = [[mpmath.mpc(w) for w in z] for z in Z]
+        dd = [1 - sum(abs(w) ** 2 for w in z) for z in zz]
+        assert min(dd[1:5]) < 2e-12
+        for text, scale in itertools.product(texts, (1, n + 1)):
+            f = ex.parse(text, n)
+            S = nr._ratio_sups(f, Z, np.eye(n), scale)
+            vals, grads, _ = ex.eval_jet_batch(f, Z)
+            for z, d, val, g, s in zip(zz, dd, vals, grads, S):
+                g = [mpmath.mpc(w) for w in g]
+                if not any(g):
+                    zeros += 1
+                    assert s == 0.0, text
+                    continue
+                radial = abs(sum(gk * zk for gk, zk in zip(g, z))) ** 2
+                exact = d * (sum(abs(gk) ** 2 for gk in g) - radial)
+                exact /= (1 + abs(mpmath.mpc(val)) ** 2) ** 2 * scale
+                assert abs(s - exact) <= 5 * gamma / d * exact, (text, s, exact)
+    assert zeros >= 2 * len(Z)  # the constant, at every point and both scales
 
 
 def _rungs(deep, lengths):
@@ -806,8 +780,8 @@ def _rungs(deep, lengths):
 
 
 def _reducer_cases():
-    """(f, cumulative z rungs, V, ladder) for the reports of the pruned
-    reducer: NaN rows, a constant, exact ties, extreme scales of f and V,
+    """(f, cumulative z rungs, V, ladder) for the reports of the ball
+    ratios: NaN rows, a constant, exact ties, extreme scales of f and V,
     one and two points, and repeated rung lengths."""
     ladder = (0.2, 0.1, 0.02, 0.01)
     grids = {n: sp.ball_ladder_grids(n, ladder, 6, 3, 60 + n) for n in (2, 3)}
@@ -830,41 +804,18 @@ def _reducer_cases():
     return [(ex.parse(t, n), z, V, ladder) for t, n, z, V in cases]
 
 
-def test_pruned_ratios_match_the_whole_matrix_byte_for_byte():
+def test_ball_ratios_match_the_eager_reduction_byte_for_byte():
     nan_seen = False
     for f, z_rungs, V, ladder in _reducer_cases():
         with np.errstate(all="ignore"):
-            want = _canonical(_eager_kobayashi_check(f, z_rungs, V, ladder))
+            want = _canonical(oracles.kobayashi_normality_check(f, z_rungs, V, ladder))
             got = _canonical(nr.kobayashi_normality_check(f, z_rungs, V, ladder))
             assert got == want
             nan_seen |= "NaN" in want
             for Z in (z_rungs[-1], z_rungs[-1][::-1]):
-                want = _canonical(_eager_ball_normal_ratio(f, Z, V))
+                want = _canonical(oracles.ball_normal_ratio(f, Z, V))
                 assert _canonical(nr.ball_normal_ratio(f, Z, V)) == want
     assert nan_seen
-
-
-def test_kobayashi_check_evaluates_a_tenth_of_the_heavy_shape_at_most(monkeypatch):
-    # the discs workload's heavy check: arity 3, 256 directions, 32 radii, 64 vectors
-    kernel, rows = nr._levi_ratio_tables, []
-
-    def counting(inputs, take, scale):
-        rows.append(take.size)
-        return kernel(inputs, take, scale)
-
-    monkeypatch.setattr(nr, "_levi_ratio_tables", counting)
-    for text in ("exp(z1)*z2 + z3^2",
-                 "(0.3+0.2*i)*z1*z2 - 0.5*z3^2 + 0.4*z1*z3 + (0.2-0.6*i)*z2 + 0.7*z1*z2*z3"):
-        f = ex.parse(text, 3)
-        rows.clear()
-        got = nr.kobayashi_normality_check(f, directions=256, radii=32, v_count=64)
-        points = got.estimate.samples // (3 + 64)
-        assert points == 41182 and sum(rows) <= points // 10, (text, sum(rows))
-        # bounds that prune nothing give the same report
-        with monkeypatch.context() as m:
-            m.setattr(nr, "_ratio_row_bounds", lambda inputs, scale: np.full(inputs[0].shape[0], np.inf))
-            want = nr.kobayashi_normality_check(f, directions=256, radii=32, v_count=64)
-        assert _canonical(got) == _canonical(want)
 
 
 # ------------------------------------------------------------- disc probe
@@ -954,7 +905,7 @@ def test_disc_probe_raises_when_a_disc_fails_over_5_percent(text, kwargs):
         nr.disc_family_probe(ex.parse(text, 2), **kwargs)
 
 
-# ------------------------------------------ one ceiling for discs and lines
+# ------------------------------- one ceiling for discs, lines and directions
 
 #: relative; a line sample meets the ceiling in exact arithmetic where its
 #: direction is parallel to conj(grad f), and S_K's cancellation costs at
@@ -1003,6 +954,19 @@ def test_line_slice_samples_lie_under_the_kobayashi_ceiling(monkeypatch, text, a
     grid = nr.disc_ladder(sp.DEFAULT_LADDER, 48, 64)
     for c, [samples] in zip(D.directions, tables, strict=True):
         _assert_under_ceiling(samples, f, grid.points[:, None] * ls.canonical_direction(c))
+
+
+@pytest.mark.parametrize("text,arity", CEILING_FUNCTIONS)
+def test_kobayashi_check_rungs_read_the_kobayashi_ceiling(text, arity):
+    # the ball ratios report the ceiling itself: each rung's sup is the
+    # largest S_K over the rung's points
+    f = ex.parse(text, arity)
+    verdict = nr.kobayashi_normality_check(f)
+    grids = sp.ball_ladder_grids(arity, sp.DEFAULT_LADDER, 64, 16, 0)
+    S = oracles.kobayashi_sharp_sq(f, grids[-1])
+    want = np.array([np.max(S[:len(rung)]) for rung in grids])
+    got = np.array([s for _, s in verdict.estimate.growth_series])
+    assert np.all(np.abs(got - want) <= 1e-12 * want), (got, want)
 
 
 # ------------------------------------------------ shared f# kernel and reducer
