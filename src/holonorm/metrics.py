@@ -29,6 +29,7 @@ INF = complex(math.inf, 0.0)
 CONTAINMENT_SAMPLES = 256
 CONTAINMENT_RING = 1.0 - 1e-6
 CONTAINMENT_MARGIN = 1e-9
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # |v| below it is rescaled in _norm_and_pair
 
 
 # --------------------------------------------------------------------------
@@ -146,11 +147,11 @@ def _norm_and_pair(zz: np.ndarray, vv: np.ndarray) -> tuple[float, float]:
     is not a normal float, |v| is formed from v scaled by its largest part."""
     with np.errstate(over="ignore"):
         v_norm = math.sqrt(_sq_norms(vv))
-    if not math.sqrt(np.finfo(float).tiny) <= v_norm < math.inf:
+    if not _SQRT_TINY <= v_norm < math.inf:
         big = float(np.max(np.abs(np.concatenate([vv.real, vv.imag]))))
         v_norm = big * math.sqrt(_sq_norms(vv / big)) if big > 0.0 else 0.0
     e = vv / v_norm if v_norm else vv
-    return v_norm, abs(complex(np.sum(e * zz.conjugate())))
+    return v_norm, abs(complex(np.add.reduce(e * zz.conjugate())))
 
 
 def _length_sq(zz: np.ndarray, vv: np.ndarray, d: float) -> tuple[float, float]:

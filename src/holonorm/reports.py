@@ -16,11 +16,11 @@ import numpy as np
 
 
 def format_float(x: float) -> str:
-    if math.isnan(x):
+    if -math.inf < x < math.inf:
+        return "%.17g" % x
+    if x != x:
         return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return f"{x:.17g}"
+    return '"inf"' if x > 0 else '"-inf"'
 
 
 #: JSON string escapes: the quote, the backslash and the controls U+0000-U+001F
@@ -28,6 +28,8 @@ _ESCAPES = {0x22: '\\"', 0x5C: "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}
 
 
 def _escape(s: str) -> str:
+    if s.isprintable() and '"' not in s and "\\" not in s:
+        return s  # nothing to escape: U+0000-U+001F are not printable
     return s.translate(_ESCAPES)
 
 
@@ -36,51 +38,55 @@ def canonical_json(obj: Any, indent: int = 0) -> str:
 
     Lists of at most 8 items, each under 24 characters on one line, print
     inline; other lists and dicts print one item per line, indented by two
-    spaces a level.  The encoder is looked up by exact type; any other
-    type, such as np.float64 or np.int64, takes the first entry of
-    ``_ENCODERS`` that it is an instance of.
+    spaces a level.  A complex prints as the dict {"re", "im"}.  The exact
+    types of reports are tested first; any other type, such as np.float64
+    or np.int64, is encoded by the first isinstance test below it passes.
     """
-    encode = _BY_TYPE.get(type(obj))
-    if encode is None:
-        encode = next((e for types, e in _ENCODERS if isinstance(obj, types)), None)
-        if encode is None:
-            raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return encode(obj, indent)
-
-
-def _list(obj, indent: int) -> str:
-    if not obj:
-        return "[]"
-    items = [canonical_json(v, indent + 1) for v in obj]
-    if len(items) <= 8 and all("\n" not in it and len(it) < 24 for it in items):
-        return "[" + ", ".join(items) + "]"
-    pad2 = "  " * (indent + 1)
-    return "[\n" + ",\n".join(pad2 + it for it in items) + "\n" + "  " * indent + "]"
-
-
-def _dict(obj, indent: int) -> str:
-    if not obj:
-        return "{}"
-    pad2 = "  " * (indent + 1)
-    parts = [f'{pad2}"{_escape(str(k))}": {canonical_json(v, indent + 1)}'
-             for k, v in obj.items()]
-    return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
-
-
-#: (types, encoder) in the order an isinstance test tries them: bool before
-#: int, since bool is an int
-_ENCODERS = (
-    ((type(None),), lambda obj, indent: "null"),
-    ((bool,), lambda obj, indent: "true" if obj else "false"),
-    ((int, np.integer), lambda obj, indent: str(int(obj))),
-    ((float, np.floating), lambda obj, indent: format_float(float(obj))),
-    ((complex,), lambda obj, indent: _dict({"re": obj.real, "im": obj.imag}, indent)),
-    ((str,), lambda obj, indent: f'"{_escape(obj)}"'),
-    ((np.ndarray,), lambda obj, indent: canonical_json(obj.tolist(), indent)),
-    ((list, tuple), _list),
-    ((dict,), _dict),
-)
-_BY_TYPE = {t: e for types, e in _ENCODERS for t in types}
+    t = type(obj)
+    if t is float:
+        return format_float(obj)
+    if t is dict:
+        if not obj:
+            return "{}"
+        pad2 = "  " * (indent + 1)
+        parts = [f'{pad2}"{_escape(str(k))}": {canonical_json(v, indent + 1)}'
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + "  " * indent + "}"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        items = [canonical_json(v, indent + 1) for v in obj]
+        if len(items) <= 8 and max(map(len, items)) < 24 and "\n" not in "".join(items):
+            return "[" + ", ".join(items) + "]"
+        pad2 = "  " * (indent + 1)
+        return "[\n" + pad2 + f",\n{pad2}".join(items) + "\n" + "  " * indent + "]"
+    if t is int:
+        return str(obj)
+    if t is str:
+        return f'"{_escape(obj)}"'
+    if t is complex or t is np.complex128:
+        pad2 = "  " * (indent + 1)
+        return (f'{{\n{pad2}"re": {format_float(obj.real)},\n'
+                f'{pad2}"im": {format_float(obj.imag)}\n{"  " * indent}}}')
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(float(obj))
+    if isinstance(obj, complex):
+        return canonical_json({"re": obj.real, "im": obj.imag}, indent)
+    if isinstance(obj, str):
+        return f'"{_escape(obj)}"'
+    if isinstance(obj, np.ndarray):
+        return canonical_json(obj.tolist(), indent)
+    if isinstance(obj, (list, tuple)):
+        return canonical_json(list(obj), indent)
+    if isinstance(obj, dict):
+        return canonical_json(dict(obj.items()), indent)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _flatten(prefix: str, obj: Any, rows: list):
@@ -113,12 +119,14 @@ def _cell(v) -> str:
 
 
 def report_csv(report: dict) -> str:
-    """Flat key,value(,value) view of a report; ladder lists become rows."""
+    """Flat key,value(,value) view of a report; ladder lists become rows.
+    A cell holding a comma, a quote or a line break is quoted (RFC 4180)."""
     rows: list = []
     _flatten("", report, rows)
     lines = ["key,value,extra"]
     for r in rows:
         cells = [str(c).replace('"', '""') for c in r]
-        cells = [f'"{c}"' if ("," in c or '"' in c) else c for c in cells]
+        cells = [f'"{c}"' if ("," in c or '"' in c or "\n" in c or "\r" in c) else c
+                 for c in cells]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

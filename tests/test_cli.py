@@ -1,5 +1,7 @@
 """Command-line behaviour: exit codes, canonical output, file handling."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -377,6 +379,15 @@ def test_csv_format(capsys):
     keys = {ln.split(",")[0] for ln in lines[1:]}
     assert "results.classification" in keys
     assert "config.command" in keys
+
+
+def test_csv_quotes_a_cell_with_a_line_break(capsys):
+    code, out, _ = run(capsys, "sharp", "--expr", "z1\n+ z2", "--arity", "2",
+                       "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert all(len(row) == 3 for row in rows)
+    assert ["config.expr", "z1\n+ z2", ""] in rows
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
