@@ -115,10 +115,15 @@ def _in_ball(z, arity: int, message: str):
     """(z, |z|^2) for a point z of C^arity; InputError(message) unless
     |z|^2 < 1, a test that NaN fails."""
     zz = _point(z, arity)
+    return zz, _sq_norm_below_one(zz, message)
+
+
+def _sq_norm_below_one(zz: np.ndarray, message: str) -> float:
+    """|zz|^2 of a point already made by ``_point``, under ``_in_ball``'s test."""
     s = float(_sq_norms(zz))
     if not s < 1.0:
         raise InputError(message)
-    return zz, s
+    return s
 
 
 def bergman_kernel_ball(B: BallDomain, z) -> float:
@@ -255,7 +260,7 @@ def kobayashi_closed_form_ball(z, v) -> float:
     vv = np.asarray(v, dtype=complex).reshape(-1)
     if zz.shape != vv.shape:
         raise InputError("point and vector must have matching arity")
-    zz, s = _in_ball(zz, zz.size, "Kobayashi evaluation point must lie in the open ball")
+    s = _sq_norm_below_one(zz, "Kobayashi evaluation point must lie in the open ball")
     v_norm, L = _length_sq(zz, vv, 1.0 - s)
     return v_norm * math.sqrt(L)
 
@@ -478,7 +483,7 @@ def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
     v_norm, pair = _norm_and_pair(zz, vv)  # pair = |<v_hat, z>|
     if not 0.0 < v_norm < math.inf:
         raise InputError("direction vector must be nonzero, with a finite norm")
-    _, s = _in_ball(zz, B.arity, "base point must lie in the open ball")
+    s = _sq_norm_below_one(zz, "base point must lie in the open ball")
     t, mu = _extremal_parameters(s, pair)
     rho = 1.0 - 2.0 ** -40 / (1.0 - s)
     bound = 1.0 - (12 * B.arity + 200) * 2.0 ** -53

@@ -466,26 +466,29 @@ def random_ball_params(arity: int, count: int, seed: int):
 # Ball ratios: Levi form against invariant metrics
 # --------------------------------------------------------------------------
 
-def _ratio_inputs(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray):
-    """The checks of the ball ratios, in their order (points in the open
-    ball, d = 1 - |z|^2 > 0, which NaN fails; usable direction vectors; no
-    pole), then (grad f on Z, d, (1+|f|^2)^2)."""
-    d = 1.0 - mt._sq_norms(Z)
-    if Z.shape[0] == 0 or not np.all(d > 0.0):
+def _ratio_inputs(f: ex.HoloExpr, Z, V: np.ndarray):
+    """The checks of the ball ratios that come before f is evaluated, in
+    their order: points in the open ball (d = 1 - |z|^2 > 0, which NaN
+    fails), then usable direction vectors.  Z is an (m, n) array or a
+    ``sp.BallLadder``, read one block at a time; a block is the tape's
+    gradient width at arity n.  Returns (the blocks' slices, d)."""
+    width = 2 * ex.BLOCK // (1 + f.arity)
+    blocks = [slice(s, s + width) for s in range(0, len(Z), width)]
+    d = np.empty(len(Z))
+    for b in blocks:
+        np.subtract(1.0, mt._sq_norms(Z[b]), out=d[b])
+    if not blocks or not np.all(d > 0.0):
         raise InputError("z samples must be nonempty and lie in the open unit ball")
     v2 = mt._sq_norms(V)
     if V.shape[0] == 0 or not np.all(np.isfinite(v2) & (v2 > 0.0)):
         raise InputError("direction vectors must be nonzero with a finite squared norm")
-    vals, grads, pole = ex.eval_jet_batch(f, Z)
-    if pole.any():
-        raise InputError("pole signal inside the ball; certifier input must be holomorphic")
-    return grads, d, np.square(_sphere_den(vals))
+    return blocks, d
 
 
-def _ratio_sups(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale) -> np.ndarray:
+def _ratio_sups(f: ex.HoloExpr, Z, V: np.ndarray, scale) -> np.ndarray:
     """S(z) = sup over every direction v of levi_form(f, z, v) / (scale *
-    F_K(z, v)^2) at each point, F_K the Kobayashi metric of the unit ball,
-    after the ``_ratio_inputs`` checks; V selects nothing.
+    F_K(z, v)^2) at each point of Z, F_K the Kobayashi metric of the unit
+    ball, after the ``_ratio_inputs`` checks; V selects nothing.
 
     With g = grad f(z), d = 1 - |z|^2 and F_K^2 = v*(I/d + zz*/d^2)v,
     Sherman-Morrison (d + |z|^2 = 1) gives the inverse d(I - zz*), so
@@ -494,11 +497,27 @@ def _ratio_sups(f: ex.HoloExpr, Z: np.ndarray, V: np.ndarray, scale) -> np.ndarr
     and of Cima and Krantz.  With gamma = (n+3) 2^-53, the cancellation
     |g|^2 - |g.z|^2 >= |g|^2 d and d's rounding bound the relative error by
     about 5 gamma / d, plus a few 2^-1074 of underflow.  A NaN or infinite
-    jet gives NaN."""
-    grads, d, den = _ratio_inputs(f, Z, V)
-    s = np.einsum("ij,ij->i", grads, grads.conjugate()).real
-    s -= np.square(np.abs(np.einsum("ij,ij->i", grads, Z)))
-    return s * d / (den * scale)
+    jet gives NaN.
+
+    Each block's jets go to its S, written over its d, so the check holds 8
+    bytes a point and one block.  The pole error comes after every block's
+    jets.  S is formed for the blocks before the first with a pole, so
+    numpy's warnings from their S come before that error."""
+    blocks, d = _ratio_inputs(f, Z, V)
+    pole = False
+    with ex.Workspace():
+        for b in blocks:
+            z = Z[b]
+            vals, grads, at_pole = ex.eval_jet_batch(f, z)
+            pole = pole or bool(at_pole.any())
+            if not pole:
+                s = np.einsum("ij,ij->i", grads, grads.conjugate()).real
+                s -= np.square(np.abs(np.einsum("ij,ij->i", grads, z)))
+                den = np.square(_sphere_den(vals))
+                np.divide(s * d[b], np.multiply(den, scale, out=den), out=d[b])
+    if pole:
+        raise InputError("pole signal inside the ball; certifier input must be holomorphic")
+    return d
 
 
 def ball_normal_ratio(f: ex.HoloExpr, z_samples, v_samples) -> SupEstimate:
@@ -540,21 +559,23 @@ def kobayashi_normality_check(f: ex.HoloExpr, z_rungs=None, v_samples=None,
     as the cumulative rung grids are, so the ladder of suprema is
     nondecreasing; stabilization reads BOUNDED, sustained geometric growth
     reads UNBOUNDED_TREND.  Only rungs a caller passes are tested as
-    prefixes: the default ones are built as such.
+    prefixes: the default ones are built as such, one block at a time from
+    a ``sp.BallLadder``, which also rebuilds the argmax point.
     """
     lad = sp.check_ladder(ladder)
     n = f.arity
     passed = z_rungs is not None
     if not passed:
-        z_rungs = sp.ball_ladder_grids(n, lad, directions, radii, seed)
+        deep = sp.ball_ladder(n, lad, directions, radii, seed)
+        lengths = deep.lengths
     if v_samples is None:
         v_samples = np.concatenate([sp.axis_directions(n),
                                     sp.unit_sphere_points(n, v_count, seed + 1)])
-    rungs = [ex.as_points(rung, n) for rung in z_rungs]
-    if len(rungs) != len(lad):
-        raise InputError(f"{len(rungs)} z rungs for a ladder of {len(lad)} entries")
-    deep, lengths = rungs[-1], [len(r) for r in rungs]
     if passed:
+        rungs = [ex.as_points(rung, n) for rung in z_rungs]
+        if len(rungs) != len(lad):
+            raise InputError(f"{len(rungs)} z rungs for a ladder of {len(lad)} entries")
+        deep, lengths = rungs[-1], [len(r) for r in rungs]
         # NaN points fail the open-ball test later; only they need equal_nan
         equal_nan = not np.isfinite(deep).all()
         if lengths != sorted(lengths) or not all(

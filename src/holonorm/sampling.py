@@ -9,6 +9,9 @@ construction.  The rungs of a ladder are prefix views of one array.
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import InputError
@@ -50,27 +53,21 @@ def _rung_radii(lad: tuple, radii: int):
         yield annulus_radii(outer, inner, radii)
 
 
-def _prefix_rungs(blocks: list) -> list[np.ndarray]:
-    """The rungs of a cumulative ladder, blocks[0], blocks[0] + blocks[1], ...,
-    as prefix views of the blocks joined once."""
-    deep = np.concatenate(blocks)
-    return [deep[:m] for m in np.cumsum([len(b) for b in blocks])]
-
-
 def disc_ladder_grids(ladder=DEFAULT_LADDER, radii: int = DEFAULT_RADII,
                       angles: int = DEFAULT_ANGLES) -> list[np.ndarray]:
     """Cumulative radial-angular grids on |z| <= 1 - eps for each rung.
 
     Returns one complex (m_k,) array per rung with m_1 < m_2 < ...; rung k
-    is a superset of rung k-1.
+    is a superset of rung k-1, as a prefix view of the rung blocks joined once.
     """
     lad = check_ladder(ladder)
     if radii < 2 or angles < 1:
         raise InputError("need at least 2 radii and 1 angle")
     theta = 2.0 * np.pi * np.arange(angles) / angles
     ring = np.exp(1j * theta)
-    return _prefix_rungs([(rs[:, None] * ring[None, :]).ravel()
-                          for rs in _rung_radii(lad, radii)])
+    blocks = [(rs[:, None] * ring[None, :]).ravel() for rs in _rung_radii(lad, radii)]
+    deep = np.concatenate(blocks)
+    return [deep[:m] for m in np.cumsum([len(b) for b in blocks])]
 
 
 def disc_grid(radius: float, radii: int = 24, angles: int = 48) -> np.ndarray:
@@ -137,18 +134,56 @@ def ball_grid(arity: int, radius: float, directions: int = 64,
     return np.concatenate([origin, pts])
 
 
-def ball_ladder_grids(arity: int, ladder=DEFAULT_LADDER, directions: int = 64,
-                      radii: int = 16, seed: int = 0) -> list[np.ndarray]:
-    """Cumulative polar grids on the balls of radius 1 - eps along a ladder.
+@dataclass(frozen=True)
+class BallLadder:
+    """The deepest grid of ``ball_ladder_grids`` without building it: the
+    origin, then every rung's positive radii times the directions.  Its
+    ``len`` is its point count and ``lengths`` are its rungs'.  An index
+    (0 or more) or a slice of step 1 builds just those points, with the bits
+    the whole grid holds, so a caller can walk the grid one block at a time."""
 
-    Coordinate axes lead the direction list, then seeded sphere points.
-    """
+    dirs: np.ndarray    # (d, n): the coordinate axes, then seeded sphere points
+    radii: np.ndarray   # each rung's positive radii, rung after rung
+    lengths: tuple
+
+    def __len__(self) -> int:
+        return self.lengths[-1]
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            return self[key:key + 1][0]
+        s, e, _ = key.indices(len(self))
+        count, n = self.dirs.shape
+        a, b = max(s, 1) - 1, max(e, 1) - 1  # positions after the origin
+        lo, hi = a // count, -(-b // count)
+        pts = (self.radii[lo:hi, None, None] * self.dirs[None, :, :]).reshape(-1, n)
+        pts = pts[a - lo * count:b - lo * count]
+        if s == 0 < e:
+            return np.concatenate([np.zeros((1, n), dtype=complex), pts])
+        return pts
+
+
+def ball_ladder(arity: int, ladder=DEFAULT_LADDER, directions: int = 64,
+                radii: int = 16, seed: int = 0) -> BallLadder:
+    """The cumulative polar grids of ``ball_ladder_grids`` as a
+    :class:`BallLadder`, which holds only their radii and directions."""
     lad = check_ladder(ladder)
     if radii < 1:
         raise InputError("need at least 1 radius")
     dirs = np.concatenate([axis_directions(arity),
                            unit_sphere_points(arity, directions, seed)])
-    blocks = [(rs[rs > 0][:, None, None] * dirs[None, :, :]).reshape(-1, arity)
-              for rs in _rung_radii(lad, radii)]
-    # the origin leads the first rung
-    return _prefix_rungs([np.zeros((1, arity), dtype=complex)] + blocks)[1:]
+    rungs = [rs[rs > 0] for rs in _rung_radii(lad, radii)]
+    lengths = itertools.accumulate((len(rs) * len(dirs) for rs in rungs), initial=1)
+    return BallLadder(dirs, np.concatenate(rungs), tuple(lengths)[1:])
+
+
+def ball_ladder_grids(arity: int, ladder=DEFAULT_LADDER, directions: int = 64,
+                      radii: int = 16, seed: int = 0) -> list[np.ndarray]:
+    """Cumulative polar grids on the balls of radius 1 - eps along a ladder.
+
+    Coordinate axes lead the direction list, then seeded sphere points; the
+    origin leads the first rung.
+    """
+    grid = ball_ladder(arity, ladder, directions, radii, seed)
+    deep = grid[:]
+    return [deep[:m] for m in grid.lengths]

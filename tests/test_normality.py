@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -573,22 +574,39 @@ def test_kobayashi_check_memory_is_bounded():
         assert peak < 32 << 20, text
 
 
-@pytest.mark.parametrize("text", ["exp(z1)*z2 + z3^2", "0.7"])
-def test_ball_ratios_evaluate_the_jets_once(monkeypatch, text):
-    calls, jets = [], ex.eval_jet_batch
+def test_kobayashi_check_holds_eight_bytes_a_point():
+    # S is written over d, 8 bytes a point, and the grid, the jets and the
+    # closed form live one block at a time: 43 blocks of at most 7,680 points
+    f = ex.parse("z1*z2 + z3", 3)
+    tracemalloc.start()
+    try:
+        v = nr.kobayashi_normality_check(f, directions=1024, radii=64, v_count=128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    points = v.estimate.samples // (3 + 128)
+    assert points == 327_614
+    assert peak < 8 * points + (6 << 20)
 
-    def counting(f, Z):
-        calls.append(Z.shape[0])
+
+@pytest.mark.parametrize("text", ["exp(z1)*z2 + z3^2", "0.7"])
+def test_ball_ratios_evaluate_each_point_once_in_tape_blocks(monkeypatch, text):
+    blocks, jets = [], ex.eval_jet_batch
+
+    def recording(f, Z):
+        blocks.append(Z.copy())
         return jets(f, Z)
 
-    monkeypatch.setattr(ex, "eval_jet_batch", counting)
+    monkeypatch.setattr(ex, "eval_jet_batch", recording)
     f = ex.parse(text, 3)
     nr.kobayashi_normality_check(f, directions=256, radii=32, v_count=64)
-    assert calls == [41182]
-    calls.clear()
+    deep = sp.ball_ladder_grids(3, sp.DEFAULT_LADDER, 256, 32, 0)[-1]
+    assert max(len(b) for b in blocks) <= 2 * ex.BLOCK // (1 + 3)
+    assert np.concatenate(blocks).tobytes() == deep.tobytes()
+    blocks.clear()
     nr.ball_normal_ratio(f, sp.uniform_ball_points(3, 5000, 0.95, 1),
                          sp.unit_sphere_points(3, 200, 2))
-    assert calls == [5000]
+    assert [len(b) for b in blocks] == [5000]
 
 
 @pytest.mark.parametrize("rungs", [
@@ -643,27 +661,40 @@ def test_ball_normal_ratio_rejects_points_off_the_open_ball(Z):
         nr.ball_normal_ratio(ex.parse("z1", 2), Z, np.eye(2))
 
 
+def _near_sphere(tail):
+    """Points of C^2 with |z|^2 = 1 - (2 - tail) 2^-53 + about 2^-106: a =
+    1 - 2^-53, whose square rounds to 1 - 2^-52, and b with b^2 about tail
+    2^-53, in either order, a real or imaginary.  The squares' sum is
+    rounded once however it is added, to 1 - 2^-53 for tail below 1.5 and
+    to 1 above, with 0.1 ulp to spare at the tails used here."""
+    a, b = 1.0 - 2.0 ** -53, math.sqrt(tail * 2.0 ** -53)
+    return [p for u in (1, 1j) for p in ([a * u, b], [b, a * u])]
+
+
 def test_ball_ratios_test_the_open_ball_on_the_d_they_divide_by():
-    # within an ulp of the sphere, d = 1 - |z|^2 > 0 and |z| < 1 computed by
-    # np.linalg.norm can disagree: the ratios follow d, which the formulas
-    # divide by, so a point whose norm rounds to 1.0 is accepted when d > 0
-    # and one whose norm is below 1 is rejected when d rounds to 0
-    Z = sp.unit_sphere_points(2, 4000, 9)
-    d = 1.0 - np.einsum("ij,ij->i", Z, Z.conjugate()).real
-    norm = np.linalg.norm(Z, axis=1)
-    inside = np.flatnonzero((d > 0.0) & (norm == 1.0))
-    outside = np.flatnonzero((d <= 0.0) & (norm < 1.0))
-    assert inside.size and outside.size
+    # the ratios take a point by d = 1 - |z|^2 > 0, the d the formulas
+    # divide by, not by its norm: points whose exact norm rounds to 1.0 are
+    # taken when d > 0, and points inside the sphere refused when d is 0
+    inside = np.array([p for t in (1.1, 1.2, 1.3, 1.4) for p in _near_sphere(t)])
+    outside = np.array([p for t in (1.6, 1.7, 1.8, 1.9) for p in _near_sphere(t)])
+
+    def exact_sq(z):
+        return sum(Fraction(x) ** 2 for w in z for x in (w.real, w.imag))
+
+    assert all(exact_sq(z) > (1 - Fraction(1, 2 ** 54)) ** 2 for z in inside)
+    assert all(exact_sq(z) < 1 for z in outside)
     f, V = ex.parse("z1*z2", 2), np.eye(2)
-    for i in inside[:5]:
-        est = nr.ball_normal_ratio(f, Z[i:i + 1], V)
-        assert np.array_equal(est.argmax_point, Z[i])
-        nr.kobayashi_normality_check(f, z_rungs=[Z[i:i + 1]], v_samples=V, ladder=(0.1,))
-    for i in outside[:5]:
+    for z in inside:
+        assert 1.0 - mt._sq_norms(z) > 0.0
+        est = nr.ball_normal_ratio(f, z[None], V)
+        assert np.array_equal(est.argmax_point, z)
+        nr.kobayashi_normality_check(f, z_rungs=[z[None]], v_samples=V, ladder=(0.1,))
+    for z in outside:
+        assert 1.0 - mt._sq_norms(z) <= 0.0
         with pytest.raises(InputError, match="open unit ball"):
-            nr.ball_normal_ratio(f, Z[i:i + 1], V)
+            nr.ball_normal_ratio(f, z[None], V)
         with pytest.raises(InputError, match="open unit ball"):
-            nr.kobayashi_normality_check(f, z_rungs=[Z[i:i + 1]], v_samples=V, ladder=(0.1,))
+            nr.kobayashi_normality_check(f, z_rungs=[z[None]], v_samples=V, ladder=(0.1,))
 
 
 @pytest.mark.parametrize("V", [
@@ -816,6 +847,29 @@ def test_ball_ratios_match_the_eager_reduction_byte_for_byte():
                 want = _canonical(oracles.ball_normal_ratio(f, Z, V))
                 assert _canonical(nr.ball_normal_ratio(f, Z, V)) == want
     assert nan_seen
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_ball_ratios_in_blocks_match_the_whole_array(n):
+    # grids of several tape blocks, the last one short: S, both reports and
+    # the default grid's report equal the whole-array oracle byte for byte
+    width = 2 * ex.BLOCK // (1 + n)
+    V = sp.unit_sphere_points(n, 3, 8)
+    Z = sp.uniform_ball_points(n, 2 * width + 3, 0.999, 9)
+    z_rungs = sp.ball_ladder_grids(n, sp.DEFAULT_LADDER, 256, 32, 10)
+    assert len(z_rungs[-1]) > 2 * width
+    for text in (REDUCER_EXPRS[n][0], "exp(40/(1-z1))"):
+        f = ex.parse(text, n)
+        with np.errstate(all="ignore"):
+            want = oracles.kobayashi_sharp_sq(f, Z, n + 1)
+            assert nr._ratio_sups(f, Z, V, n + 1).tobytes() == want.tobytes(), text
+            want = _canonical(oracles.ball_normal_ratio(f, Z, V))
+            assert _canonical(nr.ball_normal_ratio(f, Z, V)) == want, text
+            want = _canonical(oracles.kobayashi_normality_check(
+                f, z_rungs, V, sp.DEFAULT_LADDER))
+            got = _canonical(nr.kobayashi_normality_check(
+                f, v_samples=V, directions=256, radii=32, seed=10))
+        assert got == want, text
 
 
 # ------------------------------------------------------------- disc probe

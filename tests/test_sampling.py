@@ -111,6 +111,24 @@ def test_ball_ladder_grids_match_the_cumulative_loop(ladder, arity):
                     _cumulative_ball_grids(arity, ladder, directions, radii, seed))
 
 
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_ball_ladder_builds_any_stretch_of_the_grid(arity):
+    ladder = (0.5, 0.1, 0.01)
+    grid = sp.ball_ladder(arity, ladder, 7, 5, 2)
+    grids = sp.ball_ladder_grids(arity, ladder, 7, 5, 2)
+    deep = grids[-1]
+    m = len(grid)
+    assert m == len(deep) and list(grid.lengths) == [len(g) for g in grids]
+    rng = np.random.default_rng(arity)
+    spans = [(0, 0), (0, 1), (0, m), (1, 2), (m - 1, m), (m, m + 5), (3, 1)]
+    spans += [tuple(sorted(rng.integers(0, m + 1, 2))) for _ in range(50)]
+    for s, e in spans:
+        got, want = grid[s:e], deep[s:e]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (s, e)
+    for i in (0, 1, 9, m - 1):
+        assert grid[i].tobytes() == deep[i].tobytes()
+
+
 def test_unit_sphere_points_seeded():
     a = sp.unit_sphere_points(3, 10, seed=4)
     b = sp.unit_sphere_points(3, 10, seed=4)
