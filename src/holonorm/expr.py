@@ -326,14 +326,16 @@ def parse(text: str, arity: int) -> HoloExpr:
 # batch of points (constants are 1-element arrays that broadcast).  Beside
 # each value the tape carries a tuple of tangent columns: n of them, one per
 # variable, for gradients (eval_jet_batch), or one for a directional
-# derivative along a map (_map_jets).  A tangent column is None where it is
-# identically zero, and its products are then skipped.
+# derivative along a map (_map_jets).  A tangent column is None where the
+# slot does not depend on that seed.
 #
 # Every operation uses the arithmetic, operand order and pole rule of the
-# forward-mode jet rules it implements, so results are bit-identical to
-# propagating full (m, n) gradient arrays, up to the sign of a zero.  A
-# skipped zero term v * 0 still contributes what IEEE arithmetic gives it:
-# NaN wherever v is not finite.
+# forward-mode jet rules it implements.  A None tangent is an exact zero, as
+# in sparse forward mode: it stays None through every rule, and a term with
+# a None factor is left out, so it never becomes the NaN that IEEE
+# arithmetic gives v * 0 where v is not finite.  Results are bit-identical
+# to a recursive evaluator that follows the same rule on full arrays, up to
+# the sign of a zero.
 #
 # The rules write into a Workspace instead of allocating.  compile_tape gives
 # each op that depends on a variable a register (a value column and one
@@ -345,8 +347,6 @@ def parse(text: str, arity: int) -> HoloExpr:
 # keeps its vector loops when an output is exactly an input, but not when
 # the two overlap in part.
 
-_NAN = np.array([complex(np.nan, np.nan)])
-_ZERO = np.array([0j])
 _ONE = np.array([1 + 0j])
 
 _OPERANDS = {Add: ("left", "right"), Sub: ("left", "right"),
@@ -380,30 +380,6 @@ def _into(col, a, b=_ONE):
     return col if a.shape[0] > 1 or b.shape[0] > 1 else None
 
 
-def _nonfinite(v, ws, i: int):
-    """Mask (in ``ws.masks[i]``) of the entries of ``v`` that are not finite,
-    or None if there are none."""
-    wide = v.shape[0] > 1
-    # both parts at once: half the work
-    if np.isfinite(v.view(np.float64), out=ws.finite if wide else None).all():
-        return None
-    mask = ws.masks[i] if wide else None
-    return np.logical_not(np.isfinite(v, out=mask), out=mask)
-
-
-def _poison(t, bad, o):
-    """Tangent ``t`` (None: zero) plus a skipped v * 0 term, NaN where ``bad``."""
-    if bad is None:
-        return t
-    out = _into(o, bad) if t is None else _into(o, bad, t)
-    if out is None:
-        out = np.empty(1, dtype=complex)
-    if t is not out:
-        np.copyto(out, _ZERO if t is None else t)
-    np.copyto(out, _NAN, where=bad)
-    return out
-
-
 def _keep(t, o):
     """Tangent ``t`` passed through unchanged.  A block-wide one is copied to
     ``o``: the register it is read from may be reused while this slot lives."""
@@ -411,10 +387,6 @@ def _keep(t, o):
         return t
     np.copyto(o, t)
     return o
-
-
-def _skips(tangents) -> bool:
-    return any(t is None for t in tangents)
 
 
 def _power(x, k: int, out):
@@ -440,15 +412,12 @@ def _sub(va, ta, vb, tb, arg, ws, vo, to):
 
 def _mul(va, ta, vb, tb, arg, ws, vo, to):
     # d(ab) = a db + b da
-    bad_a = _nonfinite(va, ws, 0) if _skips(tb) else None
-    bad_b = _nonfinite(vb, ws, 1) if _skips(ta) else None
     t = []
     for x, y, o in zip(ta, tb, to):
         if x is None:
-            p = _poison(None, bad_a, o) if y is None else np.multiply(va, y, out=_into(o, va, y))
-            t.append(_poison(p, bad_b, o))
+            t.append(None if y is None else np.multiply(va, y, out=_into(o, va, y)))
         elif y is None:
-            t.append(_poison(np.multiply(vb, x, out=_into(o, vb, x)), bad_a, o))
+            t.append(np.multiply(vb, x, out=_into(o, vb, x)))
         else:
             p = np.multiply(va, y, out=_into(o, va, y))
             q = np.multiply(vb, x, out=_into(ws.tmp, vb, x))
@@ -459,8 +428,7 @@ def _mul(va, ta, vb, tb, arg, ws, vo, to):
 def _div(va, ta, vb, tb, arg, ws, vo, to):
     # Denominators below POLE_THRESHOLD mark the pole mask and continue as 1;
     # d(a/b) = (da b - a db) / (b b)
-    bad = np.less(np.abs(vb, out=_into(ws.mag, vb)), POLE_THRESHOLD,
-                  out=_into(ws.masks[0], vb))
+    bad = np.less(np.abs(vb, out=_into(ws.mag, vb)), POLE_THRESHOLD, out=_into(ws.mask, vb))
     if bad.any():
         ws.pole |= bad
         spare = _into(ws.spare, vb)  # vb may be live: it is never written
@@ -471,27 +439,20 @@ def _div(va, ta, vb, tb, arg, ws, vo, to):
         vb = spare
     t = []
     den = np.multiply(vb, vb, out=_into(vo, vb))  # vo takes the value last
-    bad_a = _nonfinite(va, ws, 0) if _skips(tb) else None
-    bad_b = _nonfinite(vb, ws, 1) if _skips(ta) else None
     for x, y, o in zip(ta, tb, to):
         if x is None and y is None:
-            p = np.multiply(_ZERO, vb, out=_into(o, vb))
-            q = np.multiply(va, _ZERO, out=_into(ws.tmp, va))
-            p = np.subtract(p, q, out=_into(o, p, q))
-            p = np.divide(p, den, out=_into(o, p, den))
-            t.append(p if p.any() else None)
-        elif x is None:
+            t.append(None)
+            continue
+        if x is None:
             p = np.multiply(va, y, out=_into(o, va, y))
-            p = np.divide(np.negative(p, out=p), den, out=_into(o, p, den))
-            t.append(_poison(p, bad_b, o))
+            p = np.negative(p, out=p)
         elif y is None:
             p = np.multiply(x, vb, out=_into(o, x, vb))
-            t.append(_poison(np.divide(p, den, out=_into(o, p, den)), bad_a, o))
         else:
             p = np.multiply(x, vb, out=_into(o, x, vb))
             q = np.multiply(va, y, out=_into(ws.tmp, va, y))
             p = np.subtract(p, q, out=_into(o, p, q))
-            t.append(np.divide(p, den, out=_into(o, p, den)))
+        t.append(np.divide(p, den, out=_into(o, p, den)))
     return np.divide(va, vb, out=vo), tuple(t)
 
 
@@ -501,10 +462,8 @@ def _pow(va, ta, vb, tb, k, ws, vo, to):
     # k * x ** 1 is k * x bit for bit, but for the sign of a zero
     tmp = None if vo is None else ws.tmp
     dv = np.multiply(k, va if k == 2 else _power(va, k - 1, tmp), out=tmp)
-    bad = _nonfinite(dv, ws, 0) if _skips(ta) else None
     return _power(va, k, vo), tuple(
-        _poison(None, bad, o) if x is None else np.multiply(dv, x, out=_into(o, dv, x))
-        for x, o in zip(ta, to))
+        None if x is None else np.multiply(dv, x, out=_into(o, dv, x)) for x, o in zip(ta, to))
 
 
 def _call(va, ta, vb, tb, func, ws, vo, to):
@@ -519,10 +478,8 @@ def _call(va, ta, vb, tb, func, ws, vo, to):
             v = np.cos(va, out=vo)
             dv = np.sin(va, out=tmp)
             dv = np.negative(dv, out=dv)
-        bad = _nonfinite(dv, ws, 0) if _skips(ta) else None
         return v, tuple(
-            _poison(None, bad, o) if x is None else np.multiply(dv, x, out=_into(o, dv, x))
-            for x, o in zip(ta, to))
+            None if x is None else np.multiply(dv, x, out=_into(o, dv, x)) for x, o in zip(ta, to))
 
 
 _BINARY = {Add: _add, Sub: _sub, Mul: _mul, Div: _div}
@@ -562,14 +519,13 @@ class Workspace:
     def block(self, registers: int, ntan: int, width: int, pole) -> list:
         """The (value column, tangent columns) of each register for one block
         of ``width`` points, whose pole mask is ``pole``; the rules' scratch
-        columns become attributes."""
+        columns become attributes: ``tmp`` and ``spare`` for values, and
+        ``mag`` and ``mask`` for a denominator's magnitude and small entries."""
         cols = self.take("registers", ((1 + ntan) * registers + 3, width))
         self.tmp, self.spare = cols[-3], cols[-2]
-        scratch = cols[-1].view(np.float64)  # |b| and the flags share a column
+        scratch = cols[-1].view(np.float64)  # |b| and the mask share a column
         self.mag = scratch[:width]
-        flags = scratch[width:].view(bool)
-        self.masks = (flags[:width], flags[width:2 * width])
-        self.finite = flags[2 * width:4 * width]
+        self.mask = scratch[width:].view(bool)[:width]
         self.pole = pole
         step = 1 + ntan
         return [(cols[r], tuple(cols[r + 1:r + step])) for r in range(0, step * registers, step)]
@@ -601,13 +557,13 @@ NARROW, RESULT = -2, -1
 
 
 def _fold(op, va, vb, arg):
-    """The constant op(va, vb), or None if it marks a pole or its gradient
-    is not exactly zero (a non-finite operand makes it NaN)."""
+    """The constant op(va, vb), or None if it marks a pole.  Its tangent is
+    an exact zero, so an infinite or NaN constant folds too."""
     ws = Workspace()
     ws.block(0, 1, 1, np.zeros(1, dtype=bool))
     with np.errstate(all="ignore"):
-        v, (t,) = op(va, (None,), vb, (None,), arg, ws, None, (None,))
-    return v if t is None and not ws.pole[0] else None
+        v, _ = op(va, (None,), vb, (None,), arg, ws, None, (None,))
+    return None if ws.pole[0] else v
 
 
 def compile_tape(root: Node) -> Tape:
@@ -796,18 +752,15 @@ def eval_values(f: HoloExpr, Z) -> tuple[np.ndarray, np.ndarray]:
 def line_map(c):
     """The complex line lambda -> lambda * c as a map for
     :func:`_map_jets`.  Coordinate k is c_k * lambda, with tangent
-    c_k * 1 + lambda * 0, rounded as the tree of f(lambda * c) built with
+    c_k * 1, rounded as the tree of f(lambda * c) built with
     :func:`substitute` computes them.  The map writes the coordinates into
     the current workspace."""
     cv = np.asarray(c, dtype=complex).reshape(-1)
     scales = [cv[k:k + 1] for k in range(cv.shape[0])]
+    tangents = [s * _ONE for s in scales]
 
     def phi(lam):
         out = _workspace().take("coordinates", (len(scales), len(lam)))
-        tangents = [s * _ONE for s in scales]
-        if not np.isfinite(lam.view(np.float64)).all():
-            bad = ~np.isfinite(lam)
-            tangents = [np.where(bad, _NAN, t) for t in tangents]
         # per coordinate, as the tree's c_k * z1: one broadcast product rounds apart at 1 point
         return [np.multiply(s, lam, out=o) for s, o in zip(scales, out)], tangents
     return phi

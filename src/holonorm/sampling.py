@@ -29,6 +29,11 @@ def check_ladder(ladder) -> tuple:
         raise InputError("ladder entries must lie in (0, 1)")
     if any(b >= a for a, b in zip(lad, lad[1:])):
         raise InputError("ladder must be strictly decreasing")
+    # 1 - e rounds to 1 for e below about 1.1e-16, and two gaps closer than
+    # that can round to one radius: such a rung samples nothing new
+    radii = [1.0 - e for e in lad] + [1.0]
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise InputError("ladder radii 1 - e must increase and stay below 1 in floats")
     return lad
 
 

@@ -84,6 +84,40 @@ def test_bad_ladder_exits_2(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("command", ["yosida", "kobayashi", "disc-probe", "linescan"])
+def test_ladder_rung_without_new_radii_exits_2(capsys, command):
+    # 1 - 1e-17 rounds to 1: the second rung would sample |z| = 1 and add
+    # nothing inside the disc
+    code, out, err = run(capsys, command, "--expr", "1/(1-z1)", "--ladder", "0.1,1e-17")
+    assert code == 2
+    assert out == ""
+    assert "input error: ladder radii 1 - e must increase" in err
+
+
+def test_overflowing_constant_is_a_constant(capsys):
+    # 1/(1e300*1e300) is the constant 0, so f is z1: the zero gradient of
+    # the constant is exact and adds no NaN
+    code, out, err = run(capsys, "yosida", "--expr", "z1+1/(1e300*1e300)")
+    assert code == 0
+    assert json.loads(out)["results"]["estimate"]["sup"] == 1
+    assert "RuntimeWarning" not in err
+    code, out, _ = run(capsys, "sharp", "--expr", "z1+1/(1e300*1e300)", "--at", "0.5")
+    assert code == 0
+    assert json.loads(out)["results"]["value"] == 0.8
+    # an infinite constant has sharp 0, as 1e300*1e300 does in yosida
+    code, out, _ = run(capsys, "sharp", "--expr", "exp(1e300)", "--arity", "2")
+    assert code == 0
+    assert json.loads(out)["results"]["sup"] == 0
+    code, out, _ = run(capsys, "yosida", "--expr", "1e300*1e300")
+    assert code == 0
+    assert json.loads(out)["results"]["estimate"]["sup"] == 0
+    # a NaN constant still fails to evaluate
+    code, out, err = run(capsys, "yosida", "--expr", "0*(1e300*1e300)")
+    assert code == 3
+    assert out == ""
+    assert "numeric failure" in err
+
+
 def test_numeric_failure_exits_3(capsys):
     code, out, err = run(capsys, "sharp", "--expr", "exp(1/z1)", "--at", "0")
     assert code == 3

@@ -15,6 +15,11 @@ def test_ladder_validation():
         sp.check_ladder((0.1, 0.2))
     with pytest.raises(InputError):
         sp.check_ladder((0.5, 0.0))
+    # radii 1 - e that round to 1, or to the previous rung's radius
+    for ladder in [(0.1, 1e-17), (0.1, 0.1 - 1e-17), (1e-17,)]:
+        with pytest.raises(InputError, match="ladder radii"):
+            sp.check_ladder(ladder)
+    assert sp.check_ladder((0.1, 2e-16)) == (0.1, 2e-16)
 
 
 def test_disc_ladder_grids_are_prefix_nested():

@@ -1,9 +1,12 @@
-"""The compiled tape against the recursive jet rules it replaced.
+"""The compiled tape against recursive jet rules.
 
-``_oracle_node`` is the recursive evaluator that propagated full (m, n)
-gradient arrays node by node, kept here as the reference.  Gradient mode
-must reproduce it bit for bit, and directional mode must reproduce it on the
-substituted slice tree, including pole masks and every non-finite entry.
+``_oracle_node`` evaluates a tree node by node on full arrays, with the
+tape's sparse rule: a gradient column is None where the node does not
+depend on that variable, a term with a None factor is left out, and a None
+column reads 0 at the end.  Gradient mode must reproduce it bit for bit,
+and directional mode must reproduce it on the substituted slice tree,
+including pole masks and every non-finite entry.  Apart from the oracle, a
+variable that a tree does not contain must get derivative exactly 0.
 Along polynomial discs, directional mode is checked against gradient mode
 contracted with the disc's derivative.
 """
@@ -23,54 +26,48 @@ from holonorm.linescan import alexander_function_test, direction_set
 from oracles import map_jets, restrict_function
 
 
-def _oracle_node(node, Z, pole, want_grad):
+def _oracle_node(node, Z, pole):
+    """(values, gradient columns) of the tree under ``node`` at the rows of
+    ``Z``, node by node on full arrays.  A gradient column is None where the
+    node does not depend on that variable, and a term with a None factor is
+    left out."""
     m, n = Z.shape
     if isinstance(node, ex.Const):
-        vals = np.full(m, node.value, dtype=complex)
-        grads = np.zeros((m, n), dtype=complex) if want_grad else None
-        return vals, grads
+        return np.full(m, node.value, dtype=complex), [None] * n
     if isinstance(node, ex.Var):
-        vals = Z[:, node.index - 1].copy()
-        if want_grad:
-            grads = np.zeros((m, n), dtype=complex)
-            grads[:, node.index - 1] = 1.0
-        else:
-            grads = None
-        return vals, grads
-    if isinstance(node, (ex.Add, ex.Sub)):
-        v1, g1 = _oracle_node(node.left, Z, pole, want_grad)
-        v2, g2 = _oracle_node(node.right, Z, pole, want_grad)
-        if isinstance(node, ex.Add):
-            return v1 + v2, (g1 + g2 if want_grad else None)
-        return v1 - v2, (g1 - g2 if want_grad else None)
+        grads = [None] * n
+        grads[node.index - 1] = np.ones(m, dtype=complex)
+        return Z[:, node.index - 1].copy(), grads
+    if isinstance(node, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
+        v1, g1 = _oracle_node(node.left, Z, pole)
+        v2, g2 = _oracle_node(node.right, Z, pole)
+    if isinstance(node, ex.Add):
+        return v1 + v2, [a if b is None else b if a is None else a + b for a, b in zip(g1, g2)]
+    if isinstance(node, ex.Sub):
+        return v1 - v2, [a if b is None else -b if a is None else a - b for a, b in zip(g1, g2)]
     if isinstance(node, ex.Mul):
-        v1, g1 = _oracle_node(node.left, Z, pole, want_grad)
-        v2, g2 = _oracle_node(node.right, Z, pole, want_grad)
-        vals = v1 * v2
-        grads = v1[:, None] * g2 + v2[:, None] * g1 if want_grad else None
-        return vals, grads
+        # d(ab) = a db + b da
+        return v1 * v2, [None if a is None and b is None else v2 * a if b is None
+                         else v1 * b if a is None else v1 * b + v2 * a
+                         for a, b in zip(g1, g2)]
     if isinstance(node, ex.Div):
-        v1, g1 = _oracle_node(node.left, Z, pole, want_grad)
-        v2, g2 = _oracle_node(node.right, Z, pole, want_grad)
         bad = np.abs(v2) < ex.POLE_THRESHOLD
         if bad.any():
             pole |= bad
             v2 = np.where(bad, 1.0, v2)
-        vals = v1 / v2
-        grads = (g1 * v2[:, None] - v1[:, None] * g2) / (v2 * v2)[:, None] if want_grad else None
-        return vals, grads
+        den = v2 * v2
+        return v1 / v2, [None if a is None and b is None else a * v2 / den if b is None
+                         else -(v1 * b) / den if a is None else (a * v2 - v1 * b) / den
+                         for a, b in zip(g1, g2)]
     if isinstance(node, ex.Pow):
-        vb, gb = _oracle_node(node.base, Z, pole, want_grad)
+        vb, gb = _oracle_node(node.base, Z, pole)
         k = node.exponent
         if k == 0:
-            vals = np.ones(m, dtype=complex)
-            grads = np.zeros((m, n), dtype=complex) if want_grad else None
-            return vals, grads
-        vals = vb ** k
-        grads = (k * vb ** (k - 1))[:, None] * gb if want_grad else None
-        return vals, grads
+            return np.ones(m, dtype=complex), [None] * n
+        dv = k * vb ** (k - 1)
+        return vb ** k, [None if b is None else dv * b for b in gb]
     if isinstance(node, ex.Call):
-        va, ga = _oracle_node(node.arg, Z, pole, want_grad)
+        va, ga = _oracle_node(node.arg, Z, pole)
         with np.errstate(over="ignore", invalid="ignore"):
             if node.func == "exp":
                 vals = np.exp(va)
@@ -81,19 +78,22 @@ def _oracle_node(node, Z, pole, want_grad):
             else:
                 vals = np.cos(va)
                 dv = -np.sin(va)
-            grads = dv[:, None] * ga if want_grad else None
-        return vals, grads
+            return vals, [None if a is None else dv * a for a in ga]
     raise TypeError(f"unknown node {node!r}")
 
 
-def oracle_jet_batch(f, Z, want_grad=True):
+def oracle_jet_batch(f, Z):
     pts = ex.as_points(Z, f.arity)
-    pole = np.zeros(pts.shape[0], dtype=bool)
-    vals, grads = _oracle_node(f.root, pts, pole, want_grad)
+    m, n = pts.shape
+    pole = np.zeros(m, dtype=bool)
+    vals, cols = _oracle_node(f.root, pts, pole)
+    grads = np.zeros((m, n), dtype=complex)
+    for k, col in enumerate(cols):
+        if col is not None:
+            grads[:, k] = col
     if pole.any():
         vals = np.where(pole, np.nan + 0j, vals)
-        if want_grad:
-            grads = np.where(pole[:, None], np.nan + 0j, grads)
+        grads = np.where(pole[:, None], np.nan + 0j, grads)
     return vals, grads, pole
 
 
@@ -266,6 +266,31 @@ def test_directional_mode_matches_substituted_slice(case):
     assert np.array_equal(new_pole, want_pole)
     assert same(vals, want_v) and same(new_v, want_v)
     assert same(deriv, want_g[:, 0]) and same(new_g, want_g)
+
+
+@settings(max_examples=250, deadline=None)
+@given(cases())
+def test_gradient_is_exactly_zero_in_absent_variables(case):
+    # the rule itself, without the oracle: a variable that f's tree does not
+    # contain has derivative 0, also where f or a constant is infinite or NaN
+    f, pts, _ = case
+    present = {node.index - 1 for node in ex._postorder(f.root) if isinstance(node, ex.Var)}
+    absent = [k for k in range(f.arity) if k not in present]
+    with np.errstate(all="ignore"):
+        _, grads, pole = ex.eval_jet_batch(f, pts)
+    assert (grads[~pole][:, absent] == 0).all()
+
+
+def test_overflowing_constants_fold():
+    # 1/(1e300*1e300) folds to the constant 0, and exp(1e300) to infinity
+    f = ex.parse("z1+1/(1e300*1e300)", 1)
+    assert [ins[0] for ins in f.tape.code] == [ex._add]
+    assert ex.parse("exp(1e300)", 2).tape.code == ()
+    assert ex.parse("0*(1e300*1e300)", 1).tape.code == ()
+    with np.errstate(all="ignore"):
+        vals, grads, pole = ex.eval_jet_batch(f, [0.5, INF, np.nan])
+    assert same(vals, np.array([0.5, INF, complex(np.nan, 0.0)]))
+    assert np.array_equal(grads[:, 0], np.ones(3)) and not pole.any()
 
 
 def test_square_rule_derivative_is_twice_the_base():
