@@ -12,6 +12,7 @@ Hermitian pairing <v, z> = sum v_mu * conj(z_mu).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -105,25 +106,27 @@ def _point(z, arity: int) -> np.ndarray:
 
 
 def _sq_norms(Z):
-    """|z|^2 of each z along the last axis of Z, as an einsum row sum: the
-    one rounding of |z|^2 for the open-ball rule, for the d = 1 - |z|^2
-    that the ball's formulas divide by, and for |v|^2 of direction vectors."""
+    """|z|^2 of each z along the last axis of Z, as an einsum row sum, for
+    the ball ratios' blocks; ``_sq_norm`` rounds one point alike."""
     return np.einsum("...j,...j->...", Z, Z.conjugate()).real
 
 
-def _in_ball(z, arity: int, message: str):
-    """(z, |z|^2) for a point z of C^arity; InputError(message) unless
-    |z|^2 < 1, a test that NaN fails."""
-    zz = _point(z, arity)
-    return zz, _sq_norm_below_one(zz, message)
-
-
-def _sq_norm_below_one(zz: np.ndarray, message: str) -> float:
-    """|zz|^2 of a point already made by ``_point``, under ``_in_ball``'s test."""
-    s = float(_sq_norms(zz))
-    if not s < 1.0:
+def _sq_norm(values, message: str | None = None) -> float:
+    """|z|^2 of a point's ``tolist()`` values, summed left to right in floats
+    as a row of ``_sq_norms`` is, on every SIMD tier; with a ``message``, the
+    open-ball rule: InputError unless |z|^2 < 1, which NaN fails."""
+    s = 0.0
+    for c in values:
+        s += c.real * c.real + c.imag * c.imag
+    if message is not None and not s < 1.0:
         raise InputError(message)
     return s
+
+
+def _in_ball(z, arity: int, message: str):
+    """(z, |z|^2) for a point z of C^arity, under ``_sq_norm``'s test."""
+    zz = _point(z, arity)
+    return zz, _sq_norm(zz.tolist(), message)
 
 
 def bergman_kernel_ball(B: BallDomain, z) -> float:
@@ -147,25 +150,30 @@ def bergman_tensor_ball(B: BallDomain, z) -> np.ndarray:
     return (n + 1) * g
 
 
-def _norm_and_pair(zz: np.ndarray, vv: np.ndarray) -> tuple[float, float]:
-    """(|v|, |<v/|v|, z>|) of a finite v, the pairing 0 at v = 0; where |v|^2
-    is not a normal float, |v| is formed from v scaled by its largest part."""
-    with np.errstate(over="ignore"):
-        v_norm = math.sqrt(_sq_norms(vv))
+def _norm_and_pair(zl: list, vl: list) -> tuple[float, float]:
+    """(|v|, |<v_hat, z>|) of a finite v, from ``tolist()`` values, the pairing
+    0 at v = 0: v_hat_k = v_k/|v|, and v_hat_k conj(z_k) summed left to right;
+    where |v|^2 is not a normal float, both use v over its largest part."""
+    v_norm, big = math.sqrt(_sq_norm(vl)), 1.0
     if not _SQRT_TINY <= v_norm < math.inf:
-        big = float(np.max(np.abs(np.concatenate([vv.real, vv.imag]))))
-        v_norm = big * math.sqrt(_sq_norms(vv / big)) if big > 0.0 else 0.0
-    e = vv / v_norm if v_norm else vv
-    return v_norm, abs(complex(np.add.reduce(e * zz.conjugate())))
+        big = max([max(abs(c.real), abs(c.imag)) for c in vl])
+        if big == 0.0:
+            return 0.0, 0.0
+        vl = [c / big for c in vl]
+        v_norm = math.sqrt(_sq_norm(vl))
+    pair = 0j
+    for c, w in zip(vl, zl):
+        pair += c / v_norm * w.conjugate()
+    return big * v_norm, abs(pair)
 
 
-def _length_sq(zz: np.ndarray, vv: np.ndarray, d: float) -> tuple[float, float]:
+def _length_sq(zl: list, vl: list, d: float) -> tuple[float, float]:
     """(|v|, L), L = 1/d + |<v/|v|, z>|^2/d^2, d = 1 - |z|^2: the squared
     Kobayashi length of v at z in the unit ball is |v|^2 L, the Bergman one
     (n+1) |v|^2 L, and neither is formed from |v|^2 alone."""
-    if not np.isfinite(vv).all():
+    if not all(map(cmath.isfinite, vl)):
         raise InputError("tangent vector must be finite")
-    v_norm, pair = _norm_and_pair(zz, vv)
+    v_norm, pair = _norm_and_pair(zl, vl)
     return v_norm, 1.0 / d + pair * pair / (d * d)
 
 
@@ -173,7 +181,7 @@ def bergman_norm_sq(B: BallDomain, z, v) -> float:
     """Closed-form squared Bergman length of tangent vector v at z; +inf
     only where it exceeds the float range."""
     zz, s = _in_ball(z, B.arity, "metric evaluation point must lie in the open ball")
-    v_norm, L = _length_sq(zz, _point(v, B.arity), 1.0 - s)
+    v_norm, L = _length_sq(zz.tolist(), _point(v, B.arity).tolist(), 1.0 - s)
     return v_norm * (v_norm * ((B.arity + 1) * L))
 
 
@@ -256,11 +264,10 @@ def kobayashi_closed_form_ball(z, v) -> float:
     F_K(z, v) = sqrt( |v|^2/(1-|z|^2) + |<v, z>|^2/(1-|z|^2)^2 ),
     normalised so F_K(0, v) = |v|.
     """
-    zz = np.asarray(z, dtype=complex).reshape(-1)
-    vv = np.asarray(v, dtype=complex).reshape(-1)
-    if zz.shape != vv.shape:
+    zz, vv = (np.asarray(x, dtype=complex).reshape(-1).tolist() for x in (z, v))
+    if len(zz) != len(vv):
         raise InputError("point and vector must have matching arity")
-    s = _sq_norm_below_one(zz, "Kobayashi evaluation point must lie in the open ball")
+    s = _sq_norm(zz, "Kobayashi evaluation point must lie in the open ball")
     v_norm, L = _length_sq(zz, vv, 1.0 - s)
     return v_norm * math.sqrt(L)
 
@@ -446,10 +453,11 @@ def _geometric_boundary_max(s, pair, t, mu, rho):
 
     Rounding, u = 2^-53, n coordinates, with t, mu and rho the disc's exact
     parameters.  s errs by (n+1)u (two roundings per |z_j|^2, n - 1 in the
-    sum, |z|^2 < 1), and pair, from v_hat and its norm ((n+5)u per
-    coordinate) and the pairing ((n+2)u), by (2n+10)u.  1 - rho and 1 - mu
-    are one rounding of an exact difference and a sums nonnegative terms,
-    so a errs relatively by 2u, 2 - a by 3u, k by 6u, y by 8u, x by 11u.
+    sum, |z|^2 < 1), and pair by (2n+7)u < (2n+10)u: v_hat_k = v_k/|v| by
+    (n+5)u/2 (2u more if v is scaled by its largest part), the sums of
+    products by sqrt(2)(n+1)u, abs by u.  1 - rho and 1 - mu are one
+    rounding of an exact difference and a sums nonnegative terms, so a errs
+    relatively by 2u, 2 - a by 3u, k by 6u, y by 8u, x by 11u.
     A result at most 1 has pair <= 1.01, (|pair - x| + y)^2 <= 2.03,
     y <= 1.43 and x <= 2.44; so |pair - x| + y errs by (2n+52)u, its
     square by (5.8n+152)u, s - pair^2 by (5.1n+24)u, and the result by
@@ -476,14 +484,13 @@ def kobayashi_upper(B: BallDomain, z, v, budget: int, seed: int = 0) -> float:
     """
     if budget < 1:
         raise InputError("budget must be at least 1")
-    zz = _point(z, B.arity)
-    vv = _point(v, B.arity)
-    if not (np.isfinite(zz).all() and np.isfinite(vv).all()):
+    zz, vv = _point(z, B.arity).tolist(), _point(v, B.arity).tolist()
+    if not all(map(cmath.isfinite, zz + vv)):
         raise InputError("base point and direction vector must be finite")
     v_norm, pair = _norm_and_pair(zz, vv)  # pair = |<v_hat, z>|
     if not 0.0 < v_norm < math.inf:
         raise InputError("direction vector must be nonzero, with a finite norm")
-    s = _sq_norm_below_one(zz, "base point must lie in the open ball")
+    s = _sq_norm(zz, "base point must lie in the open ball")
     t, mu = _extremal_parameters(s, pair)
     rho = 1.0 - 2.0 ** -40 / (1.0 - s)
     bound = 1.0 - (12 * B.arity + 200) * 2.0 ** -53

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -501,20 +502,23 @@ def _ratio_sups(f: ex.HoloExpr, Z, V: np.ndarray, scale) -> np.ndarray:
 
     Each block's jets go to its S, written over its d, so the check holds 8
     bytes a point and one block.  The pole error comes after every block's
-    jets.  S is formed for the blocks before the first with a pole, so
-    numpy's warnings from their S come before that error."""
+    jets and drops numpy's warnings from the S formed before it."""
     blocks, d = _ratio_inputs(f, Z, V)
-    pole = False
-    with ex.Workspace():
+    pole, held = False, set()
+    with ex.Workspace(), warnings.catch_warnings(record=True) as caught:
         for b in blocks:
             z = Z[b]
             vals, grads, at_pole = ex.eval_jet_batch(f, z)
             pole = pole or bool(at_pole.any())
             if not pole:
+                first = len(caught)
                 s = np.einsum("ij,ij->i", grads, grads.conjugate()).real
                 s -= np.square(np.abs(np.einsum("ij,ij->i", grads, z)))
                 den = np.square(_sphere_den(vals))
                 np.divide(s * d[b], np.multiply(den, scale, out=den), out=d[b])
+                held.update(range(first, len(caught)))
+    for w in (w for i, w in enumerate(caught) if not pole or i not in held):
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     if pole:
         raise InputError("pole signal inside the ball; certifier input must be holomorphic")
     return d

@@ -89,6 +89,9 @@ class PowerSeries:
                 raise InputError(f"coefficient of {t} is not finite: {c!r}")
             if c != 0:
                 clean[t] = c
+        top, bound = max(clean, key=max, default=(0,)), GROUP_TERMS * len(clean)
+        if max(top) > bound:  # _part_sums' power table runs up to the largest exponent
+            raise InputError(f"term {top} has an exponent above {bound} ({GROUP_TERMS} a term)")
         object.__setattr__(self, "terms", clean)
         order = sorted(clean, key=lambda t: (sum(t), t))
         E = np.array(order, dtype=np.intp).reshape(len(order), self.arity)

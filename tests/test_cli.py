@@ -173,6 +173,18 @@ def test_oversized_series_fields_exit_2(capsys, tmp_path, body):
     assert err.startswith("holonorm: input error:") and err.count("\n") == 1
 
 
+def test_exponent_above_the_power_table_bound_exits_2(capsys, tmp_path):
+    # one term z1^(2^40) asked _part_sums for a 4 PiB power table
+    path = tmp_path / "series.json"
+    path.write_text('{"arity": 2, "max_degree": 1099511627776, '
+                    '"terms": [{"alpha": [1099511627776, 0], "re": 1.0}]}')
+    code, out, err = run(capsys, "hartogs", "--series", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == ("holonorm: input error: term (1099511627776, 0) has an exponent "
+                   "above 4096 (4096 a term)\n")
+
+
 def test_malformed_exponent_error_names_its_term(capsys, tmp_path):
     terms = [{"alpha": [k, 0], "re": 1.0} for k in range(5)]
     terms[3]["alpha"] = [1.5, 0]
@@ -467,6 +479,17 @@ def test_runtime_warnings_are_counted_on_one_line(capsys):
     # library calls keep numpy's warnings
     with pytest.warns(RuntimeWarning):
         nr.yosida_bound(ex.parse("exp(10/(1-z1))", 1))
+
+
+def test_pole_in_a_later_block_exits_2_without_a_warning_count(capsys):
+    # the blocks before the pole overflow in the closed form; those warnings
+    # are dropped with the pole error, not counted before it
+    code, out, err = run(capsys, "kobayashi", "--expr", "1/(z1-0.99)+exp(40/(1-z1))",
+                         "--arity", "2", "--directions", "256", "--radii", "32")
+    assert code == 2
+    assert out == ""
+    assert err == ("holonorm: input error: pole signal inside the ball; "
+                   "certifier input must be holomorphic\n")
 
 
 def test_disc_probe_with_many_failed_samples_exits_3(capsys):

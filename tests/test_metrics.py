@@ -482,7 +482,7 @@ DISCS_BUDGETS = (20, 100, 200)
 DISCS_HEX = {
     (2, 0.0): ('0x1.255c8085f9941p+1',) * 3,
     (2, 0.4): ('0x1.4c0244d449ce5p+1',) * 3,
-    (2, 0.85): ('0x1.8d751b9a8d194p+2',) * 3,
+    (2, 0.85): ('0x1.8d751b9a8d195p+2',) * 3,
     (3, 0.0): ('0x1.00cd43e526b68p+2',) * 3,
     (3, 0.4): ('0x1.200d64f21e1d3p+2',) * 3,
     (3, 0.85): ('0x1.44f7d35c2520ep+3',) * 3,
@@ -676,6 +676,28 @@ def test_points_and_ball_ratios_share_one_open_ball_rule():
     for z in Z[~inside]:
         with pytest.raises(InputError, match="open unit ball"):
             nr._ratio_inputs(f, z[None], V)
+
+
+@pytest.mark.parametrize("arity", range(1, 33))
+def test_point_sq_norm_rounds_as_a_ball_ratio_row(arity):
+    # the single-point metrics sum |z|^2 in Python floats, the ball ratios
+    # with an einsum over the rows of a block; both must round alike, also
+    # where the squares are subnormal, sit an ulp below 1 or overflow
+    rng = np.random.default_rng(arity)
+
+    def rows(count, scale):
+        return scale * (rng.uniform(-1, 1, (count, arity)) + 1j * rng.uniform(-1, 1, (count, arity)))
+
+    sphere = sp.unit_sphere_points(arity, 400, arity)
+    near_one = np.concatenate([sphere * (1.0 - k * 2.0 ** -53) for k in range(4)])
+    Z = np.concatenate([rows(400, 1.0 / math.sqrt(arity)), rows(50, 1e-160), rows(50, 1e-310),
+                        near_one, rows(50, 1.5e154)])
+    want = mt._sq_norms(Z)
+    assert (want == 1.0 - 2.0 ** -53).any() and np.isinf(want).any()
+    assert ((want > 0.0) & (want < np.finfo(float).tiny)).any()
+    for z, w in zip(Z, want):
+        assert mt._sq_norm(z.tolist()).hex() == float(w).hex() == float(mt._sq_norms(z)).hex()
+
 
 @pytest.mark.parametrize("z,v", [
     ([math.nan, 0.0], [0.0, 1.0]),
